@@ -87,6 +87,11 @@ impl Adversary {
 
     /// True iff `proc` was non-faulty during the whole window
     /// `[tau − big_delta, tau]` (Definition 3's "good at τ").
+    ///
+    /// O(log k) in the schedule's k episodes (one binary search of its
+    /// index), so the per-event cost of the runtime, which asks on every
+    /// clock adjustment and for every node in a sample, does not grow with
+    /// the horizon.
     pub fn good_at(&self, proc: ProcId, tau: RealTime, big_delta: SimDuration) -> bool {
         self.schedule.non_faulty_during(proc, tau - big_delta, tau)
     }

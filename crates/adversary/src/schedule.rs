@@ -73,7 +73,52 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// `(proc, t)` as one integer whose unsigned order is the order of the
+/// pair `(ProcId, RealTime)`: the processor in the high half, and in the
+/// low half the bits of `t` mapped so that unsigned order is
+/// `f64::total_cmp` order (the order `RealTime` compares by). One integer
+/// comparison per binary-search step instead of a pair comparison halves
+/// the cost of a goodness query.
+fn index_key(proc: ProcId, t: RealTime) -> u128 {
+    let bits = t.as_secs().to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(proc.0) << 64) | u128::from(ordered)
+}
+
+/// One row of the per-processor index: an episode of a processor, keyed
+/// by `(proc, from)`, and the latest `until` among that processor's
+/// episodes up to and including this row.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    /// [`index_key`] of the episode's `(proc, from)`.
+    key: u128,
+    reach: RealTime,
+    /// Position of the episode in [`CorruptionSchedule::intervals`].
+    episode: u32,
+}
+
+impl IndexEntry {
+    fn proc(&self) -> ProcId {
+        ProcId((self.key >> 64) as u32)
+    }
+}
+
 /// A full corruption timeline for a run.
+///
+/// Besides the episodes in insertion order, a schedule keeps one index,
+/// built in O(k log k) for k episodes: the episodes sorted by
+/// `(proc, from)`, each row carrying the running maximum of `until` within
+/// its processor. Goodness queries ([`non_faulty_during`],
+/// [`is_corrupt`]) are then O(log k) binary searches, and
+/// [`verify_f_limited`] is an O(k log k) sweep.
+///
+/// [`non_faulty_during`]: CorruptionSchedule::non_faulty_during
+/// [`is_corrupt`]: CorruptionSchedule::is_corrupt
+/// [`verify_f_limited`]: CorruptionSchedule::verify_f_limited
 ///
 /// ```
 /// use byzclock_adversary::CorruptionSchedule;
@@ -92,6 +137,8 @@ impl std::error::Error for ScheduleError {}
 #[derive(Debug, Clone, Default)]
 pub struct CorruptionSchedule {
     intervals: Vec<CorruptionInterval>,
+    /// Episodes sorted by `(proc, from)`; see [`IndexEntry`].
+    index: Vec<IndexEntry>,
 }
 
 impl CorruptionSchedule {
@@ -100,14 +147,72 @@ impl CorruptionSchedule {
         Self::default()
     }
 
-    /// Builds a schedule from explicit intervals.
+    /// Builds a schedule from explicit intervals, indexing them in
+    /// O(k log k) with one allocation.
     pub fn from_intervals(intervals: Vec<CorruptionInterval>) -> Self {
-        CorruptionSchedule { intervals }
+        let mut index: Vec<IndexEntry> = intervals
+            .iter()
+            .enumerate()
+            .map(|(i, iv)| IndexEntry {
+                key: index_key(iv.proc, iv.from),
+                reach: iv.until,
+                episode: u32::try_from(i).expect("more than u32::MAX episodes"),
+            })
+            .collect();
+        index.sort_unstable_by_key(|e| e.key);
+        for i in 1..index.len() {
+            if index[i].proc() == index[i - 1].proc() {
+                index[i].reach = index[i].reach.max(index[i - 1].reach);
+            }
+        }
+        CorruptionSchedule { intervals, index }
     }
 
-    /// Adds one corruption episode.
+    /// Adds one corruption episode, keeping the index sorted (O(k)).
     pub fn push(&mut self, interval: CorruptionInterval) {
+        let key = index_key(interval.proc, interval.from);
+        let at = self.index.partition_point(|e| e.key <= key);
+        let reach = match at.checked_sub(1).map(|i| self.index[i]) {
+            Some(prev) if prev.proc() == interval.proc => prev.reach.max(interval.until),
+            _ => interval.until,
+        };
+        self.index.insert(
+            at,
+            IndexEntry {
+                key,
+                reach,
+                episode: u32::try_from(self.intervals.len()).expect("more than u32::MAX episodes"),
+            },
+        );
+        for e in self.index[at + 1..]
+            .iter_mut()
+            .take_while(|e| e.proc() == interval.proc)
+        {
+            e.reach = e.reach.max(interval.until);
+        }
         self.intervals.push(interval);
+    }
+
+    /// True iff some episode of `proc` intersects the closed window
+    /// `[start, end]`: of its episodes with `from ≤ end`, the latest
+    /// release must come after `start`. One binary search over the index
+    /// finds the last such episode, whose row carries that release.
+    fn touches(&self, proc: ProcId, start: RealTime, end: RealTime) -> bool {
+        let key = index_key(proc, end);
+        let i = self.index.partition_point(|e| e.key <= key);
+        i > 0 && self.index[i - 1].proc() == proc && self.index[i - 1].reach > start
+    }
+
+    /// The index split into per-processor runs, in ascending `ProcId`
+    /// order (O(P log k) for P distinct processors).
+    fn runs(&self) -> impl Iterator<Item = &[IndexEntry]> {
+        let mut rest = &self.index[..];
+        std::iter::from_fn(move || {
+            let proc = rest.first()?.proc();
+            let (run, tail) = rest.split_at(rest.partition_point(|e| e.proc() == proc));
+            rest = tail;
+            Some(run)
+        })
     }
 
     /// All episodes, in insertion order.
@@ -121,30 +226,31 @@ impl CorruptionSchedule {
         self.intervals.len()
     }
 
-    /// True iff `proc` is controlled at time `tau`.
+    /// True iff `proc` is controlled at time `tau`. O(log k).
     pub fn is_corrupt(&self, proc: ProcId, tau: RealTime) -> bool {
-        self.intervals
-            .iter()
-            .any(|iv| iv.proc == proc && iv.contains(tau))
+        self.touches(proc, tau, tau)
     }
 
-    /// The set of processors controlled at time `tau`.
+    /// The set of processors controlled at time `tau`. O(P log k) for P
+    /// distinct processors in the schedule.
     pub fn corrupt_set(&self, tau: RealTime) -> BTreeSet<ProcId> {
-        self.intervals
-            .iter()
-            .filter(|iv| iv.contains(tau))
-            .map(|iv| iv.proc)
+        self.runs()
+            .map(|run| run[0].proc())
+            .filter(|&proc| self.touches(proc, tau, tau))
             .collect()
     }
 
     /// True iff `proc` was non-faulty during the whole closed window
     /// `[start, end]` — the "good at τ" notion of Definition 3(i) uses
     /// `[τ − Δ, τ]`.
+    ///
+    /// O(log k): a binary search for the last episode of `proc` with
+    /// `from ≤ end`, then one comparison of the running maximum of `until`
+    /// against `start`. This evaluates exactly the comparisons of "some
+    /// episode has `from ≤ end` and `until > start`", so the answer is the
+    /// same as a scan of every episode.
     pub fn non_faulty_during(&self, proc: ProcId, start: RealTime, end: RealTime) -> bool {
-        !self
-            .intervals
-            .iter()
-            .any(|iv| iv.proc == proc && iv.intersects_window(start, end))
+        !self.touches(proc, start, end)
     }
 
     /// Exact Definition 2 check: in every window `[τ, τ+Δ]` within
@@ -154,6 +260,14 @@ impl CorruptionSchedule {
     /// only at τ = `until` (an interval stops intersecting) and
     /// τ = `from − Δ` (an interval starts intersecting), so it suffices to
     /// evaluate at those critical points (clamped to `[0, horizon]`).
+    ///
+    /// The critical points are visited in ascending order by one
+    /// O(k log k) sweep: an episode enters the window once `from ≤ τ+Δ`
+    /// and leaves for good once `until ≤ τ`, so two pointers, over the
+    /// episodes sorted by `from` and by `until`, keep per-processor counts
+    /// of the episodes inside the window. Window ends `τ+Δ` grow with τ
+    /// for any `Δ` that is not NaN or −∞. Only at a violation is the
+    /// controlled set collected, by a scan of every episode.
     pub fn verify_f_limited(
         &self,
         f: usize,
@@ -174,21 +288,64 @@ impl CorruptionSchedule {
         }
         candidates.sort();
         candidates.dedup();
+
+        /// Sweep state of one episode.
+        #[derive(Clone, Copy, Default)]
+        struct Swept {
+            /// Dense rank of the episode's processor.
+            slot: u32,
+            entered: bool,
+            left: bool,
+        }
+        let k = self.intervals.len();
+        let mut swept = vec![Swept::default(); k];
+        let mut slots = 0;
+        for (slot, run) in self.runs().enumerate() {
+            for e in run {
+                swept[e.episode as usize].slot = slot as u32;
+            }
+            slots = slot + 1;
+        }
+        let mut by_from: Vec<u32> = (0..k as u32).collect();
+        by_from.sort_unstable_by_key(|&i| self.intervals[i as usize].from);
+        let mut by_until = by_from.clone();
+        by_until.sort_unstable_by_key(|&i| self.intervals[i as usize].until);
+        // episodes of each processor inside the window, and how many
+        // processors have at least one
+        let mut inside = vec![0u32; slots];
+        let mut controlled = 0usize;
+        let (mut entering, mut leaving) = (0, 0);
+
         for tau in candidates {
             let end = tau + big_delta;
-            let controlled: Vec<ProcId> = {
+            while entering < k && self.intervals[by_from[entering] as usize].from <= end {
+                let s = &mut swept[by_from[entering] as usize];
+                entering += 1;
+                s.entered = true;
+                if !s.left {
+                    inside[s.slot as usize] += 1;
+                    controlled += usize::from(inside[s.slot as usize] == 1);
+                }
+            }
+            while leaving < k && self.intervals[by_until[leaving] as usize].until <= tau {
+                let s = &mut swept[by_until[leaving] as usize];
+                leaving += 1;
+                s.left = true;
+                if s.entered {
+                    inside[s.slot as usize] -= 1;
+                    controlled -= usize::from(inside[s.slot as usize] == 0);
+                }
+            }
+            if controlled > f {
                 let set: BTreeSet<ProcId> = self
                     .intervals
                     .iter()
                     .filter(|iv| iv.intersects_window(tau, end))
                     .map(|iv| iv.proc)
                     .collect();
-                set.into_iter().collect()
-            };
-            if controlled.len() > f {
                 return Err(ScheduleError {
                     window_start: tau,
-                    controlled,
+                    controlled: set.into_iter().collect(),
                     f,
                 });
             }
@@ -224,7 +381,7 @@ impl CorruptionSchedule {
             "rotating churn needs n >= 2f to avoid collisions"
         );
         assert!(hold > SimDuration::ZERO, "hold must be positive");
-        let mut schedule = CorruptionSchedule::new();
+        let mut intervals = Vec::new();
         // Strictly greater than Δ so closed windows [τ, τ+Δ] can't touch
         // both the release of one victim and the break-in of the next.
         let gap = big_delta * 1.001 + SimDuration::from_secs(1e-9);
@@ -234,12 +391,12 @@ impl CorruptionSchedule {
             while start < horizon {
                 let victim = ProcId(((slot + k * f) % n) as u32);
                 let until = start + hold;
-                schedule.push(CorruptionInterval::new(victim, start, until));
+                intervals.push(CorruptionInterval::new(victim, start, until));
                 start = until + gap;
                 k += 1;
             }
         }
-        schedule
+        CorruptionSchedule::from_intervals(intervals)
     }
 
     /// Random churn, f-limited by the same slot construction but with
@@ -265,24 +422,24 @@ impl CorruptionSchedule {
             SimDuration::ZERO < min_hold && min_hold <= max_hold,
             "invalid hold range"
         );
-        let mut schedule = CorruptionSchedule::new();
+        let mut intervals = Vec::new();
         let gap_floor = big_delta * 1.001 + SimDuration::from_secs(1e-9);
         for slot in 0..f {
-            // candidates for this slot: ids ≡ slot (mod f)
-            let candidates: Vec<u32> = (0..n as u32).filter(|i| *i as usize % f == slot).collect();
+            // candidates for this slot: ids ≡ slot (mod f), i.e. slot + j·f
+            let candidates = (n - slot).div_ceil(f);
             let mut start = RealTime::ZERO
                 + SimDuration::from_secs(rng.uniform(0.0, big_delta.as_secs().max(1e-9)));
             while start < horizon {
-                let victim = ProcId(*rng.choose(&candidates));
+                let victim = ProcId((slot + rng.index(candidates) * f) as u32);
                 let hold =
                     SimDuration::from_secs(rng.uniform(min_hold.as_secs(), max_hold.as_secs()));
                 let until = start + hold;
-                schedule.push(CorruptionInterval::new(victim, start, until));
+                intervals.push(CorruptionInterval::new(victim, start, until));
                 let extra = SimDuration::from_secs(rng.uniform(0.0, big_delta.as_secs()));
                 start = until + gap_floor + extra;
             }
         }
-        schedule
+        CorruptionSchedule::from_intervals(intervals)
     }
 
     /// A single corruption of `proc` during `[from, from+duration)` — the
@@ -337,6 +494,39 @@ mod tests {
         assert!(iv.intersects_window(t(2.9), t(10.0)));
         assert!(!iv.intersects_window(t(3.0), t(4.0)));
         assert!(!iv.intersects_window(t(0.0), t(0.9)));
+    }
+
+    #[test]
+    fn index_key_orders_like_the_pair() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        let procs = [ProcId(0), ProcId(1), ProcId(u32::MAX)];
+        for (pa, ta) in procs
+            .iter()
+            .flat_map(|p| times.iter().map(move |t| (*p, t)))
+        {
+            for (pb, tb) in procs
+                .iter()
+                .flat_map(|p| times.iter().map(move |t| (*p, t)))
+            {
+                assert_eq!(
+                    index_key(pa, t(*ta)).cmp(&index_key(pb, t(*tb))),
+                    (pa, t(*ta)).cmp(&(pb, t(*tb))),
+                    "({pa:?}, {ta}) vs ({pb:?}, {tb})"
+                );
+            }
+        }
     }
 
     #[test]

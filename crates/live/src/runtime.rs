@@ -108,6 +108,11 @@ pub struct NodeStats {
     pub last_adjustment: f64,
     /// Responders in the last completed round.
     pub last_responders: usize,
+    /// Datagrams dropped because they did not decode.
+    pub rejected_garbage: u64,
+    /// Datagrams dropped because the claimed sender's address is not the
+    /// one they came from.
+    pub rejected_spoofed: u64,
 }
 
 /// One deviation sample: max pairwise clock difference at a common instant.
@@ -164,6 +169,7 @@ impl LiveReport {
                 "sum |adj|",
                 "last adj",
                 "last responders",
+                "dropped garbage/spoofed",
             ],
         );
         for (i, s) in self.stats.iter().enumerate() {
@@ -174,6 +180,7 @@ impl LiveReport {
                 fmt_secs(s.total_abs_adjustment),
                 fmt_secs(s.last_adjustment),
                 s.last_responders.to_string(),
+                format!("{}/{}", s.rejected_garbage, s.rejected_spoofed),
             ]);
         }
         let mut deviation = Table::new(
@@ -345,14 +352,22 @@ impl NodeIo {
     }
 }
 
-/// The body of one node thread.
-fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) {
+/// Datagrams a node thread dropped, by reason.
+#[derive(Debug, Default)]
+struct Rejected {
+    garbage: u64,
+    spoofed: u64,
+}
+
+/// The body of one node thread; returns what it dropped.
+fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Rejected {
     let mut scratch = Vec::new();
     let start = Input::Start {
         local_now: io.clock.now(),
     };
     drive(&mut io, &mut node, start, &mut scratch);
     let mut buf = [0u8; frame::MAX_PAYLOAD + 4];
+    let mut rejected = Rejected::default();
     while !stop.load(Ordering::Relaxed) {
         // fire alarms one at a time: a fired timer may arm or cancel others
         let now = io.clock.now();
@@ -369,12 +384,15 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) {
             .unwrap_or(POLL_CAP)
             .clamp(Duration::from_millis(1), POLL_CAP);
         if io.socket.set_read_timeout(Some(wait)).is_err() {
-            return;
+            return rejected;
         }
         match io.socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                // garbage datagrams are dropped, like line noise on a link
-                if let Ok((envelope, _)) = io.codec.decode(&buf[..len]) {
+            // Garbage datagrams are dropped, like line noise on a link. So
+            // is an envelope whose claimed sender is not bound to the
+            // address it came from: any local process can reach these
+            // sockets, and `from` is read off the wire.
+            Ok((len, src)) => match io.codec.decode(&buf[..len]) {
+                Ok((envelope, _)) if io.peers.get(envelope.from.index()) == Some(&src) => {
                     let input = Input::Message {
                         from: envelope.from,
                         msg: envelope.msg,
@@ -382,13 +400,16 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) {
                     };
                     drive(&mut io, &mut node, input, &mut scratch);
                 }
-            }
+                Ok(_) => rejected.spoofed += 1,
+                Err(_) => rejected.garbage += 1,
+            },
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
-            Err(_) => return,
+            Err(_) => return rejected,
         }
     }
+    rejected
 }
 
 /// Runs a loopback cluster to completion and reports what it observed.
@@ -402,17 +423,22 @@ pub fn run(config: LiveConfig) -> Result<LiveReport, LiveError> {
     if config.nodes < 2 {
         return Err(LiveError::TooFewNodes(config.nodes));
     }
+    let sockets = (0..config.nodes)
+        .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
+        .collect::<io::Result<Vec<_>>>()?;
+    run_on(config, sockets)
+}
+
+/// [`run`] over already bound sockets, one per node.
+fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, LiveError> {
     let derived = config.model.derive(config.nodes, config.faults, config.k)?;
     let n = config.nodes;
-
-    let mut sockets = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-        addrs.push(socket.local_addr()?);
-        sockets.push(socket);
-    }
-    let addrs = Arc::new(addrs);
+    let addrs = Arc::new(
+        sockets
+            .iter()
+            .map(UdpSocket::local_addr)
+            .collect::<io::Result<Vec<_>>>()?,
+    );
 
     let epoch = Instant::now();
     let clocks: Vec<Arc<LiveClock>> = (0..n)
@@ -495,8 +521,11 @@ pub fn run(config: LiveConfig) -> Result<LiveReport, LiveError> {
     };
 
     stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        let _ = handle.join();
+    for (s, handle) in stats.iter_mut().zip(handles) {
+        if let Ok(rejected) = handle.join() {
+            s.rejected_garbage = rejected.garbage;
+            s.rejected_spoofed = rejected.spoofed;
+        }
     }
     // drain events that raced the stop decision
     for event in rx.try_iter() {
@@ -524,4 +553,73 @@ pub fn run(config: LiveConfig) -> Result<LiveReport, LiveError> {
         elapsed: Instant::now().saturating_duration_since(epoch),
         completed,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use byzclock_clock::LocalTime;
+    use byzclock_core::WireMessage;
+
+    /// A foreign socket floods every node with pongs and pings forged in
+    /// every node's name (and in names no node has), plus undecodable
+    /// bytes. The nodes must drop all of it and still converge within γ.
+    #[test]
+    fn spoofed_and_garbage_datagrams_are_dropped_and_the_cluster_converges() {
+        let config = LiveConfig::quick(4, 1);
+        let sockets: Vec<UdpSocket> = (0..config.nodes)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
+            .collect();
+        let targets: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let attacker = UdpSocket::bind(("127.0.0.1", 0)).expect("bind attacker socket");
+        let stop = Arc::new(AtomicBool::new(false));
+        let flood = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut frame = Vec::new();
+                let mut sent = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    for (i, &to) in targets.iter().enumerate() {
+                        for from in 0..=targets.len() as u32 {
+                            for msg in [
+                                WireMessage::Pong {
+                                    round: sent,
+                                    nonce: sent,
+                                    clock: LocalTime::from_secs(1e6),
+                                },
+                                WireMessage::Ping {
+                                    round: sent,
+                                    nonce: sent,
+                                },
+                            ] {
+                                frame.clear();
+                                config.codec.encode_into(
+                                    &Envelope {
+                                        from: ProcId(from),
+                                        msg,
+                                    },
+                                    &mut frame,
+                                );
+                                let _ = attacker.send_to(&frame, to);
+                            }
+                        }
+                        let _ = attacker.send_to(&[0xff; 7][..i + 1], to);
+                        sent += 1;
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            })
+        };
+        let report = run_on(config, sockets).expect("cluster starts");
+        stop.store(true, Ordering::Relaxed);
+        flood.join().unwrap();
+        eprintln!("{}", report.render());
+
+        assert!(report.converged(), "{:?}", report.stats);
+        assert!(report.max_deviation_synced <= report.bounds.gamma);
+        for (i, s) in report.stats.iter().enumerate() {
+            assert!(s.rejected_spoofed > 0, "p{i} dropped no spoofed datagram");
+            assert!(s.rejected_garbage > 0, "p{i} dropped no garbage datagram");
+        }
+    }
 }
