@@ -1,35 +1,28 @@
-//! Length-prefixed serde framing for real-socket transports.
+//! Length-prefixed framing for real-socket transports.
 //!
 //! A frame is `[u32 little-endian payload length][payload]` where the
-//! payload is the serde-JSON encoding of an [`Envelope`] — the
-//! [`WireMessage`] plus the claimed sender. The explicit length prefix is
-//! redundant over datagram transports (UDP preserves message boundaries)
-//! but detects truncation, and makes the same framing reusable verbatim
-//! over stream transports later.
+//! payload is the fixed-layout [`binary`] encoding of an [`Envelope`] —
+//! the [`WireMessage`] plus the claimed sender. The explicit length prefix
+//! is redundant over datagram transports (UDP preserves message
+//! boundaries) but detects truncation, and makes the same framing reusable
+//! verbatim over stream transports later.
 //!
 //! Authentication note: the paper assumes authenticated links, so a
 //! deployment would MAC each frame; the loopback runtime trusts
 //! `Envelope::from` as a stand-in and documents the gap.
-//!
-//! Two payload codecs share this framing: the self-describing serde-JSON
-//! one in this module (debuggability; the historical default) and the
-//! fixed-layout little-endian one in [`binary`] (bit-exact floats via
-//! `f64::to_bits`, ~4× smaller, no serde on the hot path). [`WireCodec`]
-//! selects between them per-transport.
 
 pub mod binary;
 
 use byzclock_core::WireMessage;
 use byzclock_sim::ProcId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Upper bound on the payload length accepted by [`decode`]; protocol
+/// Upper bound on the payload length accepted by [`binary::decode`]; protocol
 /// messages are tiny, so anything larger is garbage or an attack.
 pub const MAX_PAYLOAD: usize = 4096;
 
 /// One protocol message plus its claimed sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     /// Claimed sender (authenticated links: genuine unless corrupted).
     pub from: ProcId,
@@ -69,218 +62,9 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encodes an envelope as one frame.
-pub fn encode(envelope: &Envelope) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_into(envelope, &mut out);
-    out
-}
-
-/// Encodes an envelope as one frame, appending to `out` (not cleared —
-/// the caller owns the buffer lifecycle).
-pub fn encode_into(envelope: &Envelope, out: &mut Vec<u8>) {
-    let body = serde_json::to_string(envelope).expect("envelopes always serialize");
-    let body = body.as_bytes();
-    out.reserve(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-}
-
-/// Which payload codec a transport frames its envelopes with.
-///
-/// Both sides of a link must agree (there is no in-band negotiation —
-/// a frame of the other codec decodes as [`FrameError::Malformed`] and is
-/// dropped like line noise).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireCodec {
-    /// Self-describing serde-JSON payloads: human-readable in packet
-    /// captures, but allocates per datagram and cannot carry non-finite
-    /// floats.
-    Json,
-    /// Fixed-layout little-endian payloads ([`binary`]): bit-exact floats,
-    /// allocation-free with a reused buffer. The default for the live
-    /// runtime.
-    #[default]
-    Binary,
-}
-
-impl WireCodec {
-    /// Encodes one frame, appending to `out`.
-    pub fn encode_into(self, envelope: &Envelope, out: &mut Vec<u8>) {
-        match self {
-            WireCodec::Json => encode_into(envelope, out),
-            WireCodec::Binary => binary::encode_into(envelope, out),
-        }
-    }
-
-    /// Encodes one freshly allocated frame.
-    pub fn encode(self, envelope: &Envelope) -> Vec<u8> {
-        match self {
-            WireCodec::Json => encode(envelope),
-            WireCodec::Binary => binary::encode(envelope),
-        }
-    }
-
-    /// Decodes one frame from the front of `buf`.
-    ///
-    /// # Errors
-    ///
-    /// See [`FrameError`].
-    pub fn decode(self, buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
-        match self {
-            WireCodec::Json => decode(buf),
-            WireCodec::Binary => binary::decode(buf),
-        }
-    }
-}
-
-/// Decodes one frame from the front of `buf`, returning the envelope and
-/// the number of bytes consumed.
-///
-/// # Errors
-///
-/// See [`FrameError`].
-pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated {
-            needed: 4,
-            got: buf.len(),
-        });
-    }
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&buf[..4]);
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::TooLarge(len));
-    }
-    let needed = 4 + len;
-    if buf.len() < needed {
-        return Err(FrameError::Truncated {
-            needed,
-            got: buf.len(),
-        });
-    }
-    let payload =
-        std::str::from_utf8(&buf[4..needed]).map_err(|e| FrameError::Malformed(e.to_string()))?;
-    let envelope: Envelope =
-        serde_json::from_str(payload).map_err(|e| FrameError::Malformed(format!("{e:?}")))?;
-    Ok((envelope, needed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byzclock_clock::LocalTime;
-
-    fn envelope() -> Envelope {
-        Envelope {
-            from: ProcId(2),
-            msg: WireMessage::Pong {
-                round: 7,
-                nonce: u64::MAX,
-                clock: LocalTime::from_secs(123.456),
-            },
-        }
-    }
-
-    #[test]
-    fn roundtrip() {
-        let e = envelope();
-        let frame = encode(&e);
-        let (back, used) = decode(&frame).unwrap();
-        assert_eq!(back, e);
-        assert_eq!(used, frame.len());
-    }
-
-    #[test]
-    fn roundtrip_preserves_clock_bits() {
-        // the pong clock drives the peer's offset estimate; framing must
-        // not perturb it even through a decimal encoding
-        let e = Envelope {
-            from: ProcId(0),
-            msg: WireMessage::Pong {
-                round: 1,
-                nonce: 2,
-                clock: LocalTime::from_secs(0.1 + 0.2), // 0.30000000000000004
-            },
-        };
-        let (back, _) = decode(&encode(&e)).unwrap();
-        let (WireMessage::Pong { clock, .. }, WireMessage::Pong { clock: orig, .. }) =
-            (back.msg, e.msg)
-        else {
-            panic!("not pongs");
-        };
-        assert_eq!(clock.as_secs().to_bits(), orig.as_secs().to_bits());
-    }
-
-    #[test]
-    fn truncated_header_and_payload_rejected() {
-        let frame = encode(&envelope());
-        assert!(matches!(
-            decode(&frame[..2]),
-            Err(FrameError::Truncated { needed: 4, got: 2 })
-        ));
-        assert!(matches!(
-            decode(&frame[..frame.len() - 1]),
-            Err(FrameError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_length_rejected() {
-        let mut frame = encode(&envelope());
-        frame[..4].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
-        assert_eq!(decode(&frame), Err(FrameError::TooLarge(MAX_PAYLOAD + 1)));
-    }
-
-    #[test]
-    fn garbage_payload_rejected() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&5u32.to_le_bytes());
-        frame.extend_from_slice(b"junk!");
-        assert!(matches!(decode(&frame), Err(FrameError::Malformed(_))));
-    }
-
-    #[test]
-    fn trailing_bytes_are_not_consumed() {
-        let mut buf = encode(&envelope());
-        let frame_len = buf.len();
-        buf.extend_from_slice(&encode(&envelope()));
-        let (_, used) = decode(&buf).unwrap();
-        assert_eq!(used, frame_len);
-        let (_, used2) = decode(&buf[used..]).unwrap();
-        assert_eq!(used + used2, buf.len());
-    }
-
-    #[test]
-    fn wire_codec_dispatches_to_both_paths() {
-        let e = envelope();
-        for codec in [WireCodec::Json, WireCodec::Binary] {
-            let frame = codec.encode(&e);
-            let (back, used) = codec.decode(&frame).unwrap();
-            assert_eq!(back, e, "{codec:?}");
-            assert_eq!(used, frame.len());
-            let mut buf = Vec::new();
-            codec.encode_into(&e, &mut buf);
-            assert_eq!(buf, frame);
-        }
-        assert_eq!(WireCodec::default(), WireCodec::Binary);
-    }
-
-    #[test]
-    fn codecs_are_not_cross_compatible() {
-        // A frame of one codec must decode as Malformed under the other —
-        // dropped like line noise, never misparsed into a message.
-        let e = envelope();
-        assert!(matches!(
-            WireCodec::Binary.decode(&WireCodec::Json.encode(&e)),
-            Err(FrameError::Malformed(_))
-        ));
-        assert!(matches!(
-            WireCodec::Json.decode(&WireCodec::Binary.encode(&e)),
-            Err(FrameError::Malformed(_))
-        ));
-    }
 
     mod properties {
         use super::*;
@@ -325,7 +109,7 @@ mod tests {
 
         proptest! {
             /// The binary codec round-trips any envelope bit-exactly —
-            /// including ±inf and subnormal clock values JSON cannot carry.
+            /// including ±inf, -0.0 and subnormal clock values.
             #[test]
             fn binary_roundtrips_bit_exactly(e in arb_envelope()) {
                 let frame = binary::encode(&e);
@@ -351,37 +135,8 @@ mod tests {
                 }
             }
 
-            /// On ordinary finite clocks both codecs decode their own
-            /// encodings to equal messages — the codecs agree on meaning,
-            /// only the bytes differ.
-            #[test]
-            fn json_and_binary_decode_to_equal_messages(
-                from in any::<u32>(),
-                round in any::<u64>(),
-                nonce in any::<u64>(),
-                clock in -1e12f64..1e12,
-                pick in any::<u64>(),
-            ) {
-                let e = Envelope {
-                    from: ProcId(from),
-                    msg: if pick % 2 == 0 {
-                        WireMessage::Ping { round, nonce }
-                    } else {
-                        WireMessage::Pong {
-                            round,
-                            nonce,
-                            clock: byzclock_clock::LocalTime::from_secs(clock),
-                        }
-                    },
-                };
-                let (via_json, _) = decode(&encode(&e)).unwrap();
-                let (via_binary, _) = binary::decode(&binary::encode(&e)).unwrap();
-                prop_assert_eq!(via_json, via_binary);
-                prop_assert_eq!(via_json, e);
-            }
-
             /// Every strict prefix of a binary frame is rejected as
-            /// truncated (the same contract the JSON tests pin).
+            /// truncated.
             #[test]
             fn binary_prefixes_rejected_as_truncated(
                 e in arb_envelope(),

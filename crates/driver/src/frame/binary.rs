@@ -1,8 +1,8 @@
 //! Hand-rolled little-endian binary codec for [`Envelope`]s.
 //!
-//! Same framing contract as the JSON path — `[u32 LE payload length]`
-//! followed by the payload, with truncation / oversize / garbage rejection
-//! — but the payload is a fixed-layout binary record instead of text:
+//! A frame is `[u32 LE payload length]` followed by the payload, with
+//! truncation / oversize / garbage rejection; the payload is a
+//! fixed-layout binary record:
 //!
 //! ```text
 //! from: u32 LE | tag: u8 | round: u64 LE | nonce: u64 LE [| clock: u64 LE]
@@ -10,14 +10,13 @@
 //!
 //! where `tag` is 0 for `Ping` and 1 for `Pong`, and `clock` (pongs only)
 //! is the `f64::to_bits` image of the sender's clock reading — bit-exact
-//! for every float the protocol can legitimately produce, including `±inf`
-//! (which serde-JSON cannot carry at all). NaN clock bits are rejected at
-//! decode: [`LocalTime`] forbids NaN, and a frame carrying one is either
-//! corruption or an attack.
+//! for every float the protocol can legitimately produce, including
+//! `±inf`. NaN clock bits are rejected at decode: [`LocalTime`] forbids
+//! NaN, and a frame carrying one is either corruption or an attack.
 //!
-//! A ping payload is 21 bytes and a pong 29, versus ~90 bytes of JSON; the
-//! [`encode_into`] entry point appends to a caller-owned buffer so the
-//! live transport's steady-state send path performs no allocation.
+//! A ping payload is 21 bytes and a pong 29; the [`encode_into`] entry
+//! point appends to a caller-owned buffer so the live transport's
+//! steady-state send path performs no allocation.
 
 use byzclock_clock::LocalTime;
 use byzclock_core::WireMessage;
@@ -85,9 +84,10 @@ fn read_u64(payload: &[u8], offset: usize) -> u64 {
 ///
 /// # Errors
 ///
-/// [`FrameError::Truncated`] / [`FrameError::TooLarge`] exactly as the
-/// JSON path; [`FrameError::Malformed`] for an unknown tag, a payload
-/// whose length does not match its tag, or NaN clock bits.
+/// [`FrameError::Truncated`] for a short header or payload,
+/// [`FrameError::TooLarge`] for a length above [`MAX_PAYLOAD`], and
+/// [`FrameError::Malformed`] for an unknown tag, a payload whose length
+/// does not match its tag, or NaN clock bits.
 pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
     if buf.len() < 4 {
         return Err(FrameError::Truncated {

@@ -19,7 +19,7 @@
 //! driver-equivalence test pins down bit for bit.
 //!
 //! The [`frame`] module carries the companion wire format (length-prefixed
-//! serde frames over [`WireMessage`]) for real-socket transports.
+//! binary frames over [`WireMessage`]) for real-socket transports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

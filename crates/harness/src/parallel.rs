@@ -46,6 +46,7 @@ where
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use byzclock_adversary::RandomReplyStrategy;
     use byzclock_sim::RealTime;
 
     /// A full world run reduced to one deterministic bit pattern.
@@ -60,15 +61,39 @@ mod tests {
             .to_bits()
     }
 
+    /// The 16-node rotating-churn world under a random-reply adversary
+    /// (f = 5), reduced to its event count, deliveries and deviation bits.
+    fn churn_run(seed: u64) -> (u64, u64, u64) {
+        let horizon = RealTime::from_secs(120.0);
+        let scenario = Scenario::standard(16, 5).with_seed(seed);
+        let mut world = scenario.churn_world(Box::new(RandomReplyStrategy::new(1.0)), horizon);
+        world.run_until(horizon);
+        let deviation = world.sample_now().good_deviation().unwrap_or(f64::NAN);
+        (
+            world.events_processed(),
+            world.network_stats().delivered,
+            deviation.to_bits(),
+        )
+    }
+
+    fn assert_fan_out_matches_sequential<R, F>(seeds: &[u64], run: F)
+    where
+        R: Send + PartialEq + std::fmt::Debug,
+        F: Fn(u64) -> R + Sync,
+    {
+        let sequential: Vec<R> = seeds.iter().map(|&s| run(s)).collect();
+        for workers in [2, 4, 8] {
+            let parallel = run_seeds_with_workers(seeds, workers, &run);
+            assert_eq!(sequential, parallel, "workers={workers}");
+        }
+        assert_eq!(sequential, run_seeds(seeds, &run));
+    }
+
     #[test]
     fn run_seeds_is_bit_identical_to_sequential() {
         let seeds: Vec<u64> = (0..8).collect();
-        let sequential: Vec<u64> = seeds.iter().map(|&s| dev_bits_for_seed(s)).collect();
-        for workers in [2, 4] {
-            let parallel = run_seeds_with_workers(&seeds, workers, dev_bits_for_seed);
-            assert_eq!(sequential, parallel, "workers={workers}");
-        }
-        assert_eq!(sequential, run_seeds(&seeds, dev_bits_for_seed));
+        assert_fan_out_matches_sequential(&seeds, dev_bits_for_seed);
+        assert_fan_out_matches_sequential(&seeds, churn_run);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! | rule | slug                  | forbids                                      |
 //! |------|-----------------------|----------------------------------------------|
-//! | D1   | `wall-clock`          | `Instant`/`SystemTime` outside `bench`       |
+//! | D1   | `wall-clock`          | `Instant`/`SystemTime` (`live` exempt)       |
 //! | D2   | `unseeded-rng`        | `thread_rng`/`from_entropy`/`OsRng`/`rand::random` |
 //! | D3   | `unordered-collection`| `HashMap`/`HashSet` in sim/runtime/protocol  |
 //! | D4   | `float-ord`           | `.partial_cmp(..)` calls (use `total_cmp`)   |

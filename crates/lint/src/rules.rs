@@ -28,8 +28,9 @@ pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "d1",
         slug: "wall-clock",
-        summary: "no std::time::Instant/SystemTime outside crates/bench — \
-                  simulated time must come from the engine",
+        summary: "no std::time::Instant/SystemTime in the scanned crates \
+                  (crates/live exempt) — simulated time must come from the \
+                  engine",
     },
     RuleInfo {
         id: "d2",

@@ -1,12 +1,10 @@
 //! Workspace scanning: which files the determinism rules apply to.
 //!
-//! Scope (per the determinism-tooling issue): every non-test `.rs` file
-//! under `src/` of the listed crates. `crates/bench` is exempt (it is the
-//! one place allowed to read wall-clock time — it measures it) and
-//! `crates/lint` audits itself only via its own tests, not the workspace
-//! pass. Test code is excluded twice over: `tests/` trees are never
-//! walked, and `#[cfg(test)]`/`#[test]` items inside `src/` are skipped by
-//! the analyzer.
+//! Scope: every non-test `.rs` file under `src/` of the
+//! [`SCANNED_CRATES`]; `crates/lint` audits itself only via its own tests,
+//! not the workspace pass. Test code is excluded twice over: `tests/`
+//! trees are never walked, and `#[cfg(test)]`/`#[test]` items inside
+//! `src/` are skipped by the analyzer.
 //!
 //! Some crates are *partially* exempt via the [`CRATE_EXEMPTIONS`] table:
 //! the real-time `crates/live` runtime legitimately reads the machine

@@ -35,6 +35,5 @@
 pub mod clock;
 pub mod runtime;
 
-pub use byzclock_driver::frame::WireCodec;
 pub use clock::LiveClock;
 pub use runtime::{run, DeviationSample, LiveConfig, LiveError, LiveReport, NodeStats};

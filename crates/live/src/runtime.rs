@@ -22,7 +22,7 @@
 //! `sample_now`.
 
 use byzclock_core::{Input, NetworkModel, RoundSummary, SyncNode, TheoremBounds, TimerKind};
-use byzclock_driver::frame::{self, Envelope, WireCodec};
+use byzclock_driver::frame::{self, binary, Envelope};
 use byzclock_driver::{drive, ClockSource, Driver, TimerControl, Transport};
 use byzclock_harness::table::{fmt_secs, Table};
 use byzclock_sim::{ProcId, SimDuration};
@@ -60,9 +60,6 @@ pub struct LiveConfig {
     pub deadline: Duration,
     /// Nonce-stream seed (per-node streams are derived from it).
     pub seed: u64,
-    /// Payload codec every node frames its datagrams with (both sides of
-    /// every link use the same config, so they always agree).
-    pub codec: WireCodec,
 }
 
 impl LiveConfig {
@@ -84,7 +81,6 @@ impl LiveConfig {
             min_rounds: 3,
             deadline: Duration::from_secs(30),
             seed: 42,
-            codec: WireCodec::Binary,
         }
     }
 }
@@ -275,7 +271,6 @@ struct NodeIo {
     alarms: Vec<Alarm>,
     next_seq: u64,
     events: mpsc::Sender<LiveEvent>,
-    codec: WireCodec,
     /// Reused frame buffer: the steady-state send path encodes without
     /// allocating.
     wire_buf: Vec<u8>,
@@ -287,8 +282,7 @@ impl Transport for NodeIo {
             return;
         }
         self.wire_buf.clear();
-        self.codec
-            .encode_into(&Envelope { from, msg }, &mut self.wire_buf);
+        binary::encode_into(&Envelope { from, msg }, &mut self.wire_buf);
         // UDP send failures are indistinguishable from in-flight loss; the
         // protocol tolerates loss, so drop silently.
         let _ = self.socket.send_to(&self.wire_buf, self.peers[to.index()]);
@@ -391,7 +385,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
             // is an envelope whose claimed sender is not bound to the
             // address it came from: any local process can reach these
             // sockets, and `from` is read off the wire.
-            Ok((len, src)) => match io.codec.decode(&buf[..len]) {
+            Ok((len, src)) => match binary::decode(&buf[..len]) {
                 Ok((envelope, _)) if io.peers.get(envelope.from.index()) == Some(&src) => {
                     let input = Input::Message {
                         from: envelope.from,
@@ -473,7 +467,6 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
             alarms: Vec::new(),
             next_seq: 0,
             events: tx.clone(),
-            codec: config.codec,
             wire_buf: Vec::with_capacity(frame::MAX_PAYLOAD + 4),
         };
         let node = SyncNode::new(ProcId(i as u32), derived.params).with_nonce_seed(
@@ -593,7 +586,7 @@ mod tests {
                                 },
                             ] {
                                 frame.clear();
-                                config.codec.encode_into(
+                                binary::encode_into(
                                     &Envelope {
                                         from: ProcId(from),
                                         msg,

@@ -1,7 +1,7 @@
 //! The `byzclock` CLI.
 //!
 //! ```text
-//! byzclock live [--nodes N] [--faults F] [--rounds R] [--spread-ms S] [--seed SEED] [--codec binary|json]
+//! byzclock live [--nodes N] [--faults F] [--rounds R] [--spread-ms S] [--seed SEED]
 //! ```
 //!
 //! `live` runs the protocol for real: N OS threads, each hosting one
@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use byzclock_live::{run, LiveConfig, WireCodec};
+use byzclock_live::{run, LiveConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         },
         _ => {
             eprintln!(
-                "usage: byzclock live [--nodes N] [--faults F] [--rounds R] [--spread-ms S] [--seed SEED] [--codec binary|json]"
+                "usage: byzclock live [--nodes N] [--faults F] [--rounds R] [--spread-ms S] [--seed SEED]"
             );
             ExitCode::from(2)
         }
@@ -39,7 +39,6 @@ fn parse_live(args: &[String]) -> Result<LiveConfig, String> {
     let mut rounds = 3u64;
     let mut spread_ms = 50.0f64;
     let mut seed = 42u64;
-    let mut codec = WireCodec::Binary;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -48,13 +47,6 @@ fn parse_live(args: &[String]) -> Result<LiveConfig, String> {
             "--rounds" => rounds = parse_value(it.next(), "--rounds")?,
             "--spread-ms" => spread_ms = parse_value(it.next(), "--spread-ms")?,
             "--seed" => seed = parse_value(it.next(), "--seed")?,
-            "--codec" => {
-                codec = match it.next().map(String::as_str) {
-                    Some("binary") => WireCodec::Binary,
-                    Some("json") => WireCodec::Json,
-                    _ => return Err("--codec needs binary or json".to_string()),
-                }
-            }
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -65,7 +57,6 @@ fn parse_live(args: &[String]) -> Result<LiveConfig, String> {
     config.spread = spread_ms / 1000.0 / 2.0; // edge-to-edge -> half-width
     config.seed = seed;
     config.deadline = Duration::from_secs(10 + 2 * rounds);
-    config.codec = codec;
     Ok(config)
 }
 
@@ -119,17 +110,6 @@ mod tests {
         assert_eq!(c.faults, 1);
         assert_eq!(c.min_rounds, 3);
         assert!((c.spread - 0.025).abs() < 1e-12);
-        assert_eq!(c.codec, WireCodec::Binary);
-    }
-
-    #[test]
-    fn codec_flag_selects_codec() {
-        let c = parse_live(&strings(&["--codec", "json"])).unwrap();
-        assert_eq!(c.codec, WireCodec::Json);
-        let c = parse_live(&strings(&["--codec", "binary"])).unwrap();
-        assert_eq!(c.codec, WireCodec::Binary);
-        assert!(parse_live(&strings(&["--codec", "morse"])).is_err());
-        assert!(parse_live(&strings(&["--codec"])).is_err());
     }
 
     #[test]
