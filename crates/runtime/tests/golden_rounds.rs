@@ -8,6 +8,11 @@
 //! execution order, with bit-identical adjustments and timestamps — plus
 //! final biases and the engine/network counters.
 //!
+//! A second golden file pins the same scenario under `ColluderStrategy`,
+//! which reads the omniscient good-bias range and the requester's bias on
+//! every reply, so the adversary's view of the world is pinned bit for bit
+//! as well.
+//!
 //! Floats are stored as `f64::to_bits` hex so the comparison is exact and
 //! immune to formatting/round-trip drift.
 //!
@@ -19,17 +24,19 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use byzclock_adversary::{Adversary, ConstantOffsetStrategy, CorruptionSchedule};
+use byzclock_adversary::{
+    Adversary, ByzantineStrategy, ColluderStrategy, ConstantOffsetStrategy, CorruptionSchedule,
+};
 use byzclock_core::RoundSummary;
 use byzclock_net::FaultProfile;
 use byzclock_runtime::{DriftSpec, Observer, WorldBuilder};
 use byzclock_sim::{ProcId, RealTime, SimDuration};
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("rounds_seed7.golden")
+        .join(file)
 }
 
 #[derive(Default)]
@@ -56,10 +63,11 @@ impl Observer for Probe {
 /// duplication/reordering, one corruption episode with forged pongs — it
 /// exercises every capability the driver boundary carries (transport with
 /// fault injection, timer cancel/re-arm on corruption and drift change,
-/// clock reads and adjustments).
-fn record() -> String {
+/// clock reads and adjustments). `label` names the strategy in the file
+/// header when it is not the original `ConstantOffsetStrategy`.
+fn record(strategy: Box<dyn ByzantineStrategy>, label: &str) -> String {
     let schedule = CorruptionSchedule::single(ProcId(2), RealTime::from_secs(20.0), d(5.0));
-    let adversary = Adversary::new(schedule, Box::new(ConstantOffsetStrategy::new(10.0)));
+    let adversary = Adversary::new(schedule, strategy);
     let mut world = WorldBuilder::new(5, 1)
         .seed(7)
         .delta(SimDuration::from_millis(10.0))
@@ -81,7 +89,10 @@ fn record() -> String {
     world.run_until(RealTime::from_secs(120.0));
 
     let mut out = String::new();
-    out.push_str("# golden RoundSummary sequence: seed 7, n=5, f=1 (see test header)\n");
+    let _ = writeln!(
+        out,
+        "# golden RoundSummary sequence: seed 7, n=5, f=1{label} (see test header)"
+    );
     for line in &recorder.borrow().lines {
         out.push_str(line);
         out.push('\n');
@@ -99,13 +110,31 @@ fn d(s: f64) -> SimDuration {
     SimDuration::from_secs(s)
 }
 
+fn constant_offset() -> String {
+    record(Box::new(ConstantOffsetStrategy::new(10.0)), "")
+}
+
+fn colluder() -> String {
+    record(Box::new(ColluderStrategy::new()), ", colluder")
+}
+
 #[test]
 fn sim_driver_reproduces_prerefactor_round_sequence() {
-    let got = record();
-    let path = golden_path();
+    check_golden(&constant_offset(), "rounds_seed7.golden");
+}
+
+#[test]
+fn colluder_reproduces_recorded_round_sequence() {
+    check_golden(&colluder(), "rounds_seed7_colluder.golden");
+}
+
+/// Compares `got` with the committed golden `file`, or rewrites the file
+/// when `BYZCLOCK_GOLDEN_REGEN` is set.
+fn check_golden(got: &str, file: &str) {
+    let path = golden_path(file);
     if std::env::var("BYZCLOCK_GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        std::fs::write(&path, got).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
@@ -132,12 +161,13 @@ fn sim_driver_reproduces_prerefactor_round_sequence() {
                 )
             });
         panic!(
-            "driver refactor changed the same-seed round sequence (must be bit-identical).\n{first_diff}"
+            "{file}: the same-seed round sequence changed (must be bit-identical).\n{first_diff}"
         );
     }
 }
 
 #[test]
 fn recording_is_deterministic() {
-    assert_eq!(record(), record());
+    assert_eq!(constant_offset(), constant_offset());
+    assert_eq!(colluder(), colluder());
 }
