@@ -109,17 +109,18 @@ impl Adversary {
     }
 
     /// Helper for building an [`AttackContext`]; the runtime fills in the
-    /// omniscient fields.
+    /// omniscient fields. `good_bias_range` is called only when the
+    /// strategy reads [`AttackContext::good_bias_range`].
     #[allow(clippy::too_many_arguments)]
-    pub fn context(
+    pub fn context<'a>(
         victim: ProcId,
         requester: ProcId,
         real_now: RealTime,
         victim_clock: LocalTime,
         requester_bias: Option<byzclock_clock::Bias>,
-        good_bias_range: Option<(f64, f64)>,
+        good_bias_range: &'a dyn Fn() -> Option<(f64, f64)>,
         way_off: f64,
-    ) -> AttackContext {
+    ) -> AttackContext<'a> {
         AttackContext {
             victim,
             requester,
@@ -213,7 +214,7 @@ mod tests {
             t(4.0),
             LocalTime::from_secs(4.0),
             None,
-            None,
+            &|| None,
             0.5,
         );
         match adv.reply_to_ping(&ctx, &mut rng) {

@@ -17,6 +17,10 @@
 //! | [`StealthStrategy`] | good-bias range | lies just inside the plausible edge |
 //! | [`ColluderStrategy`] | good-bias range + requester bias | adaptively pulls each side apart at the plausibility edge |
 //! | [`FloodStrategy`] | none | absurd values, maximum noise |
+//!
+//! Only the last two read the omniscient good-bias range, and the runtime
+//! computes it (a scan over every clock) only when a strategy asks for it
+//! through [`AttackContext::good_bias_range`].
 
 use byzclock_clock::{Bias, LocalTime};
 use byzclock_sim::{DetRng, ProcId, RealTime};
@@ -25,12 +29,15 @@ use crate::adversary::ClockSabotage;
 
 /// Everything a strategy may consult when answering one ping.
 ///
-/// `good_bias_range` is the omniscient view: the min/max bias over the
-/// currently non-faulty processors. Real attackers can approximate it from
-/// observed traffic; granting it exactly makes our adversary at least as
-/// strong, which is the conservative direction for evaluating the protocol.
-#[derive(Debug, Clone, Copy)]
-pub struct AttackContext {
+/// [`AttackContext::good_bias_range`] is the omniscient view: the min/max
+/// bias over the currently non-faulty processors. Real attackers can
+/// approximate it from observed traffic; granting it exactly makes our
+/// adversary at least as strong, which is the conservative direction for
+/// evaluating the protocol. It costs a scan over all n clocks, so the
+/// context carries it lazily and the scan runs only when a strategy reads
+/// it.
+#[derive(Clone, Copy)]
+pub struct AttackContext<'a> {
     /// The corrupted processor being asked for its clock.
     pub victim: ProcId,
     /// The (honest) processor requesting an estimate.
@@ -41,10 +48,32 @@ pub struct AttackContext {
     pub victim_clock: LocalTime,
     /// Bias of the requester's clock, if known (omniscient adversary).
     pub requester_bias: Option<Bias>,
-    /// `(min, max)` bias over currently non-faulty processors, if any.
-    pub good_bias_range: Option<(f64, f64)>,
+    /// Computes the `(min, max)` bias over currently non-faulty processors.
+    pub(crate) good_bias_range: &'a dyn Fn() -> Option<(f64, f64)>,
     /// The protocol's `WayOff` parameter (public knowledge), seconds.
     pub way_off: f64,
+}
+
+impl AttackContext<'_> {
+    /// `(min, max)` bias over currently non-faulty processors, if any.
+    /// Computed on each call.
+    pub fn good_bias_range(&self) -> Option<(f64, f64)> {
+        (self.good_bias_range)()
+    }
+}
+
+impl std::fmt::Debug for AttackContext<'_> {
+    /// Leaves out the lazy good-bias range, so printing never runs the scan.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AttackContext")
+            .field("victim", &self.victim)
+            .field("requester", &self.requester)
+            .field("real_now", &self.real_now)
+            .field("victim_clock", &self.victim_clock)
+            .field("requester_bias", &self.requester_bias)
+            .field("way_off", &self.way_off)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A strategy's answer to one ping.
@@ -225,7 +254,7 @@ impl ByzantineStrategy for StealthStrategy {
         ClockSabotage::None
     }
     fn reply(&mut self, ctx: &AttackContext, _rng: &mut DetRng) -> AttackReply {
-        let base = ctx.good_bias_range.map(|(_, hi)| hi).unwrap_or(0.0);
+        let base = ctx.good_bias_range().map(|(_, hi)| hi).unwrap_or(0.0);
         AttackReply::with_bias(ctx.real_now, base + self.push)
     }
 }
@@ -269,7 +298,7 @@ impl ByzantineStrategy for ColluderStrategy {
         ClockSabotage::None
     }
     fn reply(&mut self, ctx: &AttackContext, _rng: &mut DetRng) -> AttackReply {
-        let (lo, hi) = ctx.good_bias_range.unwrap_or((0.0, 0.0));
+        let (lo, hi) = ctx.good_bias_range().unwrap_or((0.0, 0.0));
         let mid = (lo + hi) / 2.0;
         let requester_bias = ctx.requester_bias.map(|b| b.as_secs()).unwrap_or(mid);
         let pull = self.aggressiveness * ctx.way_off;
@@ -304,19 +333,22 @@ impl ByzantineStrategy for FloodStrategy {
 mod tests {
     use super::*;
     use byzclock_sim::RngHub;
+    use std::cell::Cell;
 
     fn rng() -> DetRng {
         RngHub::new(21).stream("strategy", 0)
     }
 
-    fn ctx(requester: u32) -> AttackContext {
+    const GOOD_RANGE: &dyn Fn() -> Option<(f64, f64)> = &|| Some((-0.02, 0.03));
+
+    fn ctx(requester: u32) -> AttackContext<'static> {
         AttackContext {
             victim: ProcId(9),
             requester: ProcId(requester),
             real_now: RealTime::from_secs(100.0),
             victim_clock: LocalTime::from_secs(100.0),
             requester_bias: Some(Bias::from_secs(0.01)),
-            good_bias_range: Some((-0.02, 0.03)),
+            good_bias_range: GOOD_RANGE,
             way_off: 0.5,
         }
     }
@@ -390,8 +422,11 @@ mod tests {
     #[test]
     fn stealth_without_range_pushes_from_zero() {
         let mut s = StealthStrategy::new(0.01);
-        let mut c = ctx(0);
-        c.good_bias_range = None;
+        let no_range = || None;
+        let c = AttackContext {
+            good_bias_range: &no_range,
+            ..ctx(0)
+        };
         let b = claimed_bias(s.reply(&c, &mut rng()), c.real_now);
         assert!((b - 0.01).abs() < 1e-12);
     }
@@ -431,6 +466,46 @@ mod tests {
             }
         }
         assert!(saw_large, "flood should produce absurd values");
+    }
+
+    #[test]
+    fn only_stealth_and_colluder_read_the_good_range_once_per_reply() {
+        let untouched = || -> Option<(f64, f64)> { panic!("good range read") };
+        let blind: [Box<dyn ByzantineStrategy>; 5] = [
+            Box::new(CrashStrategy),
+            Box::new(RandomReplyStrategy::new(1.0)),
+            Box::new(ConstantOffsetStrategy::new(1.0)),
+            Box::new(SplitBrainStrategy::new(1.0)),
+            Box::new(FloodStrategy),
+        ];
+        for mut s in blind {
+            let c = AttackContext {
+                good_bias_range: &untouched,
+                ..ctx(0)
+            };
+            s.reply(&c, &mut rng());
+        }
+
+        let reads = Cell::new(0);
+        let counted = || {
+            reads.set(reads.get() + 1);
+            GOOD_RANGE()
+        };
+        let readers: [Box<dyn ByzantineStrategy>; 2] = [
+            Box::new(StealthStrategy::new(0.005)),
+            Box::new(ColluderStrategy::new()),
+        ];
+        for mut s in readers {
+            for requester in 0..3 {
+                let c = AttackContext {
+                    good_bias_range: &counted,
+                    ..ctx(requester)
+                };
+                let before = reads.get();
+                s.reply(&c, &mut rng());
+                assert_eq!(reads.get() - before, 1, "{}", s.name());
+            }
+        }
     }
 
     #[test]

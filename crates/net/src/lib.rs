@@ -26,5 +26,7 @@ pub mod network;
 pub mod topology;
 
 pub use delay::{ConstantDelay, DelayModel, PerLinkDelay, TruncatedNormalDelay, UniformDelay};
-pub use network::{DelaySpike, FaultProfile, LinkFilter, Network, NetworkStats, SendOutcome};
+pub use network::{
+    DelaySpike, Deliveries, FaultProfile, LinkFilter, Network, NetworkStats, SendOutcome,
+};
 pub use topology::Topology;

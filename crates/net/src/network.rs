@@ -47,6 +47,63 @@ impl SendOutcome {
     }
 }
 
+/// Every delivery instant of one send: none (dropped), one, or two (the
+/// duplication fault fired).
+///
+/// Stored inline, so a send never allocates. Reads as a slice of its live
+/// entries through `Deref`, iterates them by value, and equality compares
+/// live entries only.
+#[derive(Clone, Copy)]
+pub struct Deliveries {
+    times: [RealTime; 2],
+    len: u8,
+}
+
+impl Deliveries {
+    fn push(&mut self, at: RealTime) {
+        self.times[usize::from(self.len)] = at;
+        self.len += 1;
+    }
+}
+
+impl Default for Deliveries {
+    fn default() -> Self {
+        Deliveries {
+            times: [RealTime::ZERO; 2],
+            len: 0,
+        }
+    }
+}
+
+impl std::ops::Deref for Deliveries {
+    type Target = [RealTime];
+
+    fn deref(&self) -> &[RealTime] {
+        &self.times[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Deliveries {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Deliveries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = RealTime;
+    type IntoIter = std::iter::Take<std::array::IntoIter<RealTime, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.times.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// Administrative link state: a predicate cutting links on top of the
 /// topology (for partitions and transient outages).
 #[derive(Debug, Clone, Default)]
@@ -333,7 +390,7 @@ impl Network {
         to: ProcId,
         now: RealTime,
         rng: &mut DetRng,
-    ) -> Vec<RealTime> {
+    ) -> Deliveries {
         self.fan_out(from, to, now, rng)
     }
 
@@ -352,21 +409,15 @@ impl Network {
         to: ProcId,
         now: RealTime,
         rng: &mut DetRng,
-    ) -> Vec<RealTime> {
+    ) -> Deliveries {
         self.stats.forged += 1;
         self.fan_out(claimed_from, to, now, rng)
     }
 
     /// Shared fault-applying delivery fan-out behind [`Network::send_times`]
     /// and [`Network::send_forged_times`].
-    fn fan_out(
-        &mut self,
-        from: ProcId,
-        to: ProcId,
-        now: RealTime,
-        rng: &mut DetRng,
-    ) -> Vec<RealTime> {
-        let mut times = Vec::with_capacity(1);
+    fn fan_out(&mut self, from: ProcId, to: ProcId, now: RealTime, rng: &mut DetRng) -> Deliveries {
+        let mut times = Deliveries::default();
         let Some(at) = self.route(from, to, now, rng).delivery_time() else {
             return times;
         };
@@ -575,7 +626,7 @@ mod tests {
     fn send_times_matches_send_when_quiet() {
         let mut net = mesh_net(3);
         let times = net.send_times(ProcId(0), ProcId(1), RealTime::from_secs(1.0), &mut rng());
-        assert_eq!(times, vec![RealTime::from_secs(1.0) + ms(2.0)]);
+        assert_eq!(times[..], [RealTime::from_secs(1.0) + ms(2.0)]);
         // drops still yield no delivery
         let times = net.send_times(ProcId(1), ProcId(1), RealTime::ZERO, &mut rng());
         assert!(times.is_empty());
@@ -693,7 +744,7 @@ mod tests {
         let mut net = mesh_net(3);
         let now = RealTime::from_secs(1.0);
         let times = net.send_forged_times(ProcId(2), ProcId(0), now, &mut rng());
-        assert_eq!(times, vec![now + ms(2.0)]);
+        assert_eq!(times[..], [now + ms(2.0)]);
         assert_eq!(net.stats().forged, 1);
     }
 
@@ -717,6 +768,45 @@ mod tests {
         // past the window: back to normal
         let at = net.send_times(ProcId(0), ProcId(1), RealTime::from_secs(25.0), &mut r)[0];
         assert!(close(at, RealTime::from_secs(25.0) + ms(2.0)), "at = {at}");
+    }
+
+    fn deliveries(times: &[RealTime]) -> Deliveries {
+        let mut d = Deliveries::default();
+        for &at in times {
+            d.push(at);
+        }
+        d
+    }
+
+    #[test]
+    fn deliveries_hold_zero_one_or_two_entries() {
+        let (a, b) = (RealTime::from_secs(1.0), RealTime::from_secs(2.0));
+        for times in [&[][..], &[a], &[a, b]] {
+            let d = deliveries(times);
+            assert_eq!(d.len(), times.len());
+            assert_eq!(d[..], *times);
+            assert_eq!(d.into_iter().collect::<Vec<_>>(), times);
+            assert_eq!(format!("{d:?}"), format!("{times:?}"));
+        }
+    }
+
+    #[test]
+    fn deliveries_equality_ignores_dead_slots() {
+        let a = RealTime::from_secs(1.0);
+        let stale = Deliveries {
+            times: [a, RealTime::from_secs(9.0)],
+            len: 1,
+        };
+        assert_eq!(stale, deliveries(&[a]));
+        assert_eq!(
+            Deliveries {
+                times: [a, a],
+                len: 0
+            },
+            Deliveries::default()
+        );
+        assert_ne!(stale, deliveries(&[a, RealTime::from_secs(9.0)]));
+        assert_ne!(stale, deliveries(&[RealTime::from_secs(9.0)]));
     }
 
     #[test]

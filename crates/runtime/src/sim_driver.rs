@@ -38,8 +38,8 @@ use crate::world::{PendingTimer, World};
 
 impl Transport for World {
     /// Sends through the modeled network: `send_times` yields zero (lost),
-    /// one, or — under the chaos fault profile — several delivery
-    /// instants, each scheduled as a `Deliver` event.
+    /// one, or — when the duplication fault fires — at most two delivery
+    /// instants, held inline, each scheduled as a `Deliver` event.
     fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage) {
         let tau = self.now();
         for at in self.network.send_times(from, to, tau, &mut self.net_rng) {

@@ -318,26 +318,30 @@ impl World {
         let WireMessage::Ping { round, nonce } = msg else {
             return; // the adversary has no use for pongs to its victims
         };
-        // Omniscient context: good-bias range over currently honest nodes.
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut any = false;
-        for (i, slot) in self.nodes.iter().enumerate() {
-            if !slot.corrupted() {
-                let b = slot.clock.bias(tau).as_secs();
-                lo = lo.min(b);
-                hi = hi.max(b);
-                any = true;
-                let _ = i;
+        // Omniscient context: good-bias range over currently honest nodes,
+        // scanned only if the strategy reads it.
+        let nodes = &self.nodes;
+        let good_bias_range = || {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            let mut any = false;
+            for slot in nodes {
+                if !slot.corrupted() {
+                    let b = slot.clock.bias(tau).as_secs();
+                    lo = lo.min(b);
+                    hi = hi.max(b);
+                    any = true;
+                }
             }
-        }
+            any.then_some((lo, hi))
+        };
         let ctx = Adversary::context(
             victim,
             from,
             tau,
-            self.nodes[victim.index()].clock.read(tau),
-            Some(self.nodes[from.index()].clock.bias(tau)),
-            any.then_some((lo, hi)),
+            nodes[victim.index()].clock.read(tau),
+            Some(nodes[from.index()].clock.bias(tau)),
+            &good_bias_range,
             self.way_off,
         );
         match self.adversary.reply_to_ping(&ctx, &mut self.adv_rng) {
