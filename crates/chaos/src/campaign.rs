@@ -8,14 +8,15 @@
 //! That determinism is what makes the replay artifacts trustworthy.
 //!
 //! For every violating plan the runner greedily shrinks the plan (see
-//! [`crate::shrink`]) while preserving the *first* violated invariant,
+//! [`shrink()`]) while preserving the *first* violated invariant,
 //! re-runs the shrunk plan to capture its exact violation list, and emits
 //! a [`ReplayArtifact`].
 
+use byzclock_runtime::World;
 use byzclock_sim::{RealTime, RngHub};
 use serde::{Deserialize, Serialize};
 
-use crate::invariant::{InvariantSuite, Violation};
+use crate::invariant::{InvariantSuite, Violation, ViolationLog};
 use crate::plan::FaultPlan;
 use crate::replay::ReplayArtifact;
 use crate::shrink::shrink;
@@ -68,6 +69,18 @@ impl CampaignReport {
 ///
 /// Panics if the plan fails [`FaultPlan::validate`].
 pub fn run_plan(plan: &FaultPlan) -> Vec<Violation> {
+    let (mut world, log) = checked_world(plan);
+    world.run_until(RealTime::from_secs(plan.horizon_secs));
+    log.snapshot()
+}
+
+/// Validates `plan` and builds its world with the invariant suite
+/// attached, returning the world (not yet run) and the suite's log.
+///
+/// # Panics
+///
+/// Panics if the plan fails [`FaultPlan::validate`].
+pub(crate) fn checked_world(plan: &FaultPlan) -> (World, ViolationLog) {
     if let Err(e) = plan.validate() {
         panic!("refusing to run invalid plan: {e}");
     }
@@ -77,8 +90,7 @@ pub fn run_plan(plan: &FaultPlan) -> Vec<Violation> {
         .expect("chaos worlds derive their parameters");
     let (suite, log) = InvariantSuite::for_plan(plan, bounds);
     world.add_observer(Box::new(suite));
-    world.run_until(RealTime::from_secs(plan.horizon_secs));
-    log.snapshot()
+    (world, log)
 }
 
 /// Runs a full campaign across the default worker pool. See the module

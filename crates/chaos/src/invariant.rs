@@ -75,6 +75,17 @@ impl ViolationLog {
         self.inner.borrow().is_empty()
     }
 
+    /// True iff a violation of `invariant` was recorded.
+    pub(crate) fn contains(&self, invariant: &str) -> bool {
+        self.inner.borrow().iter().any(|v| v.invariant == invariant)
+    }
+
+    /// True iff the log holds [`MAX_VIOLATIONS`] entries and records no
+    /// more.
+    pub(crate) fn is_full(&self) -> bool {
+        self.inner.borrow().len() >= MAX_VIOLATIONS
+    }
+
     fn push(&self, v: Violation) {
         let mut log = self.inner.borrow_mut();
         if log.len() < MAX_VIOLATIONS {

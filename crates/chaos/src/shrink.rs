@@ -9,36 +9,91 @@
 //! reach — typically a single dimension at minimal strength — which makes
 //! the replay artifact readable as a diagnosis, not just a reproduction.
 //!
-//! Each candidate evaluation is one full (deterministic) world run, so
-//! the walk is capped at [`SHRINK_BUDGET`] runs.
+//! Each candidate evaluation runs the candidate's (deterministic) world
+//! until the invariant first fires, or to the horizon if it never does.
+//! A candidate the walk already rejected is not run again. The walk is
+//! capped at [`SHRINK_BUDGET`] evaluations.
 
-use crate::campaign::run_plan;
+use byzclock_sim::RealTime;
+
+use crate::campaign::checked_world;
 use crate::plan::{DisciplineSpec, FaultPlan};
 
-/// Maximum number of candidate executions one shrink may spend.
+/// Maximum number of candidate evaluations one shrink may spend. A
+/// repeat of a candidate the walk already rejected counts as one
+/// evaluation but does not run.
 pub const SHRINK_BUDGET: usize = 40;
+
+/// Simulated length of one slice of a candidate run, seconds; the
+/// violation log is checked between slices.
+const SLICE_SECS: f64 = 1.0;
 
 /// Greedily shrinks `plan` while the invariant named `invariant` keeps
 /// firing. Returns the smallest still-failing plan found (possibly the
 /// input, if nothing could be removed).
 pub fn shrink(plan: &FaultPlan, invariant: &str) -> FaultPlan {
-    let fails = |p: &FaultPlan| run_plan(p).iter().any(|v| v.invariant == invariant);
+    walk(plan, SHRINK_BUDGET, |p| fires(p, invariant))
+}
+
+/// The greedy walk: moves to the first reduction of the current plan that
+/// `fails`, until none does or `budget` evaluations are spent.
+///
+/// `fails` is a pure function of the plan, so a rejected candidate is
+/// remembered instead of asked again. The repeat still spends one unit of
+/// budget, which keeps the walk identical to one that asks every time.
+/// Accepted candidates need no memory: every reduction strictly shrinks
+/// the plan, so none comes back.
+fn walk(plan: &FaultPlan, budget: usize, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
     let mut current = plan.clone();
-    let mut budget = SHRINK_BUDGET;
+    let mut rejected: Vec<FaultPlan> = Vec::new();
+    let mut budget = budget;
     'progress: loop {
         for candidate in reductions(&current) {
             if budget == 0 {
                 break 'progress;
             }
             budget -= 1;
+            if rejected.contains(&candidate) {
+                continue;
+            }
             if fails(&candidate) {
                 current = candidate;
                 continue 'progress;
             }
+            rejected.push(candidate);
         }
         break; // no reduction preserved the failure: local minimum
     }
     current
+}
+
+/// True iff running `plan` records a violation of `invariant` — the
+/// answer of `run_plan(plan).iter().any(|v| v.invariant == invariant)`,
+/// without running past the point where it is known.
+///
+/// The world runs in [`SLICE_SECS`] slices, which changes no output bit.
+/// After each slice the log is checked: the answer is yes once the
+/// invariant is in it, and no once the log is full (it is append-only and
+/// capped, so nothing later can enter) or the horizon is reached.
+///
+/// # Panics
+///
+/// Panics if the plan fails [`FaultPlan::validate`].
+fn fires(plan: &FaultPlan, invariant: &str) -> bool {
+    let (mut world, log) = checked_world(plan);
+    let horizon = RealTime::from_secs(plan.horizon_secs);
+    let mut k = 1u32;
+    loop {
+        let deadline = RealTime::from_secs(f64::from(k) * SLICE_SECS).min(horizon);
+        world.run_until(deadline);
+        if log.contains(invariant) {
+            return true;
+        }
+        if log.is_full() || deadline >= horizon {
+            return false;
+        }
+        k += 1;
+    }
 }
 
 /// Candidate one-step reductions of `plan`, coarsest first (dropping a
@@ -136,10 +191,36 @@ pub(crate) fn violating_plan() -> FaultPlan {
     plan
 }
 
+/// The walk without its savings, kept as the reference [`shrink`] must
+/// match: every candidate, repeats included, is one full run.
+#[cfg(test)]
+fn shrink_reference(plan: &FaultPlan, invariant: &str) -> FaultPlan {
+    let fails = |p: &FaultPlan| crate::run_plan(p).iter().any(|v| v.invariant == invariant);
+    let mut current = plan.clone();
+    let mut budget = SHRINK_BUDGET;
+    'progress: loop {
+        for candidate in reductions(&current) {
+            if budget == 0 {
+                break 'progress;
+            }
+            budget -= 1;
+            if fails(&candidate) {
+                current = candidate;
+                continue 'progress;
+            }
+        }
+        break;
+    }
+    current
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::SpikeSpec;
+    use crate::campaign::run_plan;
+    use crate::plan::{LinkCutSpec, SpikeSpec};
+    use crate::{run_campaign, CampaignConfig};
+    use byzclock_sim::RngHub;
 
     #[test]
     fn crafted_plan_actually_violates_deviation() {
@@ -183,5 +264,91 @@ mod tests {
         });
         let shrunk = shrink(&plan, "deviation");
         assert!(run_plan(&shrunk).iter().any(|v| v.invariant == "deviation"));
+    }
+
+    /// The first `count` plans of the campaign rooted at `root_seed`, as
+    /// the campaign samples them.
+    fn campaign_plans(root_seed: u64, count: u64) -> Vec<FaultPlan> {
+        let hub = RngHub::new(root_seed);
+        (0..count)
+            .map(|i| {
+                let mut plan = FaultPlan::sample(&mut hub.stream("chaos-plan", i));
+                plan.seed = hub.stream("chaos-world", i).bits64();
+                plan
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shrink_matches_full_run_reference_on_campaign_plans() {
+        for root_seed in [1, 7] {
+            let report = run_campaign(&CampaignConfig {
+                root_seed,
+                plans: 150,
+            });
+            assert!(!report.artifacts.is_empty(), "seed {root_seed}");
+            for a in &report.artifacts {
+                let plan = &report.verdicts[a.plan_index].plan;
+                assert_eq!(
+                    a.plan,
+                    shrink_reference(plan, &a.invariant),
+                    "seed {root_seed}, plan {}",
+                    a.plan_index
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn early_stop_predicate_matches_full_run() {
+        let mut plans = campaign_plans(7, 40);
+        plans.push(violating_plan());
+        let (mut yes, mut no) = (0, 0);
+        for plan in &plans {
+            let violations = run_plan(plan);
+            for invariant in ["deviation", "discontinuity", "monotonicity", "finite-adj"] {
+                let want = violations.iter().any(|v| v.invariant == invariant);
+                assert_eq!(fires(plan, invariant), want, "{invariant}: {plan:?}");
+                if want {
+                    yes += 1;
+                } else {
+                    no += 1;
+                }
+            }
+        }
+        assert!(yes > 1 && no > 1, "{yes} firing, {no} not");
+    }
+
+    #[test]
+    fn one_cut_repeat_spends_budget_without_a_run() {
+        let mut plan = FaultPlan::quiet(4, 1, 5);
+        plan.link_cuts.push(LinkCutSpec {
+            a: 0,
+            b: 1,
+            from_secs: 70.0,
+            until_secs: 75.0,
+        });
+        // `link_cuts.clear()` and `link_cuts.pop()` propose the same plan.
+        let candidates = reductions(&plan);
+        let first = candidates.iter().position(|q| q.link_cuts.is_empty());
+        let repeat = candidates.iter().rposition(|q| q.link_cuts.is_empty());
+        let (first, repeat) = (first.unwrap(), repeat.unwrap());
+        assert!(first < repeat, "{candidates:?}");
+        assert_eq!(candidates[first], candidates[repeat]);
+        // Nothing fails, so the walk evaluates candidates in order until
+        // the budget runs out: the repeat takes its unit but is not run.
+        for budget in 0..=candidates.len() {
+            let mut runs = 0;
+            let shrunk = walk(&plan, budget, |_| {
+                runs += 1;
+                false
+            });
+            assert_eq!(shrunk, plan);
+            assert_eq!(
+                runs,
+                budget - usize::from(budget > repeat),
+                "budget {budget}"
+            );
+        }
     }
 }
