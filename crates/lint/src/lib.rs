@@ -21,7 +21,7 @@
 //! line or the line directly above, with a justification in the same
 //! comment. Test code (`tests/` trees, `#[cfg(test)]`/`#[test]` items) is
 //! out of scope. Whole-crate scoping lives in
-//! [`CRATE_EXEMPTIONS`](scan::CRATE_EXEMPTIONS): the real-time
+//! [`CRATE_EXEMPTIONS`]: the real-time
 //! `crates/live` runtime is exempt from D1 (reading the machine clock is
 //! its purpose) without per-line annotations.
 //!

@@ -8,7 +8,7 @@
 //! it reaches the top of the heap, so `cancel` is O(1) amortized.
 //!
 //! Ids are handed out densely (0, 1, 2, …), so the tombstone and gone sets
-//! are [`IdFlags`] bitsets over the window `[gone_watermark, next_id)`
+//! are `IdFlags` bitsets over the window `[gone_watermark, next_id)`
 //! rather than hash sets: membership tests on the pop hot path are a shift
 //! and a mask instead of a SipHash probe, and the windows stay small
 //! because the watermark compaction drops whole 64-bit words as it passes
