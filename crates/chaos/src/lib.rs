@@ -20,10 +20,10 @@
 //!
 //! Everything is a pure function of the campaign root seed, so verdicts
 //! are bit-reproducible and an artifact replays exactly — see
-//! [`campaign`] for the determinism contract and [`replay`](mod@replay) for the
-//! artifact format. The `chaos` binary exposes `campaign` and `replay`
-//! subcommands; experiment E21 in `byzclock-harness` wraps the same
-//! machinery with a paper-style report.
+//! [`campaign`] for the determinism contract and [`replay`](mod@replay)
+//! for the artifact format. The `chaos` binary exposes `campaign` and
+//! `replay` subcommands; experiment E21 in `byzclock-harness` wraps the
+//! same machinery with a paper-style report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

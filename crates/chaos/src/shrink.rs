@@ -43,10 +43,13 @@ pub fn shrink(plan: &FaultPlan, invariant: &str) -> FaultPlan {
 /// budget, which keeps the walk identical to one that asks every time.
 /// Accepted candidates need no memory: every reduction strictly shrinks
 /// the plan, so none comes back.
-fn walk(plan: &FaultPlan, budget: usize, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
+fn walk(
+    plan: &FaultPlan,
+    mut budget: usize,
+    mut fails: impl FnMut(&FaultPlan) -> bool,
+) -> FaultPlan {
     let mut current = plan.clone();
     let mut rejected: Vec<FaultPlan> = Vec::new();
-    let mut budget = budget;
     'progress: loop {
         for candidate in reductions(&current) {
             if budget == 0 {
