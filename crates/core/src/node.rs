@@ -152,7 +152,7 @@ pub struct SyncNode {
     active: Option<ActiveRound>,
     rounds_completed: u64,
     estimation: EstimationMode,
-    /// Latest cached sample per peer (Cached mode only).
+    /// Latest cached sample per peer (Cached mode only; empty otherwise).
     cache: Vec<Option<OffsetSample>>,
     /// Send time of the in-flight cache generation.
     cache_sent_at: LocalTime,
@@ -162,12 +162,18 @@ pub struct SyncNode {
     /// so nonces are unpredictable to peers yet the whole run stays a pure
     /// function of the world seed.
     nonces: DetRng,
-    /// Collected pong samples per peer for the active round (up to
-    /// `pings_per_peer` each; the self slot stays empty and is filled with
-    /// the exact `(0, 0)` sample at completion). Owned by the node — not
-    /// the round — so steady-state rounds reuse the capacity instead of
-    /// reallocating `n` vectors every `SyncInt`.
-    samples: Vec<Vec<OffsetSample>>,
+    /// Collected pong samples of the active round, flat: peer `q`'s
+    /// samples are `samples[q·k .. q·k + filled[q]]` for `k =
+    /// pings_per_peer`, in arrival order. The self slot stays empty and is
+    /// replaced by the exact `(0, 0)` sample at completion. Allocated once
+    /// at construction, so rounds never allocate.
+    samples: Vec<OffsetSample>,
+    /// Pongs accepted from each peer in the active round (at most `k`,
+    /// which is at most 64).
+    filled: Vec<u8>,
+    /// Peers (excluding self) still short of `k` pongs in the active
+    /// round; the round completes early when this reaches zero.
+    missing: usize,
     /// Reusable estimates buffer for round completion.
     estimates: Vec<PeerEstimate>,
     /// Reusable scratch for the convergence function's selection buffers.
@@ -192,6 +198,7 @@ impl SyncNode {
     ) -> Self {
         assert!(id.index() < params.n(), "node id out of range");
         let n = params.n();
+        let k = params.pings_per_peer();
         SyncNode {
             id,
             params,
@@ -200,14 +207,16 @@ impl SyncNode {
             active: None,
             rounds_completed: 0,
             estimation: EstimationMode::PerRound,
-            cache: vec![None; n],
+            cache: Vec::new(),
             cache_sent_at: LocalTime::ZERO,
             cache_nonce: 0,
             // Stand-alone default: derived from the id so unseeded nodes
             // still get distinct streams. Hosts override via
             // `with_nonce_seed` with a fork of their root seed.
             nonces: DetRng::seeded(0x6E6F_6E63_6500_0000 ^ (id.index() as u64 + 1)),
-            samples: vec![Vec::new(); n],
+            samples: vec![OffsetSample::TIMEOUT; n * k],
+            filled: vec![0; n],
+            missing: 0,
             estimates: Vec::with_capacity(n),
             scratch: ConvergenceScratch::with_capacity(n),
         }
@@ -226,12 +235,16 @@ impl SyncNode {
 
     /// Switches the estimation mode (before the node is started).
     pub fn with_estimation(mut self, mode: EstimationMode) -> Self {
-        if let EstimationMode::Cached { refresh } = mode {
-            assert!(
-                refresh > SimDuration::ZERO,
-                "cache refresh interval must be positive"
-            );
-        }
+        self.cache = match mode {
+            EstimationMode::PerRound => Vec::new(),
+            EstimationMode::Cached { refresh } => {
+                assert!(
+                    refresh > SimDuration::ZERO,
+                    "cache refresh interval must be positive"
+                );
+                vec![None; self.params.n()]
+            }
+        };
         self.estimation = mode;
         self
     }
@@ -371,11 +384,10 @@ impl SyncNode {
             nonce,
             sent_at: local_now,
         });
-        // Reuse the node-owned per-peer sample storage: clearing keeps the
-        // inner capacities, so steady-state rounds allocate nothing.
-        for slot in &mut self.samples {
-            slot.clear();
-        }
+        // Reuse the node-owned flat sample storage: only the fill counts
+        // reset, so rounds allocate nothing.
+        self.filled.fill(0);
+        self.missing = n - 1;
         // Section 3.1's min-RTT refinement: k pings per peer; the replies
         // are filtered by smallest round trip at completion. Pre-size the
         // fan-out so a reused scratch buffer grows at most once.
@@ -434,10 +446,12 @@ impl SyncNode {
         if active.round != round || active.nonce != nonce {
             return; // wrong round or replay
         }
-        if from.index() >= self.samples.len() || from == me {
+        let q = from.index();
+        if q >= self.filled.len() || from == me {
             return; // nonsensical sender
         }
-        if self.samples[from.index()].len() >= k {
+        let filled = usize::from(self.filled[q]);
+        if filled >= k {
             return; // more pongs than pings: duplicate/forged
         }
         if local_now < active.sent_at {
@@ -445,15 +459,14 @@ impl SyncNode {
             // an adjustment, and we never adjust mid-round; defensive skip.
             return;
         }
-        let sample = OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
-        self.samples[from.index()].push(sample);
-        let all_full = self
-            .samples
-            .iter()
-            .enumerate()
-            .all(|(i, s)| i == me.index() || s.len() == k);
-        if all_full {
-            self.complete_round(out);
+        self.samples[q * k + filled] =
+            OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
+        self.filled[q] += 1;
+        if filled + 1 == k {
+            self.missing -= 1;
+            if self.missing == 0 {
+                self.complete_round(out);
+            }
         }
     }
 
@@ -473,8 +486,9 @@ impl SyncNode {
         let Some(active) = self.active.take() else {
             return;
         };
+        let k = self.params.pings_per_peer();
         self.estimates.clear();
-        for (i, samples) in self.samples.iter().enumerate() {
+        for (i, &filled) in self.filled.iter().enumerate() {
             self.estimates.push(PeerEstimate {
                 peer: ProcId(i as u32),
                 sample: if i == self.id.index() {
@@ -485,7 +499,7 @@ impl SyncNode {
                     }
                 } else {
                     // min-RTT filter; TIMEOUT if no pong arrived at all
-                    OffsetSample::best_of(samples)
+                    OffsetSample::best_of(&self.samples[i * k..i * k + usize::from(filled)])
                 },
             });
         }
@@ -1242,5 +1256,260 @@ mod tests {
     fn convergence_name_is_exposed() {
         let node = SyncNode::new(ProcId(0), params(4, 1));
         assert_eq!(node.convergence_name(), "paper-sync");
+    }
+
+    /// The round storage `SyncNode` used before the flat layout: one `Vec`
+    /// per peer, and a scan of every peer after each accepted pong. Kept
+    /// as the reference the flat storage must match output for output.
+    struct NestedRounds {
+        params: ProtocolParams,
+        me: ProcId,
+        active: Option<ActiveRound>,
+        samples: Vec<Vec<OffsetSample>>,
+        estimates: Vec<PeerEstimate>,
+        scratch: ConvergenceScratch,
+    }
+
+    impl NestedRounds {
+        fn new(me: ProcId, params: ProtocolParams) -> Self {
+            NestedRounds {
+                params,
+                me,
+                active: None,
+                samples: vec![Vec::new(); params.n()],
+                estimates: Vec::new(),
+                scratch: ConvergenceScratch::new(),
+            }
+        }
+
+        fn begin(&mut self, round: u64, nonce: u64, sent_at: LocalTime) {
+            self.active = Some(ActiveRound {
+                round,
+                nonce,
+                sent_at,
+            });
+            for slot in &mut self.samples {
+                slot.clear();
+            }
+        }
+
+        fn pong(&mut self, input: Input) -> Vec<Output> {
+            let Input::Message {
+                from,
+                msg:
+                    WireMessage::Pong {
+                        round,
+                        nonce,
+                        clock,
+                    },
+                local_now,
+            } = input
+            else {
+                panic!("not a pong: {input:?}");
+            };
+            let k = self.params.pings_per_peer();
+            if !clock.as_secs().is_finite() {
+                return Vec::new();
+            }
+            let Some(active) = self.active.as_ref() else {
+                return Vec::new();
+            };
+            if active.round != round || active.nonce != nonce {
+                return Vec::new();
+            }
+            if from.index() >= self.samples.len() || from == self.me {
+                return Vec::new();
+            }
+            if self.samples[from.index()].len() >= k || local_now < active.sent_at {
+                return Vec::new();
+            }
+            let sample = OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
+            self.samples[from.index()].push(sample);
+            let all_full = self
+                .samples
+                .iter()
+                .enumerate()
+                .all(|(i, s)| i == self.me.index() || s.len() == k);
+            if all_full {
+                self.complete()
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn timeout(&mut self, round: u64) -> Vec<Output> {
+            match &self.active {
+                Some(active) if active.round == round => self.complete(),
+                _ => Vec::new(),
+            }
+        }
+
+        fn complete(&mut self) -> Vec<Output> {
+            let active = self.active.take().expect("round in flight");
+            self.estimates.clear();
+            for (i, samples) in self.samples.iter().enumerate() {
+                self.estimates.push(PeerEstimate {
+                    peer: ProcId(i as u32),
+                    sample: if i == self.me.index() {
+                        OffsetSample {
+                            offset: 0.0,
+                            error: 0.0,
+                        }
+                    } else {
+                        OffsetSample::best_of(samples)
+                    },
+                });
+            }
+            let timeouts = self
+                .estimates
+                .iter()
+                .filter(|e| e.sample.is_timeout())
+                .count();
+            let delta = PaperSync.adjustment_scratch(
+                self.params.f(),
+                self.params.way_off(),
+                &self.estimates,
+                &mut self.scratch,
+            );
+            vec![
+                Output::AdjustClock {
+                    delta: SimDuration::from_secs(delta),
+                },
+                Output::RoundCompleted(RoundSummary {
+                    round: active.round,
+                    adjustment: delta,
+                    responders: self.estimates.len() - timeouts - 1,
+                    timeouts,
+                }),
+                Output::SetTimer {
+                    after: self.params.sync_int(),
+                    kind: TimerKind::SyncDue,
+                },
+            ]
+        }
+    }
+
+    /// One round's pong traffic, shuffled: every peer's `k` genuine pongs
+    /// (one of them withheld if `withhold`, so the round can only end by
+    /// timeout), mixed with duplicates beyond `k`, pongs for the wrong
+    /// round or nonce, pongs from self or from out-of-range senders,
+    /// non-finite clocks and receipts before the send time. Round trips and
+    /// offsets come from small grids, so equal round trips — the min-RTT
+    /// filter's tie case — are common.
+    fn round_traffic(
+        rng: &mut DetRng,
+        n: usize,
+        k: usize,
+        me: usize,
+        (round, nonce): (u64, u64),
+        at: f64,
+        withhold: bool,
+    ) -> Vec<Input> {
+        let genuine = |rng: &mut DetRng, from: usize| {
+            let rtt = 0.1 * (1 + rng.index(3)) as f64;
+            let offset = 0.25 * rng.index(5) as f64 - 0.5;
+            pong(from as u32, round, nonce, at + rtt / 2.0 + offset, at + rtt)
+        };
+        let mut traffic = Vec::new();
+        for q in (0..n).filter(|q| *q != me) {
+            for _ in 0..k {
+                traffic.push(genuine(rng, q));
+            }
+        }
+        if withhold {
+            let i = rng.index(traffic.len());
+            traffic.swap_remove(i);
+        }
+        for _ in 0..rng.index(2 * n) {
+            let from = rng.index(n);
+            traffic.push(match rng.index(7) {
+                0 => genuine(rng, from),
+                1 => pong(from as u32, round + 1, nonce, at, at + 0.1),
+                2 => pong(from as u32, round, nonce ^ 1, at, at + 0.1),
+                3 => pong(me as u32, round, nonce, at, at + 0.1),
+                4 => pong((n + rng.index(3)) as u32, round, nonce, at, at + 0.1),
+                5 => pong(from as u32, round, nonce, f64::INFINITY, at + 0.1),
+                _ => pong(from as u32, round, nonce, at, at - 0.5),
+            });
+        }
+        rng.shuffle(&mut traffic);
+        traffic
+    }
+
+    /// Outputs equal as values, and every adjustment equal bit for bit
+    /// (float equality would let `-0.0` pass for `+0.0`).
+    fn assert_same_outputs(flat: &[Output], nested: &[Output]) {
+        fn adjustment_bits(out: &[Output]) -> Vec<u64> {
+            out.iter()
+                .filter_map(|o| match o {
+                    Output::AdjustClock { delta } => Some(delta.as_secs().to_bits()),
+                    Output::RoundCompleted(s) => Some(s.adjustment.to_bits()),
+                    _ => None,
+                })
+                .collect()
+        }
+        assert_eq!(flat, nested);
+        assert_eq!(adjustment_bits(flat), adjustment_bits(nested));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Three rounds per case against the `Vec<Vec<_>>` reference: the
+        /// first gets every genuine pong (early completion), the second
+        /// misses one (completion by timeout unless a duplicate stands in),
+        /// the third decides at random. The second and third rounds reuse
+        /// the storage the first one filled.
+        #[test]
+        fn flat_round_storage_matches_nested_reference(
+            n in 4usize..17,
+            k in 1usize..5,
+            me in 0usize..16,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let me = me % n;
+            let params = ProtocolParams::builder(n, (n - 1) / 3)
+                .sync_int(SimDuration::from_secs(10.0))
+                .max_wait(SimDuration::from_secs(1.0))
+                .way_off(5.0)
+                .pings_per_peer(k)
+                .build()
+                .unwrap();
+            let mut node = SyncNode::new(ProcId(me as u32), params).with_nonce_seed(seed);
+            let mut nested = NestedRounds::new(ProcId(me as u32), params);
+            let mut rng = DetRng::seeded(seed);
+            for r in 0..3u32 {
+                let at = 20.0 * f64::from(r);
+                let out = if r == 0 {
+                    start(&mut node, at)
+                } else {
+                    node.handle(Input::TimerFired {
+                        timer: TimerKind::SyncDue,
+                        local_now: lt(at),
+                    })
+                };
+                let (round, nonce) = extract_ping(&out, ProcId(((me + 1) % n) as u32));
+                nested.begin(round, nonce, lt(at));
+                let withhold = match r {
+                    0 => false,
+                    1 => true,
+                    _ => rng.chance(0.5),
+                };
+                for input in round_traffic(&mut rng, n, k, me, (round, nonce), at, withhold) {
+                    assert_same_outputs(&node.handle(input), &nested.pong(input));
+                }
+                if r == 0 {
+                    proptest::prop_assert!(!node.is_round_active(), "round 0 completes early");
+                }
+                let timeout = Input::TimerFired {
+                    timer: TimerKind::RoundTimeout { round },
+                    local_now: lt(at + 1.0),
+                };
+                assert_same_outputs(&node.handle(timeout), &nested.timeout(round));
+            }
+        }
     }
 }

@@ -12,10 +12,9 @@
 //! nonce mirrors what a deployment over authenticated channels would do.)
 
 use byzclock_clock::LocalTime;
-use serde::{Deserialize, Serialize};
 
 /// A message of the `Sync` protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireMessage {
     /// "What time do you have?" — solicits a [`WireMessage::Pong`].
     Ping {
@@ -71,32 +70,5 @@ mod tests {
         };
         assert!(pong.is_pong());
         assert_eq!(pong.round(), 3);
-    }
-
-    fn serde_json_roundtrip(msg: &WireMessage) -> WireMessage {
-        let json = serde_json::to_string(msg).expect("serialize");
-        serde_json::from_str(&json).expect("deserialize")
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ping = WireMessage::Ping {
-            round: 7,
-            nonce: u64::MAX, // nonces use the full 64-bit range
-        };
-        assert_eq!(serde_json_roundtrip(&ping), ping);
-        let pong = WireMessage::Pong {
-            round: 7,
-            nonce: 13,
-            clock: LocalTime::from_secs(2.5),
-        };
-        assert_eq!(serde_json_roundtrip(&pong), pong);
-    }
-
-    #[test]
-    fn serde_json_shape_is_externally_tagged() {
-        let json = serde_json::to_string(&WireMessage::Ping { round: 1, nonce: 2 }).unwrap();
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert!(value.get("Ping").is_some(), "unexpected shape: {json}");
     }
 }

@@ -1,7 +1,6 @@
 //! The event alphabet of the simulation world.
 
-use byzclock_clock::LocalTime;
-use byzclock_core::{TimerKind, WireMessage};
+use byzclock_core::WireMessage;
 use byzclock_sim::{EventId, ProcId};
 
 /// Everything that can be scheduled on the world's real-time axis.
@@ -26,18 +25,11 @@ pub enum SimEvent {
         /// Whose alarm.
         node: ProcId,
         /// This event's own engine id (assigned at scheduling via
-        /// `schedule_at_with`). The world matches it against the node's
-        /// pending-alarm index, which is unambiguous even when two alarms
-        /// share `kind` and `target_local`.
+        /// `schedule_at_with`). The world looks it up in the node's
+        /// pending-alarm index, which holds the alarm's kind and local
+        /// target and is unambiguous even when two alarms coincide; an id
+        /// missing from the index never fires.
         id: EventId,
-        /// Timer generation at scheduling (stale generations are ignored —
-        /// corruption bumps the generation to cancel all pending alarms).
-        generation: u64,
-        /// Which protocol timer.
-        kind: TimerKind,
-        /// The local-clock target the alarm was armed for (recomputed into
-        /// a real time after drift changes).
-        target_local: LocalTime,
     },
     /// A node's hardware clock changes rate (drift model step). The event
     /// is scheduled at the change instant and carries the rate to apply.

@@ -20,10 +20,12 @@
 //! exact real time at which the node's logical clock reaches
 //! `local_now + after` using the current hardware rate, and whenever a
 //! drift model changes the rate the world cancels and recomputes every
-//! pending alarm of that node. Alarms carry a per-node generation number;
-//! [`TimerControl::cancel_all`] bumps the generation, atomically cancelling
-//! all pending alarms (corruption or crash destroyed the "thread" that
-//! would re-arm them — the paper's recovery discussion), and
+//! pending alarm of that node. Each pending alarm is one engine event,
+//! indexed by its engine id in the node's pending map; replacing or
+//! dropping an alarm removes the entry and cancels the event, so a stale
+//! alarm never pops. [`TimerControl::cancel_all`] drops all of them at
+//! once (corruption or crash destroyed the "thread" that would re-arm
+//! them — the paper's recovery discussion), and
 //! [`Input::Start`](byzclock_core::Input::Start) on release re-arms
 //! everything.
 
@@ -55,26 +57,18 @@ impl TimerControl for World {
         let idx = node.index();
         let target_local = self.nodes[idx].clock.read(tau) + after;
         let real_at = self.real_time_for_local_target(node, tau, target_local);
-        let gen = self.nodes[idx].timer_gen;
         let engine_id = self
             .engine
-            .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer {
-                node,
-                id,
-                generation: gen,
-                kind,
-                target_local,
-            });
+            .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer { node, id });
         self.nodes[idx]
             .pending
             .insert(engine_id, PendingTimer { kind, target_local });
     }
 
-    /// Bumps the node's timer generation (so in-flight `NodeTimer` events
-    /// become stale) and cancels every pending alarm on the engine.
+    /// Forgets every pending alarm of the node and cancels its engine
+    /// event, so none of them fires.
     fn cancel_all(&mut self, node: ProcId) {
         let idx = node.index();
-        self.nodes[idx].timer_gen += 1;
         for engine_id in std::mem::take(&mut self.nodes[idx].pending).into_keys() {
             self.engine.cancel(engine_id);
         }
@@ -116,7 +110,6 @@ impl World {
     /// current clock trajectory (after a drift change or slew).
     pub(crate) fn reschedule_pending_timers(&mut self, tau: RealTime, node: ProcId) {
         let idx = node.index();
-        let gen = self.nodes[idx].timer_gen;
         // BTreeMap iteration is id-ordered, so the re-armed events are
         // assigned fresh ids in a deterministic order (replay safety).
         let pending = std::mem::take(&mut self.nodes[idx].pending);
@@ -125,15 +118,9 @@ impl World {
         }
         for timer in pending.into_values() {
             let real_at = self.real_time_for_local_target(node, tau, timer.target_local);
-            let engine_id =
-                self.engine
-                    .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer {
-                        node,
-                        id,
-                        generation: gen,
-                        kind: timer.kind,
-                        target_local: timer.target_local,
-                    });
+            let engine_id = self
+                .engine
+                .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer { node, id });
             self.nodes[idx].pending.insert(engine_id, timer);
         }
     }

@@ -37,7 +37,6 @@ pub(crate) struct NodeSlot {
     pub(crate) drift: Box<dyn DriftModel>,
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
-    pub(crate) timer_gen: u64,
     /// Pending alarms indexed by their engine [`EventId`]: O(log n) exact
     /// lookup/cancel instead of a linear scan, and — unlike a
     /// `(kind, target)` match — unambiguous when two alarms coincide.
@@ -61,7 +60,6 @@ impl NodeSlot {
             drift,
             drift_rng,
             corruption_depth: 0,
-            timer_gen: 0,
             pending: std::collections::BTreeMap::new(),
         }
     }
@@ -210,13 +208,7 @@ impl World {
         match event {
             SimEvent::StartNode { node } => self.start_node(node),
             SimEvent::Deliver { to, from, msg } => self.deliver(tau, to, from, msg),
-            SimEvent::NodeTimer {
-                node,
-                id,
-                generation,
-                kind,
-                target_local: _,
-            } => self.node_timer(node, id, generation, kind),
+            SimEvent::NodeTimer { node, id } => self.node_timer(node, id),
             SimEvent::DriftChange { node, new_rate } => self.drift_change(tau, node, new_rate),
             SimEvent::Corrupt { node } => self.corrupt(tau, node),
             SimEvent::Release { node } => self.release(tau, node),
@@ -372,19 +364,19 @@ impl World {
         }
     }
 
-    fn node_timer(&mut self, node: ProcId, id: EventId, generation: u64, kind: TimerKind) {
+    fn node_timer(&mut self, node: ProcId, id: EventId) {
         let slot = &mut self.nodes[node.index()];
-        if slot.corrupted() || slot.timer_gen != generation {
+        if slot.corrupted() {
             return;
         }
         // Match the fired event against the pending index by its own engine
         // id: exact and unambiguous even when another alarm shares
         // `(kind, target_local)` — a positional match could clear the
         // twin's bookkeeping instead. An absent id means the alarm was
-        // superseded (rescheduled after a drift change) and must not fire.
-        if slot.pending.remove(&id).is_none() {
+        // superseded (rescheduled or cancelled) and must not fire.
+        let Some(PendingTimer { kind, .. }) = slot.pending.remove(&id) else {
             return;
-        }
+        };
         let local_now = self.local_now(node);
         self.handle_and_apply(
             node,
@@ -849,18 +841,13 @@ mod tests {
         w.run_until(t(0.5));
         let node = ProcId(0);
         let idx = 0usize;
-        let gen = w.nodes[idx].timer_gen;
         let target = w.nodes[idx].clock.read(w.now()) + d(500.0);
         let kind = TimerKind::SyncDue;
         // The LATER twin is armed first, so any first-match-wins lookup
         // would clear it when the earlier twin fires.
-        let late = w.engine.schedule_at_with(t(5.0), |id| SimEvent::NodeTimer {
-            node,
-            id,
-            generation: gen,
-            kind,
-            target_local: target,
-        });
+        let late = w
+            .engine
+            .schedule_at_with(t(5.0), |id| SimEvent::NodeTimer { node, id });
         w.nodes[idx].pending.insert(
             late,
             PendingTimer {
@@ -868,13 +855,9 @@ mod tests {
                 target_local: target,
             },
         );
-        let early = w.engine.schedule_at_with(t(1.0), |id| SimEvent::NodeTimer {
-            node,
-            id,
-            generation: gen,
-            kind,
-            target_local: target,
-        });
+        let early = w
+            .engine
+            .schedule_at_with(t(1.0), |id| SimEvent::NodeTimer { node, id });
         w.nodes[idx].pending.insert(
             early,
             PendingTimer {

@@ -1,11 +1,14 @@
 //! Cancellable, deterministic event queue.
 //!
 //! A thin wrapper around [`std::collections::BinaryHeap`] keyed on
-//! `(RealTime, sequence)`. The monotone sequence number guarantees that two
-//! events scheduled for the same instant pop in scheduling order, which makes
-//! whole simulations deterministic. Cancellation is *lazy*: a cancelled
-//! [`EventId`] is recorded in a tombstone set and the entry is dropped when
-//! it reaches the top of the heap, so `cancel` is O(1) amortized.
+//! `(RealTime, sequence)`, packed into one `u128` per entry: the time's
+//! `total_cmp`-ordered bits above the sequence number, so every heap sift
+//! is a single integer comparison. The monotone sequence number guarantees
+//! that two events scheduled for the same instant pop in scheduling order,
+//! which makes whole simulations deterministic. Cancellation is *lazy*: a
+//! cancelled [`EventId`] is recorded in a tombstone set and the entry is
+//! dropped when it reaches the top of the heap, so `cancel` is O(1)
+//! amortized.
 //!
 //! Ids are handed out densely (0, 1, 2, …), so the tombstone and gone sets
 //! are `IdFlags` bitsets over the window `[gone_watermark, next_id)`
@@ -32,15 +35,46 @@ impl EventId {
 
 #[derive(Debug)]
 struct Entry<T> {
-    time: RealTime,
-    id: EventId,
+    /// `(order_bits(time) << 64) | id`: unsigned order is `(time, id)` order.
+    key: u128,
     payload: T,
+}
+
+/// Maps `t`'s bits so that unsigned order is [`RealTime`]'s `total_cmp`
+/// order: negative values get every bit flipped, the others only the sign
+/// bit. The map is a bijection, undone by [`time_of`].
+fn order_bits(t: RealTime) -> u64 {
+    let bits = t.as_secs().to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Inverse of [`order_bits`], bit for bit.
+fn time_of(ordered: u64) -> RealTime {
+    let bits = ordered ^ ((!((ordered as i64) >> 63) as u64) | (1 << 63));
+    RealTime::from_secs(f64::from_bits(bits))
+}
+
+impl<T> Entry<T> {
+    fn new(time: RealTime, id: EventId, payload: T) -> Self {
+        Entry {
+            key: (u128::from(order_bits(time)) << 64) | u128::from(id.0),
+            payload,
+        }
+    }
+
+    fn time(&self) -> RealTime {
+        time_of((self.key >> 64) as u64)
+    }
+
+    fn id(&self) -> EventId {
+        EventId(self.key as u64)
+    }
 }
 
 // Min-heap semantics: BinaryHeap is a max-heap, so invert the comparison.
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
+        self.key == other.key
     }
 }
 impl<T> Eq for Entry<T> {}
@@ -52,10 +86,7 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: earliest time (then lowest id) is the "greatest" entry.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -196,11 +227,7 @@ impl<T> EventQueue<T> {
     pub fn schedule_with(&mut self, time: RealTime, payload: impl FnOnce(EventId) -> T) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.heap.push(Entry {
-            time,
-            id,
-            payload: payload(id),
-        });
+        self.heap.push(Entry::new(time, id, payload(id)));
         self.live += 1;
         id
     }
@@ -237,25 +264,26 @@ impl<T> EventQueue<T> {
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<RealTime> {
         self.skim();
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(Entry::time)
     }
 
     /// Pops the earliest live event.
     pub fn pop(&mut self) -> Option<(RealTime, T)> {
         self.skim();
         let entry = self.heap.pop()?;
-        self.note_gone(entry.id);
+        self.note_gone(entry.id());
         self.live -= 1;
-        Some((entry.time, entry.payload))
+        Some((entry.time(), entry.payload))
     }
 
     /// Drops cancelled entries sitting at the heap top.
     fn skim(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(top.id.0) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(entry.id.0);
-                self.note_gone(entry.id);
+            let id = top.id();
+            if self.cancelled.contains(id.0) {
+                self.heap.pop();
+                self.cancelled.remove(id.0);
+                self.note_gone(id);
             } else {
                 break;
             }

@@ -19,7 +19,74 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Any non-NaN time, weighted towards the values whose ordering bits are
+/// special: signed zeros, subnormals, the extremes and the infinities.
+fn key_time_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        Just(0.0),
+        Just(-0.0),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        (1u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+        Just(f64::MIN_POSITIVE),
+        Just(-f64::MIN_POSITIVE),
+        Just(f64::MAX),
+        Just(f64::MIN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+    ]
+}
+
+/// Size of the pool [`queue_key_matches_time_then_id_order`] draws its
+/// times from: small, so that equal instants (and hence the id
+/// tie-break) come up often.
+const KEY_POOL: usize = 6;
+
+/// The queue's packed heap key orders `-0.0` below `+0.0`, as
+/// `RealTime::cmp` does, even though the two compare equal as floats.
+#[test]
+fn negative_zero_pops_before_positive_zero() {
+    let mut q = EventQueue::new();
+    q.schedule(RealTime::from_secs(0.0), "positive");
+    q.schedule(RealTime::from_secs(-0.0), "negative");
+    let (t, first) = q.pop().unwrap();
+    assert_eq!(first, "negative");
+    assert_eq!(t.as_secs().to_bits(), (-0.0f64).to_bits());
+    let (t, second) = q.pop().unwrap();
+    assert_eq!(second, "positive");
+    assert_eq!(t.as_secs().to_bits(), 0.0f64.to_bits());
+}
+
 proptest! {
+    /// Events pop in `(RealTime::cmp, id)` order, and each popped time is
+    /// the scheduled one bit for bit: the packed `u128` heap key encodes
+    /// both exactly, across signed zeros, subnormals and infinities.
+    #[test]
+    fn queue_key_matches_time_then_id_order(
+        pool in proptest::collection::vec(key_time_strategy(), KEY_POOL),
+        picks in proptest::collection::vec(0..KEY_POOL, 0..64),
+    ) {
+        let times: Vec<f64> = picks.iter().map(|&i| pool[i]).collect();
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = times
+            .iter()
+            .enumerate()
+            .map(|(i, t)| q.schedule(RealTime::from_secs(*t), i))
+            .collect();
+        let mut expected: Vec<usize> = (0..times.len()).collect();
+        expected.sort_by(|a, b| {
+            RealTime::from_secs(times[*a])
+                .cmp(&RealTime::from_secs(times[*b]))
+                .then(ids[*a].cmp(&ids[*b]))
+        });
+        let mut popped = Vec::new();
+        while let Some((t, i)) = q.pop() {
+            prop_assert_eq!(t.as_secs().to_bits(), times[i].to_bits());
+            popped.push(i);
+        }
+        prop_assert_eq!(popped, expected);
+    }
+
     /// Under any interleaving of schedule/cancel/pop, pops come out in
     /// non-decreasing time order, cancelled events never surface, and the
     /// length bookkeeping stays exact.
