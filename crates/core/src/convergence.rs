@@ -93,14 +93,6 @@ pub trait ConvergenceFn: fmt::Debug + Send {
         scratch: &mut ConvergenceScratch,
     ) -> f64;
 
-    /// The adjustment, in seconds — convenience wrapper that allocates a
-    /// throwaway scratch. Identical results to
-    /// [`ConvergenceFn::adjustment_scratch`]; tests and one-shot callers
-    /// use it, hosts on the hot path should not.
-    fn adjustment(&self, f: usize, way_off: f64, estimates: &[PeerEstimate]) -> f64 {
-        self.adjustment_scratch(f, way_off, estimates, &mut ConvergenceScratch::new())
-    }
-
     /// Clones into a box (convergence functions are tiny value objects).
     fn box_clone(&self) -> Box<dyn ConvergenceFn>;
 }
@@ -149,21 +141,10 @@ pub fn select_low_high_into(
     (m, *big_m)
 }
 
-/// Selects Figure 1's `(m, M)`: the `(f+1)`-st smallest overestimate and
-/// the `(f+1)`-st largest underestimate. Thin wrapper over
-/// [`select_low_high_into`] with a throwaway scratch.
-///
-/// # Panics
-///
-/// Panics if `estimates.len() < f + 1`.
-pub fn select_low_high(f: usize, estimates: &[PeerEstimate]) -> (f64, f64) {
-    select_low_high_into(f, estimates, &mut ConvergenceScratch::new())
-}
-
 /// The paper's convergence function (Figure 1, lines 6–12).
 ///
 /// ```
-/// use byzclock_core::{ConvergenceFn, OffsetSample, PaperSync, PeerEstimate};
+/// use byzclock_core::{ConvergenceFn, ConvergenceScratch, OffsetSample, PaperSync, PeerEstimate};
 /// use byzclock_sim::ProcId;
 ///
 /// // n = 4, f = 1: three peers claim we are 2 s behind, plus the exact
@@ -174,7 +155,7 @@ pub fn select_low_high(f: usize, estimates: &[PeerEstimate]) -> (f64, f64) {
 ///         sample: OffsetSample { offset: if i == 0 { 0.0 } else { 2.0 }, error: 0.0 },
 ///     })
 ///     .collect();
-/// let delta = PaperSync.adjustment(1, 10.0, &estimates);
+/// let delta = PaperSync.adjustment_scratch(1, 10.0, &estimates, &mut ConvergenceScratch::new());
 /// assert_eq!(delta, 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -434,11 +415,21 @@ mod tests {
         est(&values.iter().map(|&v| (v, 0.0)).collect::<Vec<_>>())
     }
 
+    /// `cf`'s adjustment computed with a fresh scratch.
+    fn adjust(cf: &dyn ConvergenceFn, f: usize, way_off: f64, e: &[PeerEstimate]) -> f64 {
+        cf.adjustment_scratch(f, way_off, e, &mut ConvergenceScratch::new())
+    }
+
+    /// Figure 1's `(m, M)` selected with a fresh scratch.
+    fn low_high(f: usize, e: &[PeerEstimate]) -> (f64, f64) {
+        select_low_high_into(f, e, &mut ConvergenceScratch::new())
+    }
+
     #[test]
     fn select_low_high_known_values() {
         // f = 1, exact estimates [-3, -1, 0, 2, 5]
         let e = exact(&[-3.0, -1.0, 0.0, 2.0, 5.0]);
-        let (m, big_m) = select_low_high(1, &e);
+        let (m, big_m) = low_high(1, &e);
         assert_eq!(m, -1.0); // 2nd smallest
         assert_eq!(big_m, 2.0); // 2nd largest
     }
@@ -447,7 +438,7 @@ mod tests {
     fn select_with_errors_uses_over_and_under() {
         // single estimate d=1, a=0.5 → over 1.5, under 0.5; f=0
         let e = est(&[(1.0, 0.5)]);
-        let (m, big_m) = select_low_high(0, &e);
+        let (m, big_m) = low_high(0, &e);
         assert_eq!(m, 1.5);
         assert_eq!(big_m, 0.5);
     }
@@ -461,7 +452,7 @@ mod tests {
             peer: ProcId(4),
             sample: OffsetSample::TIMEOUT,
         });
-        let (m, big_m) = select_low_high(1, &e);
+        let (m, big_m) = low_high(1, &e);
         assert_eq!(m, 2.0);
         assert_eq!(big_m, 3.0);
     }
@@ -469,7 +460,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "f+1")]
     fn too_few_estimates_panics() {
-        select_low_high(3, &exact(&[1.0, 2.0]));
+        low_high(3, &exact(&[1.0, 2.0]));
     }
 
     #[test]
@@ -477,7 +468,7 @@ mod tests {
         // m = -1, M = 2 (from select test), within way_off=10:
         // delta = (min(-1,0)+max(2,0))/2 = 0.5
         let e = exact(&[-3.0, -1.0, 0.0, 2.0, 5.0]);
-        assert_eq!(PaperSync.adjustment(1, 10.0, &e), 0.5);
+        assert_eq!(adjust(&PaperSync, 1, 10.0, &e), 0.5);
     }
 
     #[test]
@@ -486,27 +477,27 @@ mod tests {
         // = -0.1. m = M = -0.1, within way_off: delta = (min(-0.1,0)+0)/2 =
         // -0.05: moves halfway toward the group, respecting own clock.
         let e = exact(&[-0.1; 5]);
-        assert!((PaperSync.adjustment(1, 1.0, &e) + 0.05).abs() < 1e-12);
+        assert!((adjust(&PaperSync, 1, 1.0, &e) + 0.05).abs() < 1e-12);
     }
 
     #[test]
     fn paper_sync_way_off_branch_jumps_to_midpoint() {
         // We are 10 s behind everyone: estimates +10, way_off = 5 → jump.
         let e = exact(&[10.0; 7]);
-        assert_eq!(PaperSync.adjustment(2, 5.0, &e), 10.0);
+        assert_eq!(adjust(&PaperSync, 2, 5.0, &e), 10.0);
     }
 
     #[test]
     fn paper_sync_way_off_branch_on_negative_side() {
         let e = exact(&[-10.0; 7]);
-        assert_eq!(PaperSync.adjustment(2, 5.0, &e), -10.0);
+        assert_eq!(adjust(&PaperSync, 2, 5.0, &e), -10.0);
     }
 
     #[test]
     fn paper_sync_boundary_exactly_way_off_stays_limited() {
         // M = way_off exactly → condition M <= WayOff holds → limited step.
         let e = exact(&[5.0; 4]);
-        let delta = PaperSync.adjustment(1, 5.0, &e);
+        let delta = adjust(&PaperSync, 1, 5.0, &e);
         // m = M = 5; limited: (min(5,0)+max(5,0))/2 = 2.5
         assert_eq!(delta, 2.5);
     }
@@ -530,7 +521,7 @@ mod tests {
                 error: 0.0,
             },
         });
-        let delta = PaperSync.adjustment(2, 1.0, &e);
+        let delta = adjust(&PaperSync, 2, 1.0, &e);
         assert!(delta.abs() <= 0.03, "delta {delta} escaped honest range");
     }
 
@@ -538,17 +529,17 @@ mod tests {
     fn minimal_correction_clamps() {
         let e = exact(&[10.0; 5]);
         let fc = MinimalCorrection::new(0.05);
-        let delta = fc.adjustment(1, 5.0, &e);
+        let delta = adjust(&fc, 1, 5.0, &e);
         assert_eq!(delta, 0.05, "step must be clamped");
         let e_neg = exact(&[-10.0; 5]);
-        assert_eq!(fc.adjustment(1, 5.0, &e_neg), -0.05);
+        assert_eq!(adjust(&fc, 1, 5.0, &e_neg), -0.05);
     }
 
     #[test]
     fn minimal_correction_small_offsets_uncapped() {
         let e = exact(&[-0.01; 5]);
         let fc = MinimalCorrection::new(0.05);
-        assert!((fc.adjustment(1, 5.0, &e) + 0.005).abs() < 1e-12);
+        assert!((adjust(&fc, 1, 5.0, &e) + 0.005).abs() < 1e-12);
     }
 
     #[test]
@@ -560,7 +551,7 @@ mod tests {
     #[test]
     fn trimmed_mean_drops_outliers() {
         let e = exact(&[-1e9, 1.0, 2.0, 3.0, 1e9]);
-        let delta = TrimmedMean.adjustment(1, 1.0, &e);
+        let delta = adjust(&TrimmedMean, 1, 1.0, &e);
         assert_eq!(delta, 2.0);
     }
 
@@ -572,13 +563,13 @@ mod tests {
             sample: OffsetSample::TIMEOUT,
         });
         // offsets [0,4,4,4,4], f=1 → keep [4,4,4] → 4.0
-        assert_eq!(TrimmedMean.adjustment(1, 1.0, &e), 4.0);
+        assert_eq!(adjust(&TrimmedMean, 1, 1.0, &e), 4.0);
     }
 
     #[test]
     #[should_panic(expected = "2f")]
     fn trimmed_mean_needs_enough_estimates() {
-        TrimmedMean.adjustment(2, 1.0, &exact(&[1.0, 2.0, 3.0, 4.0]));
+        adjust(&TrimmedMean, 2, 1.0, &exact(&[1.0, 2.0, 3.0, 4.0]));
     }
 
     #[test]
@@ -593,7 +584,7 @@ mod tests {
                 error: 0.0,
             },
         });
-        let delta = UnguardedMean.adjustment(1, 1.0, &e);
+        let delta = adjust(&UnguardedMean, 1, 1.0, &e);
         assert!(delta > 1e5, "unguarded mean should be dragged, got {delta}");
     }
 
@@ -603,15 +594,15 @@ mod tests {
             peer: ProcId(0),
             sample: OffsetSample::TIMEOUT,
         }];
-        assert_eq!(UnguardedMean.adjustment(0, 1.0, &e), 0.0);
+        assert_eq!(adjust(&UnguardedMean, 0, 1.0, &e), 0.0);
     }
 
     #[test]
     fn median_of_odd_and_even_counts() {
         let e = exact(&[5.0, 1.0, 3.0]);
-        assert_eq!(MedianConvergence.adjustment(0, 1.0, &e), 3.0);
+        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 3.0);
         let e = exact(&[1.0, 2.0, 3.0, 10.0]);
-        assert_eq!(MedianConvergence.adjustment(0, 1.0, &e), 2.5);
+        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 2.5);
     }
 
     #[test]
@@ -631,7 +622,7 @@ mod tests {
                 error: 0.0,
             },
         });
-        let delta = MedianConvergence.adjustment(2, 1.0, &e);
+        let delta = adjust(&MedianConvergence, 2, 1.0, &e);
         assert!(delta.abs() <= 0.03, "median dragged to {delta}");
     }
 
@@ -643,13 +634,13 @@ mod tests {
             sample: OffsetSample::TIMEOUT,
         });
         // offsets [0, 4, 4] -> median 4
-        assert_eq!(MedianConvergence.adjustment(0, 1.0, &e), 4.0);
+        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 4.0);
     }
 
     #[test]
     fn noop_never_adjusts() {
         let e = exact(&[100.0; 5]);
-        assert_eq!(NoOpConvergence.adjustment(1, 1.0, &e), 0.0);
+        assert_eq!(adjust(&NoOpConvergence, 1, 1.0, &e), 0.0);
     }
 
     #[test]
@@ -657,7 +648,7 @@ mod tests {
         let e = exact(&[0.0; 7]);
         for cf in all_fns() {
             assert_eq!(
-                cf.adjustment(2, 1.0, &e),
+                adjust(cf.as_ref(), 2, 1.0, &e),
                 0.0,
                 "{} must not move a synchronized clock",
                 cf.name()
@@ -710,7 +701,7 @@ mod tests {
                         sample: OffsetSample { offset: *b, error: 0.0 },
                     });
                 }
-                let delta = PaperSync.adjustment(f, way_off, &e);
+                let delta = adjust(&PaperSync, f, way_off, &e);
                 let lo = honest.iter().cloned().fold(f64::INFINITY, f64::min).min(0.0);
                 let hi = honest.iter().cloned().fold(f64::NEG_INFINITY, f64::max).max(0.0);
                 prop_assert!(delta >= lo - 1e-9 && delta <= hi + 1e-9,
@@ -733,7 +724,7 @@ mod tests {
                         sample: OffsetSample { offset: *b, error: 0.0 },
                     });
                 }
-                let delta = TrimmedMean.adjustment(f, 1.0, &e);
+                let delta = adjust(&TrimmedMean, f, 1.0, &e);
                 let lo = honest.iter().cloned().fold(f64::INFINITY, f64::min);
                 let hi = honest.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 prop_assert!(delta >= lo - 1e-9 && delta <= hi + 1e-9);
@@ -755,7 +746,7 @@ mod tests {
                         sample: OffsetSample { offset: *b, error: 0.0 },
                     });
                 }
-                let (m, big_m) = select_low_high(f, &e);
+                let (m, big_m) = low_high(f, &e);
                 let max_honest = honest.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let min_honest = honest.iter().cloned().fold(f64::INFINITY, f64::min);
                 prop_assert!(m <= max_honest + 1e-9);
@@ -794,10 +785,6 @@ mod tests {
                 let got = select_low_high_into(f, &e, &mut scratch);
                 prop_assert_eq!(got.0.to_bits(), expect.0.to_bits());
                 prop_assert_eq!(got.1.to_bits(), expect.1.to_bits());
-                // the compatibility wrapper agrees with the scratch path
-                let wrapped = select_low_high(f, &e);
-                prop_assert_eq!(wrapped.0.to_bits(), got.0.to_bits());
-                prop_assert_eq!(wrapped.1.to_bits(), got.1.to_bits());
             }
 
             /// A reused (dirty) scratch gives every convergence function
@@ -811,7 +798,7 @@ mod tests {
                 for values in [&first, &second] {
                     let e = exact(values);
                     for cf in all_fns() {
-                        let fresh = cf.adjustment(1, 10.0, &e);
+                        let fresh = adjust(cf.as_ref(), 1, 10.0, &e);
                         let reused = cf.adjustment_scratch(1, 10.0, &e, &mut scratch);
                         prop_assert_eq!(fresh.to_bits(), reused.to_bits(),
                             "{} diverges under scratch reuse", cf.name());
@@ -828,8 +815,8 @@ mod tests {
                 let e = exact(&values);
                 let neg: Vec<f64> = values.iter().map(|v| -v).collect();
                 let en = exact(&neg);
-                let d1 = PaperSync.adjustment(1, way_off, &e);
-                let d2 = PaperSync.adjustment(1, way_off, &en);
+                let d1 = adjust(&PaperSync, 1, way_off, &e);
+                let d2 = adjust(&PaperSync, 1, way_off, &en);
                 prop_assert!((d1 + d2).abs() < 1e-9, "d1={} d2={}", d1, d2);
             }
         }

@@ -19,7 +19,9 @@
 //! * [`node`] — the sans-IO `Sync` protocol state machine: feed it inputs
 //!   (timers, messages) stamped with local clock readings; it emits outputs
 //!   (sends, timers, clock adjustments). No IO, no simulator dependency —
-//!   fully unit-testable and embeddable.
+//!   fully unit-testable and embeddable. It holds only Figure 1's state.
+//! * [`cached`] — the cached-estimation variant Section 3.1 warns about,
+//!   composed around a node (experiment E19).
 //! * [`analysis`] — the `(τ, β)`-plane envelopes of Definition 6 used by
 //!   the Lemma 7 / Claim 8 experiments.
 //!
@@ -38,7 +40,8 @@
 //!     .build()
 //!     .unwrap();
 //! let mut node = SyncNode::new(ProcId(0), params);
-//! let outputs = node.handle(Input::Start { local_now: LocalTime::ZERO });
+//! let mut outputs = Vec::new();
+//! node.handle_into(Input::Start { local_now: LocalTime::ZERO }, &mut outputs);
 //! // The node immediately begins a sync round: 3 pings + a round timeout.
 //! let pings = outputs.iter().filter(|o| matches!(o, Output::Send { .. })).count();
 //! assert_eq!(pings, 3);
@@ -49,6 +52,7 @@
 
 pub mod analysis;
 pub mod bounds;
+pub mod cached;
 pub mod convergence;
 pub mod estimate;
 pub mod node;
@@ -57,11 +61,12 @@ pub mod wire;
 
 pub use analysis::{ChainViolation, Envelope, EnvelopeChain};
 pub use bounds::{BoundsError, Derived, NetworkModel, TheoremBounds};
+pub use cached::CachedSync;
 pub use convergence::{
     ConvergenceFn, ConvergenceScratch, MedianConvergence, MinimalCorrection, NoOpConvergence,
     PaperSync, PeerEstimate, TrimmedMean, UnguardedMean,
 };
 pub use estimate::OffsetSample;
-pub use node::{EstimationMode, Input, Output, RoundSummary, SyncNode, TimerKind};
+pub use node::{Input, Output, RoundSummary, SyncNode, TimerKind};
 pub use params::{ParamError, ProtocolParams};
 pub use wire::WireMessage;

@@ -42,31 +42,6 @@ pub enum TimerKind {
         /// Round this timeout belongs to; stale timeouts are ignored.
         round: u64,
     },
-    /// Background cache-refresh tick ([`EstimationMode::Cached`] only).
-    CacheRefresh,
-}
-
-/// How the node gathers peer clock estimates.
-///
-/// The paper's Section 3.1 closes with a warning about the second variant:
-/// spreading estimation over a background activity that hands the sync
-/// procedure *cached* values means "we cannot guarantee the conditions of
-/// Definition 4 anymore, since the separate thread may return an old
-/// cached value which was measured before the call" — so "the analysis in
-/// this paper cannot be applied right out of the box". [`EstimationMode::Cached`] is a
-/// deliberately naive implementation of that pattern (no compensation for
-/// the node's own adjustments since measurement), built so experiment E19
-/// can quantify the warning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EstimationMode {
-    /// A fresh ping/pong exchange per sync round — the analyzed protocol.
-    PerRound,
-    /// A background refresher pings all peers every `refresh` local-time
-    /// units; sync() consumes whatever the cache currently holds.
-    Cached {
-        /// Local time between cache refreshes.
-        refresh: SimDuration,
-    },
 }
 
 /// Everything that can happen to a node.
@@ -151,13 +126,6 @@ pub struct SyncNode {
     round: u64,
     active: Option<ActiveRound>,
     rounds_completed: u64,
-    estimation: EstimationMode,
-    /// Latest cached sample per peer (Cached mode only; empty otherwise).
-    cache: Vec<Option<OffsetSample>>,
-    /// Send time of the in-flight cache generation.
-    cache_sent_at: LocalTime,
-    /// Nonce of the in-flight cache generation.
-    cache_nonce: u64,
     /// Anti-replay nonce stream. Seeded by the host ([`SyncNode::with_nonce_seed`])
     /// so nonces are unpredictable to peers yet the whole run stays a pure
     /// function of the world seed.
@@ -206,10 +174,6 @@ impl SyncNode {
             round: 0,
             active: None,
             rounds_completed: 0,
-            estimation: EstimationMode::PerRound,
-            cache: Vec::new(),
-            cache_sent_at: LocalTime::ZERO,
-            cache_nonce: 0,
             // Stand-alone default: derived from the id so unseeded nodes
             // still get distinct streams. Hosts override via
             // `with_nonce_seed` with a fork of their root seed.
@@ -233,27 +197,6 @@ impl SyncNode {
         self
     }
 
-    /// Switches the estimation mode (before the node is started).
-    pub fn with_estimation(mut self, mode: EstimationMode) -> Self {
-        self.cache = match mode {
-            EstimationMode::PerRound => Vec::new(),
-            EstimationMode::Cached { refresh } => {
-                assert!(
-                    refresh > SimDuration::ZERO,
-                    "cache refresh interval must be positive"
-                );
-                vec![None; self.params.n()]
-            }
-        };
-        self.estimation = mode;
-        self
-    }
-
-    /// The estimation mode in use.
-    pub fn estimation_mode(&self) -> EstimationMode {
-        self.estimation
-    }
-
     /// This node's id.
     pub fn id(&self) -> ProcId {
         self.id
@@ -262,11 +205,6 @@ impl SyncNode {
     /// The parameters the node runs with.
     pub fn params(&self) -> &ProtocolParams {
         &self.params
-    }
-
-    /// Name of the convergence function in use.
-    pub fn convergence_name(&self) -> &'static str {
-        self.convergence.name()
     }
 
     /// Current round counter.
@@ -284,40 +222,15 @@ impl SyncNode {
         self.rounds_completed
     }
 
-    /// Feeds one input, returning the effects to execute (in order).
-    ///
-    /// Convenience wrapper around [`SyncNode::handle_into`] that allocates
-    /// a fresh vector per call; hosts on a hot path should reuse a scratch
-    /// buffer via `handle_into` instead.
-    pub fn handle(&mut self, input: Input) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.handle_into(input, &mut out);
-        out
-    }
-
     /// Feeds one input, appending the effects to execute (in order) to
     /// `out`. The buffer is not cleared — the caller owns its lifecycle —
-    /// so a host can reuse one allocation across every `handle` call.
+    /// so a host can reuse one allocation across every call.
     pub fn handle_into(&mut self, input: Input, out: &mut Vec<Output>) {
         match input {
             Input::Start { local_now } => {
                 // Recovery: abandon any in-flight round and start fresh.
                 self.active = None;
-                match self.estimation {
-                    EstimationMode::PerRound => self.begin_round(local_now, out),
-                    EstimationMode::Cached { refresh } => {
-                        self.cache.iter_mut().for_each(|slot| *slot = None);
-                        self.refresh_cache(local_now, out);
-                        out.push(Output::SetTimer {
-                            after: refresh,
-                            kind: TimerKind::CacheRefresh,
-                        });
-                        out.push(Output::SetTimer {
-                            after: self.params.sync_int(),
-                            kind: TimerKind::SyncDue,
-                        });
-                    }
-                }
+                self.begin_round(local_now, out);
             }
             Input::Message {
                 from,
@@ -347,20 +260,7 @@ impl SyncNode {
                 } => self.on_pong(from, round, nonce, clock, local_now, out),
             },
             Input::TimerFired { timer, local_now } => match timer {
-                TimerKind::CacheRefresh => {
-                    let EstimationMode::Cached { refresh } = self.estimation else {
-                        return; // stale timer after a mode change
-                    };
-                    self.refresh_cache(local_now, out);
-                    out.push(Output::SetTimer {
-                        after: refresh,
-                        kind: TimerKind::CacheRefresh,
-                    });
-                }
                 TimerKind::SyncDue => {
-                    if let EstimationMode::Cached { .. } = self.estimation {
-                        return self.sync_from_cache(out);
-                    }
                     if self.active.is_none() {
                         self.begin_round(local_now, out);
                     }
@@ -373,10 +273,14 @@ impl SyncNode {
         }
     }
 
-    fn begin_round(&mut self, local_now: LocalTime, out: &mut Vec<Output>) {
+    /// Bumps the round number and draws that round's anti-replay nonce.
+    pub(crate) fn next_round(&mut self) -> (u64, u64) {
         self.round += 1;
-        let round = self.round;
-        let nonce = self.nonces.bits64();
+        (self.round, self.nonces.bits64())
+    }
+
+    fn begin_round(&mut self, local_now: LocalTime, out: &mut Vec<Output>) {
+        let (round, nonce) = self.next_round();
         let n = self.params.n();
         let k = self.params.pings_per_peer();
         self.active = Some(ActiveRound {
@@ -416,28 +320,10 @@ impl SyncNode {
         out: &mut Vec<Output>,
     ) {
         let k = self.params.pings_per_peer();
-        let me = self.id;
         if !clock.as_secs().is_finite() {
             // A Byzantine peer reporting ±∞ (or NaN) would flow straight
             // into the convergence function's (m+M)/2 and poison the
             // adjustment; drop it so the slot resolves via TIMEOUT instead.
-            return;
-        }
-        if let EstimationMode::Cached { .. } = self.estimation {
-            // cache fill: accept only the current generation (round) and
-            // overwrite the peer's slot with the freshest sample
-            if round == self.round
-                && nonce == self.cache_nonce
-                && from != me
-                && from.index() < self.cache.len()
-                && local_now >= self.cache_sent_at
-            {
-                self.cache[from.index()] = Some(OffsetSample::from_ping_pong(
-                    self.cache_sent_at,
-                    local_now,
-                    clock,
-                ));
-            }
             return;
         }
         let Some(active) = self.active.as_ref() else {
@@ -447,7 +333,7 @@ impl SyncNode {
             return; // wrong round or replay
         }
         let q = from.index();
-        if q >= self.filled.len() || from == me {
+        if q >= self.filled.len() || from == self.id {
             return; // nonsensical sender
         }
         let filled = usize::from(self.filled[q]);
@@ -487,19 +373,41 @@ impl SyncNode {
             return;
         };
         let k = self.params.pings_per_peer();
+        // Moved out (no allocation) so `converge` can borrow the node.
+        let samples = std::mem::take(&mut self.samples);
+        let filled = std::mem::take(&mut self.filled);
+        self.converge(
+            active.round,
+            // min-RTT filter; TIMEOUT if no pong arrived at all
+            |q| OffsetSample::best_of(&samples[q * k..q * k + usize::from(filled[q])]),
+            out,
+        );
+        self.samples = samples;
+        self.filled = filled;
+    }
+
+    /// Figure 1's convergence step, the one round-completion path: builds
+    /// the `n` estimates — the exact `(0, 0)` for self ("for each
+    /// q ∈ {1..n}" includes p) and `sample_of(q)` for each peer `q` — runs
+    /// the convergence function, and emits `AdjustClock`, `RoundCompleted`
+    /// for `round`, and the next `SyncDue` alarm.
+    pub(crate) fn converge(
+        &mut self,
+        round: u64,
+        sample_of: impl Fn(usize) -> OffsetSample,
+        out: &mut Vec<Output>,
+    ) {
         self.estimates.clear();
-        for (i, &filled) in self.filled.iter().enumerate() {
+        for i in 0..self.params.n() {
             self.estimates.push(PeerEstimate {
                 peer: ProcId(i as u32),
                 sample: if i == self.id.index() {
-                    // "for each q ∈ {1..n}" includes p: exact self-estimate.
                     OffsetSample {
                         offset: 0.0,
                         error: 0.0,
                     }
                 } else {
-                    // min-RTT filter; TIMEOUT if no pong arrived at all
-                    OffsetSample::best_of(&self.samples[i * k..i * k + usize::from(filled)])
+                    sample_of(i)
                 },
             });
         }
@@ -521,74 +429,7 @@ impl SyncNode {
                 delta: SimDuration::from_secs(delta),
             },
             Output::RoundCompleted(RoundSummary {
-                round: active.round,
-                adjustment: delta,
-                responders,
-                timeouts,
-            }),
-            Output::SetTimer {
-                after: self.params.sync_int(),
-                kind: TimerKind::SyncDue,
-            },
-        ]);
-    }
-
-    /// Sends one cache-refresh ping volley (Cached mode).
-    fn refresh_cache(&mut self, local_now: LocalTime, out: &mut Vec<Output>) {
-        self.round += 1;
-        self.cache_sent_at = local_now;
-        self.cache_nonce = self.nonces.bits64();
-        let nonce = self.cache_nonce;
-        out.extend(
-            ProcId::all(self.params.n())
-                .filter(|q| *q != self.id)
-                .map(|q| Output::Send {
-                    to: q,
-                    msg: WireMessage::Ping {
-                        round: self.round,
-                        nonce,
-                    },
-                }),
-        );
-    }
-
-    /// Runs the convergence function over the *cached* estimates — the
-    /// naive separate-thread pattern the paper warns about: samples may
-    /// predate the node's own latest adjustments.
-    fn sync_from_cache(&mut self, out: &mut Vec<Output>) {
-        self.estimates.clear();
-        for i in 0..self.params.n() {
-            self.estimates.push(PeerEstimate {
-                peer: ProcId(i as u32),
-                sample: if i == self.id.index() {
-                    OffsetSample {
-                        offset: 0.0,
-                        error: 0.0,
-                    }
-                } else {
-                    self.cache[i].unwrap_or(OffsetSample::TIMEOUT)
-                },
-            });
-        }
-        let timeouts = self
-            .estimates
-            .iter()
-            .filter(|e| e.sample.is_timeout())
-            .count();
-        let responders = self.estimates.len() - timeouts - 1;
-        let delta = self.convergence.adjustment_scratch(
-            self.params.f(),
-            self.params.way_off(),
-            &self.estimates,
-            &mut self.scratch,
-        );
-        self.rounds_completed += 1;
-        out.extend([
-            Output::AdjustClock {
-                delta: SimDuration::from_secs(delta),
-            },
-            Output::RoundCompleted(RoundSummary {
-                round: self.round,
+                round,
                 adjustment: delta,
                 responders,
                 timeouts,
@@ -602,10 +443,10 @@ impl SyncNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn params(n: usize, f: usize) -> ProtocolParams {
+    pub(crate) fn params(n: usize, f: usize) -> ProtocolParams {
         ProtocolParams::builder(n, f)
             .sync_int(SimDuration::from_secs(10.0))
             .max_wait(SimDuration::from_secs(1.0))
@@ -614,15 +455,22 @@ mod tests {
             .unwrap()
     }
 
-    fn lt(s: f64) -> LocalTime {
+    pub(crate) fn lt(s: f64) -> LocalTime {
         LocalTime::from_secs(s)
     }
 
-    fn start(node: &mut SyncNode, at: f64) -> Vec<Output> {
-        node.handle(Input::Start { local_now: lt(at) })
+    /// Feeds one input through `handle_into` into a fresh buffer.
+    fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
+        let mut out = Vec::new();
+        node.handle_into(input, &mut out);
+        out
     }
 
-    fn extract_ping(outputs: &[Output], to: ProcId) -> (u64, u64) {
+    fn start(node: &mut SyncNode, at: f64) -> Vec<Output> {
+        handle(node, Input::Start { local_now: lt(at) })
+    }
+
+    pub(crate) fn extract_ping(outputs: &[Output], to: ProcId) -> (u64, u64) {
         outputs
             .iter()
             .find_map(|o| match o {
@@ -635,7 +483,7 @@ mod tests {
             .expect("ping to peer not found")
     }
 
-    fn pong(from: u32, round: u64, nonce: u64, clock: f64, local_now: f64) -> Input {
+    pub(crate) fn pong(from: u32, round: u64, nonce: u64, clock: f64, local_now: f64) -> Input {
         Input::Message {
             from: ProcId(from),
             msg: WireMessage::Pong {
@@ -649,8 +497,8 @@ mod tests {
 
     #[test]
     fn handle_into_appends_without_clearing() {
-        // Two identically-seeded nodes: one driven through `handle`, one
-        // through `handle_into` with a reused buffer — same outputs.
+        // Two identically-seeded nodes: one fed into a fresh buffer, one
+        // into a reused buffer that already holds an item — same outputs.
         let mut a = SyncNode::new(ProcId(0), params(4, 1)).with_nonce_seed(9);
         let mut b = SyncNode::new(ProcId(0), params(4, 1)).with_nonce_seed(9);
         let mut buf = vec![Output::RoundCompleted(RoundSummary {
@@ -660,9 +508,9 @@ mod tests {
             timeouts: 0,
         })];
         let input = Input::Start { local_now: lt(3.0) };
-        let via_handle = a.handle(input);
+        let fresh = handle(&mut a, input);
         b.handle_into(input, &mut buf);
-        assert_eq!(&buf[1..], &via_handle[..], "appended after existing item");
+        assert_eq!(&buf[1..], &fresh[..], "appended after existing item");
         assert!(matches!(buf[0], Output::RoundCompleted(_)));
     }
 
@@ -693,11 +541,14 @@ mod tests {
     fn ping_always_answered_with_current_clock() {
         let mut node = SyncNode::new(ProcId(2), params(4, 1));
         // Not even started — still answers (the paper's responsiveness).
-        let out = node.handle(Input::Message {
-            from: ProcId(0),
-            msg: WireMessage::Ping { round: 9, nonce: 7 },
-            local_now: lt(55.5),
-        });
+        let out = handle(
+            &mut node,
+            Input::Message {
+                from: ProcId(0),
+                msg: WireMessage::Ping { round: 9, nonce: 7 },
+                local_now: lt(55.5),
+            },
+        );
         assert_eq!(
             out,
             vec![Output::Send {
@@ -718,9 +569,9 @@ mod tests {
         let (round, nonce) = extract_ping(&out, ProcId(1));
         // All peers claim clock = 100.2 when we receive at 100.4:
         // d = 100.2 - (100.4+100.0)/2 = 0.0, a = 0.2
-        assert!(node.handle(pong(1, round, nonce, 100.2, 100.4)).is_empty());
-        assert!(node.handle(pong(2, round, nonce, 100.2, 100.4)).is_empty());
-        let out = node.handle(pong(3, round, nonce, 100.2, 100.4));
+        assert!(handle(&mut node, pong(1, round, nonce, 100.2, 100.4)).is_empty());
+        assert!(handle(&mut node, pong(2, round, nonce, 100.2, 100.4)).is_empty());
+        let out = handle(&mut node, pong(3, round, nonce, 100.2, 100.4));
         assert!(!node.is_round_active(), "round completed early");
         let adjust = out.iter().find_map(|o| match o {
             Output::AdjustClock { delta } => Some(*delta),
@@ -758,9 +609,9 @@ mod tests {
         // Peers are 2 s ahead, symmetric exchange: send 0, recv 0.2,
         // peer clock 2.1 → d = 2.1 - 0.1 = 2.0, a = 0.1.
         for p in [1u32, 2] {
-            node.handle(pong(p, round, nonce, 2.1, 0.2));
+            handle(&mut node, pong(p, round, nonce, 2.1, 0.2));
         }
-        let out = node.handle(pong(3, round, nonce, 2.1, 0.2));
+        let out = handle(&mut node, pong(3, round, nonce, 2.1, 0.2));
         let delta = out
             .iter()
             .find_map(|o| match o {
@@ -778,13 +629,16 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        node.handle(pong(1, round, nonce, 0.05, 0.1));
-        node.handle(pong(2, round, nonce, 0.05, 0.1));
+        handle(&mut node, pong(1, round, nonce, 0.05, 0.1));
+        handle(&mut node, pong(2, round, nonce, 0.05, 0.1));
         // peer 3 never answers
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::RoundTimeout { round },
-            local_now: lt(1.0),
-        });
+        let out = handle(
+            &mut node,
+            Input::TimerFired {
+                timer: TimerKind::RoundTimeout { round },
+                local_now: lt(1.0),
+            },
+        );
         let summary = out
             .iter()
             .find_map(|o| match o {
@@ -803,14 +657,17 @@ mod tests {
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
         for p in [1u32, 2, 3] {
-            node.handle(pong(p, round, nonce, 0.0, 0.1));
+            handle(&mut node, pong(p, round, nonce, 0.0, 0.1));
         }
         assert!(!node.is_round_active());
         // timeout for the completed round arrives late: no effect
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::RoundTimeout { round },
-            local_now: lt(1.0),
-        });
+        let out = handle(
+            &mut node,
+            Input::TimerFired {
+                timer: TimerKind::RoundTimeout { round },
+                local_now: lt(1.0),
+            },
+        );
         assert!(out.is_empty());
         assert_eq!(node.rounds_completed(), 1);
     }
@@ -820,12 +677,12 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        assert!(node.handle(pong(1, round + 1, nonce, 0.0, 0.1)).is_empty());
-        assert!(node.handle(pong(1, round, nonce ^ 1, 0.0, 0.1)).is_empty());
+        assert!(handle(&mut node, pong(1, round + 1, nonce, 0.0, 0.1)).is_empty());
+        assert!(handle(&mut node, pong(1, round, nonce ^ 1, 0.0, 0.1)).is_empty());
         // the correct pong still counts afterwards
-        node.handle(pong(1, round, nonce, 0.0, 0.1));
-        node.handle(pong(2, round, nonce, 0.0, 0.1));
-        let out = node.handle(pong(3, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(1, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(2, round, nonce, 0.0, 0.1));
+        let out = handle(&mut node, pong(3, round, nonce, 0.0, 0.1));
         assert!(out.iter().any(|o| matches!(o, Output::RoundCompleted(_))));
     }
 
@@ -834,11 +691,11 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        node.handle(pong(1, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(1, round, nonce, 0.0, 0.1));
         // Byzantine duplicate with a wildly different clock
-        assert!(node.handle(pong(1, round, nonce, 99.0, 0.2)).is_empty());
-        node.handle(pong(2, round, nonce, 0.0, 0.2));
-        let out = node.handle(pong(3, round, nonce, 0.0, 0.2));
+        assert!(handle(&mut node, pong(1, round, nonce, 99.0, 0.2)).is_empty());
+        handle(&mut node, pong(2, round, nonce, 0.0, 0.2));
+        let out = handle(&mut node, pong(3, round, nonce, 0.0, 0.2));
         let delta = out
             .iter()
             .find_map(|o| match o {
@@ -854,8 +711,8 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        assert!(node.handle(pong(0, round, nonce, 0.0, 0.1)).is_empty());
-        assert!(node.handle(pong(9, round, nonce, 0.0, 0.1)).is_empty());
+        assert!(handle(&mut node, pong(0, round, nonce, 0.0, 0.1)).is_empty());
+        assert!(handle(&mut node, pong(9, round, nonce, 0.0, 0.1)).is_empty());
     }
 
     #[test]
@@ -864,7 +721,7 @@ mod tests {
         let out = start(&mut node, 10.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
         // local_now < sent_at: impossible without mid-round adjustment
-        assert!(node.handle(pong(1, round, nonce, 10.0, 9.0)).is_empty());
+        assert!(handle(&mut node, pong(1, round, nonce, 10.0, 9.0)).is_empty());
     }
 
     #[test]
@@ -873,12 +730,15 @@ mod tests {
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
         for p in [1u32, 2, 3] {
-            node.handle(pong(p, round, nonce, 0.0, 0.1));
+            handle(&mut node, pong(p, round, nonce, 0.0, 0.1));
         }
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(10.1),
-        });
+        let out = handle(
+            &mut node,
+            Input::TimerFired {
+                timer: TimerKind::SyncDue,
+                local_now: lt(10.1),
+            },
+        );
         assert_eq!(node.round(), 2);
         assert!(node.is_round_active());
         let (r2, _) = extract_ping(&out, ProcId(1));
@@ -889,10 +749,13 @@ mod tests {
     fn sync_due_during_active_round_is_ignored() {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         start(&mut node, 0.0);
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(0.5),
-        });
+        let out = handle(
+            &mut node,
+            Input::TimerFired {
+                timer: TimerKind::SyncDue,
+                local_now: lt(0.5),
+            },
+        );
         assert!(out.is_empty());
         assert_eq!(node.round(), 1);
     }
@@ -908,11 +771,11 @@ mod tests {
         assert_eq!(r2, r1 + 1);
         assert_ne!(n1, n2);
         // pong for the aborted round is ignored
-        assert!(node.handle(pong(1, r1, n1, 0.0, 500.1)).is_empty());
+        assert!(handle(&mut node, pong(1, r1, n1, 0.0, 500.1)).is_empty());
         // pongs for the new round work
-        node.handle(pong(1, r2, n2, 500.0, 500.1));
-        node.handle(pong(2, r2, n2, 500.0, 500.1));
-        let out = node.handle(pong(3, r2, n2, 500.0, 500.1));
+        handle(&mut node, pong(1, r2, n2, 500.0, 500.1));
+        handle(&mut node, pong(2, r2, n2, 500.0, 500.1));
+        let out = handle(&mut node, pong(3, r2, n2, 500.0, 500.1));
         assert!(out.iter().any(|o| matches!(o, Output::RoundCompleted(_))));
     }
 
@@ -924,9 +787,9 @@ mod tests {
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
         for p in [1u32, 2] {
-            node.handle(pong(p, round, nonce, 100.05, 0.1));
+            handle(&mut node, pong(p, round, nonce, 100.05, 0.1));
         }
-        let out = node.handle(pong(3, round, nonce, 100.05, 0.1));
+        let out = handle(&mut node, pong(3, round, nonce, 100.05, 0.1));
         let delta = out
             .iter()
             .find_map(|o| match o {
@@ -942,14 +805,17 @@ mod tests {
         let out = if node.round() == 0 {
             start(node, at)
         } else {
-            node.handle(Input::TimerFired {
-                timer: TimerKind::SyncDue,
-                local_now: lt(at),
-            })
+            handle(
+                node,
+                Input::TimerFired {
+                    timer: TimerKind::SyncDue,
+                    local_now: lt(at),
+                },
+            )
         };
         let (round, nonce) = extract_ping(&out, ProcId(1));
         for p in [1u32, 2, 3] {
-            node.handle(pong(p, round, nonce, at, at + 0.1));
+            handle(node, pong(p, round, nonce, at, at + 0.1));
         }
         nonce
     }
@@ -1000,20 +866,19 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        assert!(node
-            .handle(pong(1, round, nonce, f64::INFINITY, 0.1))
-            .is_empty());
-        assert!(node
-            .handle(pong(1, round, nonce, f64::NEG_INFINITY, 0.1))
-            .is_empty());
-        node.handle(pong(2, round, nonce, 0.0, 0.1));
-        node.handle(pong(3, round, nonce, 0.0, 0.1));
+        assert!(handle(&mut node, pong(1, round, nonce, f64::INFINITY, 0.1)).is_empty());
+        assert!(handle(&mut node, pong(1, round, nonce, f64::NEG_INFINITY, 0.1)).is_empty());
+        handle(&mut node, pong(2, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(3, round, nonce, 0.0, 0.1));
         assert!(node.is_round_active(), "poisoned pong must not fill slot 1");
         // Peer 1 resolves via the TIMEOUT path; the adjustment stays finite.
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::RoundTimeout { round },
-            local_now: lt(1.0),
-        });
+        let out = handle(
+            &mut node,
+            Input::TimerFired {
+                timer: TimerKind::RoundTimeout { round },
+                local_now: lt(1.0),
+            },
+        );
         let delta = out
             .iter()
             .find_map(|o| match o {
@@ -1072,11 +937,11 @@ mod tests {
         // is poisoned (d = 5.4 - 0.4 = 5.0, a = 0.4) and one tight pong
         // carrying the true offset 2.0 (d = 2.01 - 0.01 = 2.0, a = 0.01).
         for p in [1u32, 2, 3] {
-            node.handle(pong(p, round, nonce, 5.4, 0.8));
+            handle(&mut node, pong(p, round, nonce, 5.4, 0.8));
         }
         let mut last = Vec::new();
         for p in [1u32, 2, 3] {
-            last = node.handle(pong(p, round, nonce, 2.01, 0.02));
+            last = handle(&mut node, pong(p, round, nonce, 2.01, 0.02));
         }
         assert!(!node.is_round_active(), "all k samples collected");
         let delta = last
@@ -1104,158 +969,10 @@ mod tests {
         let mut node = SyncNode::new(ProcId(0), params);
         let out = start(&mut node, 0.0);
         let (round, nonce) = extract_ping(&out, ProcId(1));
-        node.handle(pong(1, round, nonce, 0.0, 0.1));
-        node.handle(pong(1, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(1, round, nonce, 0.0, 0.1));
+        handle(&mut node, pong(1, round, nonce, 0.0, 0.1));
         // third pong from the same peer is dropped (forgery/replay)
-        assert!(node.handle(pong(1, round, nonce, 99.0, 0.2)).is_empty());
-    }
-
-    #[test]
-    fn cached_mode_starts_refresher_and_sync_alarm() {
-        let mut node =
-            SyncNode::new(ProcId(0), params(4, 1)).with_estimation(EstimationMode::Cached {
-                refresh: SimDuration::from_secs(3.0),
-            });
-        let out = start(&mut node, 0.0);
-        let pings = out
-            .iter()
-            .filter(|o| matches!(o, Output::Send { msg, .. } if msg.is_ping()))
-            .count();
-        assert_eq!(pings, 3);
-        assert!(out.iter().any(|o| matches!(
-            o,
-            Output::SetTimer { kind: TimerKind::CacheRefresh, after }
-                if *after == SimDuration::from_secs(3.0)
-        )));
-        assert!(out.iter().any(|o| matches!(
-            o,
-            Output::SetTimer {
-                kind: TimerKind::SyncDue,
-                ..
-            }
-        )));
-        assert!(!node.is_round_active(), "cached mode has no blocking round");
-    }
-
-    #[test]
-    fn cached_mode_sync_uses_cache_and_stale_values() {
-        let mut node =
-            SyncNode::new(ProcId(0), params(4, 1)).with_estimation(EstimationMode::Cached {
-                refresh: SimDuration::from_secs(3.0),
-            });
-        let out = start(&mut node, 0.0);
-        let (round, nonce) = extract_ping(&out, ProcId(1));
-        // peers answer: all 2 s ahead
-        for p in [1u32, 2, 3] {
-            node.handle(pong(p, round, nonce, 2.05, 0.1));
-        }
-        // sync fires: uses the cache immediately (no MaxWait round)
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(4.0),
-        });
-        let delta = out
-            .iter()
-            .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
-                _ => None,
-            })
-            .expect("cached sync must adjust");
-        assert!(delta > 0.5, "uses cached estimates: {delta}");
-        // a second sync WITHOUT a refresh reuses the same stale samples —
-        // exactly the Definition 4 violation the paper warns about
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(8.0),
-        });
-        let delta2 = out
-            .iter()
-            .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
-                _ => None,
-            })
-            .unwrap();
-        assert!(delta2 > 0.5, "stale cache reapplied: {delta2}");
-    }
-
-    #[test]
-    fn cached_mode_refresh_rolls_generation() {
-        let mut node =
-            SyncNode::new(ProcId(0), params(4, 1)).with_estimation(EstimationMode::Cached {
-                refresh: SimDuration::from_secs(3.0),
-            });
-        let out = start(&mut node, 0.0);
-        let (g1, n1) = extract_ping(&out, ProcId(1));
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::CacheRefresh,
-            local_now: lt(3.0),
-        });
-        let (g2, n2) = extract_ping(&out, ProcId(1));
-        assert_eq!(g2, g1 + 1);
-        assert_ne!(n1, n2);
-        // old-generation pong is rejected
-        assert!(node.handle(pong(1, g1, n1, 99.0, 3.1)).is_empty());
-        // new-generation pong lands in the cache (no output, but the next
-        // sync sees it)
-        node.handle(pong(1, g2, n2, 3.2, 3.3));
-        node.handle(pong(2, g2, n2, 3.2, 3.3));
-        node.handle(pong(3, g2, n2, 3.2, 3.3));
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(4.0),
-        });
-        let delta = out
-            .iter()
-            .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
-                _ => None,
-            })
-            .unwrap();
-        assert!(delta.abs() < 0.2, "fresh cache near-synced: {delta}");
-    }
-
-    #[test]
-    fn cached_mode_empty_cache_syncs_with_timeouts_only() {
-        let mut node =
-            SyncNode::new(ProcId(0), params(4, 1)).with_estimation(EstimationMode::Cached {
-                refresh: SimDuration::from_secs(3.0),
-            });
-        start(&mut node, 0.0);
-        let out = node.handle(Input::TimerFired {
-            timer: TimerKind::SyncDue,
-            local_now: lt(4.0),
-        });
-        // all-timeout cache: the selection freezes (delta 0)
-        let delta = out
-            .iter()
-            .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(delta, 0.0);
-        let summary = out
-            .iter()
-            .find_map(|o| match o {
-                Output::RoundCompleted(s) => Some(*s),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(summary.timeouts, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn cached_mode_zero_refresh_panics() {
-        let _ = SyncNode::new(ProcId(0), params(4, 1)).with_estimation(EstimationMode::Cached {
-            refresh: SimDuration::ZERO,
-        });
-    }
-
-    #[test]
-    fn convergence_name_is_exposed() {
-        let node = SyncNode::new(ProcId(0), params(4, 1));
-        assert_eq!(node.convergence_name(), "paper-sync");
+        assert!(handle(&mut node, pong(1, round, nonce, 99.0, 0.2)).is_empty());
     }
 
     /// The round storage `SyncNode` used before the flat layout: one `Vec`
@@ -1486,7 +1203,7 @@ mod tests {
                 let out = if r == 0 {
                     start(&mut node, at)
                 } else {
-                    node.handle(Input::TimerFired {
+                    handle(&mut node, Input::TimerFired {
                         timer: TimerKind::SyncDue,
                         local_now: lt(at),
                     })
@@ -1499,7 +1216,7 @@ mod tests {
                     _ => rng.chance(0.5),
                 };
                 for input in round_traffic(&mut rng, n, k, me, (round, nonce), at, withhold) {
-                    assert_same_outputs(&node.handle(input), &nested.pong(input));
+                    assert_same_outputs(&handle(&mut node, input), &nested.pong(input));
                 }
                 if r == 0 {
                     proptest::prop_assert!(!node.is_round_active(), "round 0 completes early");
@@ -1508,7 +1225,7 @@ mod tests {
                     timer: TimerKind::RoundTimeout { round },
                     local_now: lt(at + 1.0),
                 };
-                assert_same_outputs(&node.handle(timeout), &nested.timeout(round));
+                assert_same_outputs(&handle(&mut node, timeout), &nested.timeout(round));
             }
         }
     }

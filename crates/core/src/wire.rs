@@ -40,11 +40,6 @@ impl WireMessage {
         matches!(self, WireMessage::Ping { .. })
     }
 
-    /// True for pongs.
-    pub fn is_pong(&self) -> bool {
-        matches!(self, WireMessage::Pong { .. })
-    }
-
     /// The round this message belongs to.
     pub fn round(&self) -> u64 {
         match self {
@@ -61,14 +56,13 @@ mod tests {
     fn accessors() {
         let ping = WireMessage::Ping { round: 3, nonce: 9 };
         assert!(ping.is_ping());
-        assert!(!ping.is_pong());
         assert_eq!(ping.round(), 3);
         let pong = WireMessage::Pong {
             round: 3,
             nonce: 9,
             clock: LocalTime::from_secs(1.0),
         };
-        assert!(pong.is_pong());
+        assert!(!pong.is_ping());
         assert_eq!(pong.round(), 3);
     }
 }

@@ -17,6 +17,13 @@ fn params(n: usize, f: usize, k: usize) -> ProtocolParams {
         .unwrap()
 }
 
+/// Feeds one input through `handle_into` into a fresh buffer.
+fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
+    let mut out = Vec::new();
+    node.handle_into(input, &mut out);
+    out
+}
+
 #[derive(Debug, Clone)]
 enum Fuzz {
     Start,
@@ -102,7 +109,7 @@ proptest! {
                     local_now,
                 },
             };
-            let outputs = node.handle(input);
+            let outputs = handle(&mut node, input);
             for out in &outputs {
                 match out {
                     Output::Send { to, msg } => {
@@ -152,7 +159,7 @@ proptest! {
         let params = params(n, f, 1);
         let mut node = SyncNode::new(ProcId(0), params);
         let start = 50.0;
-        let out = node.handle(Input::Start {
+        let out = handle(&mut node, Input::Start {
             local_now: LocalTime::from_secs(start),
         });
         let (round, nonce) = out
@@ -169,7 +176,7 @@ proptest! {
         for q in 1..n {
             let offset = peer_offsets[q % peer_offsets.len()];
             let recv = start + rtt;
-            let outs = node.handle(Input::Message {
+            let outs = handle(&mut node, Input::Message {
                 from: ProcId(q as u32),
                 msg: WireMessage::Pong {
                     round,

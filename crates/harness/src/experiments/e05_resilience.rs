@@ -46,7 +46,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     // Each n is an independent world — fan the sweep across cores. Results
     // come back in `ns` order, so the table is identical to the old
     // sequential loop.
-    let outcomes = crate::parallel::par_map_auto(ns.to_vec(), |_, n| {
+    let outcomes = byzclock_sim::par_map_auto(ns.to_vec(), |_, n| {
         let scenario = Scenario::standard(n, f);
         let bounds = scenario.bounds();
         let x = bounds.gamma / 2.5; // initial deviation 0.8 gamma — legal

@@ -52,7 +52,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         .iter()
         .flat_map(|&loss| [(loss, 1usize), (loss, 4)])
         .collect();
-    let cells = crate::parallel::par_map_auto(grid, |_, (loss, k)| {
+    let cells = byzclock_sim::par_map_auto(grid, |_, (loss, k)| {
         let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
         let mut world = scenario
             .builder()

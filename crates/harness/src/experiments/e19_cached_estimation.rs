@@ -15,7 +15,6 @@
 //! applied correction — measured as inflated steady-state deviation that
 //! grows with the staleness.
 
-use byzclock_core::EstimationMode;
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
@@ -29,6 +28,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let bounds = scenario.bounds();
     let gamma = bounds.gamma;
     let horizon = RealTime::ZERO + scenario.big_delta * mode.horizon_deltas(4.0, 10.0);
+    let sync_int = scenario.quiet_world().params().sync_int();
 
     let variants: &[(&str, Option<f64>)] = &[
         ("fresh per-round (the paper)", None),
@@ -43,25 +43,12 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let mut means = Vec::new();
 
     for (label, refresh_mult) in variants {
-        let estimation = match refresh_mult {
-            None => EstimationMode::PerRound,
-            Some(m) => EstimationMode::Cached {
-                refresh: scenario
-                    .builder()
-                    .build()
-                    .expect("probe world")
-                    .params()
-                    .sync_int()
-                    * *m,
-            },
-        };
         let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
-        let mut world = scenario
-            .builder()
-            .estimation(estimation)
-            .initial_bias_spread(gamma / 8.0)
-            .build()
-            .expect("E19 world must build");
+        let mut builder = scenario.builder().initial_bias_spread(gamma / 8.0);
+        if let Some(m) = refresh_mult {
+            builder = builder.cached_estimation(sync_int * *m);
+        }
+        let mut world = builder.build().expect("E19 world must build");
         world.add_observer(Box::new(tracker.clone()));
         world.run_until(horizon);
         let mean = tracker.avg_deviation().unwrap_or(f64::NAN);

@@ -17,8 +17,6 @@
 //!   that track deviation, recovery, discontinuity and accuracy during a
 //!   run (shared-handle pattern: clone the tracker, box one clone into the
 //!   world, read the other afterwards).
-//! * [`parallel`] — order-preserving multi-seed / sweep fan-out across a
-//!   scoped-thread pool (bit-identical to the sequential loop).
 //! * [`scenario`] — canned world configurations used across experiments.
 //! * [`experiments`] — one module per experiment, each returning an
 //!   [`experiments::ExperimentReport`].
@@ -28,7 +26,8 @@
 
 pub mod experiments;
 pub mod metrics;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod scenario;
 pub mod series;
 pub mod stats;
@@ -37,7 +36,6 @@ pub mod table;
 
 pub use experiments::{ExperimentReport, Mode};
 pub use metrics::{AdjustmentTracker, BiasHistory, DeviationTracker, RecoveryTracker};
-pub use parallel::{run_seeds, run_seeds_with_workers};
 pub use series::Series;
 pub use stats::Summary;
 pub use table::Table;

@@ -14,8 +14,8 @@
 //! | D2   | `unseeded-rng`        | `thread_rng`/`from_entropy`/`OsRng`/`rand::random` |
 //! | D3   | `unordered-collection`| `HashMap`/`HashSet` in sim/runtime/protocol  |
 //! | D4   | `float-ord`           | `.partial_cmp(..)` calls (use `total_cmp`)   |
-//! | D5   | `hot-path-unwrap`     | `.unwrap()`/`.expect()` in `impl SyncNode`/`impl World` |
-//! | D6   | `hot-path-alloc`      | `.sort_by`/`.sort_unstable_by`/`.collect` in `impl SyncNode`/`ConvergenceFn` impls |
+//! | D5   | `hot-path-unwrap`     | `.unwrap()`/`.expect()` in `impl SyncNode`/`CachedSync`/`World` |
+//! | D6   | `hot-path-alloc`      | `.sort_by`/`.sort_unstable_by`/`.collect` in `impl SyncNode`/`CachedSync`/`ConvergenceFn` impls |
 //!
 //! Per-site escape: `// lint:allow(<slug>)` (or `d1`…`d6`) on the finding's
 //! line or the line directly above, with a justification in the same

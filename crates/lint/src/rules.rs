@@ -55,15 +55,15 @@ pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "d5",
         slug: "hot-path-unwrap",
-        summary: "no .unwrap()/.expect() inside impl SyncNode / impl World \
-                  event-dispatch code — a poisoned or absent value must be \
+        summary: "no .unwrap()/.expect() inside impl SyncNode / CachedSync / \
+                  World event-dispatch code — a poisoned or absent value must be \
                   handled, not crash the world mid-event",
     },
     RuleInfo {
         id: "d6",
         slug: "hot-path-alloc",
         summary: "no .sort_by/.sort_unstable_by/.collect inside impl SyncNode / \
-                  ConvergenceFn impls — the per-round path must reuse scratch \
+                  CachedSync / ConvergenceFn impls — the per-round path must reuse scratch \
                   buffers and select in O(n), not allocate-and-sort",
     },
 ];
@@ -282,18 +282,18 @@ impl<'a> Analyzer<'a> {
         names
     }
 
-    fn in_sync_node_or_world_impl(&self) -> bool {
+    fn in_impl_of(&self, names: &[&str]) -> bool {
         self.scopes
             .iter()
-            .any(|s| s.impl_names.iter().any(|n| n == "SyncNode" || n == "World"))
+            .any(|s| s.impl_names.iter().any(|n| names.contains(&n.as_str())))
+    }
+
+    fn in_dispatch_impl(&self) -> bool {
+        self.in_impl_of(&["SyncNode", "CachedSync", "World"])
     }
 
     fn in_round_hot_path_impl(&self) -> bool {
-        self.scopes.iter().any(|s| {
-            s.impl_names
-                .iter()
-                .any(|n| n == "SyncNode" || n == "ConvergenceFn")
-        })
+        self.in_impl_of(&["SyncNode", "CachedSync", "ConvergenceFn"])
     }
 
     fn enclosing_fn(&self) -> Option<&str> {
@@ -401,10 +401,10 @@ impl<'a> Analyzer<'a> {
                         .into(),
                 );
             }
-            // D5 — unwrap/expect in SyncNode/World dispatch code.
+            // D5 — unwrap/expect in SyncNode/CachedSync/World dispatch code.
             "unwrap" | "expect" => {
                 let is_call = prev_dot && self.tok(at + 1).is_some_and(|t| t.is_punct('('));
-                if is_call && self.in_sync_node_or_world_impl() {
+                if is_call && self.in_dispatch_impl() {
                     let name = t.text.clone();
                     let fn_name = self.enclosing_fn().unwrap_or("?").to_string();
                     self.report(
@@ -549,6 +549,30 @@ mod tests {
         // and a non-call mention (field named collect) is fine too
         let src = "impl SyncNode { fn f(&self) -> u32 { self.collect } }";
         assert!(lint_source("x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn d5_covers_cached_sync() {
+        let src = r#"
+            impl CachedSync {
+                fn handle_into(&mut self) { let s = self.cache.first().expect("peer"); }
+            }
+        "#;
+        let f = lint_source("x.rs", src);
+        assert_eq!(slugs(&f), ["hot-path-unwrap"]);
+        assert!(f[0].message.contains("handle_into"));
+    }
+
+    #[test]
+    fn d6_covers_cached_sync() {
+        let src = r#"
+            impl CachedSync {
+                fn volley(&mut self) { let peers: Vec<ProcId> = self.peers().collect(); }
+            }
+        "#;
+        let f = lint_source("x.rs", src);
+        assert_eq!(slugs(&f), ["hot-path-alloc"]);
+        assert!(f[0].message.contains("volley"));
     }
 
     #[test]

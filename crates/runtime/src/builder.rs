@@ -18,7 +18,7 @@ use byzclock_clock::{
     ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift, SinusoidDrift,
 };
 use byzclock_core::{
-    BoundsError as CoreBoundsError, ConvergenceFn, EstimationMode, NetworkModel, PaperSync,
+    BoundsError as CoreBoundsError, CachedSync, ConvergenceFn, NetworkModel, PaperSync,
     ProtocolParams, SyncNode, TheoremBounds,
 };
 use byzclock_net::{DelayModel, DelaySpike, FaultProfile, Network, Topology, UniformDelay};
@@ -26,7 +26,7 @@ use byzclock_sim::{Engine, ProcId, RealTime, RngHub, SimDuration};
 use std::fmt;
 
 use crate::events::SimEvent;
-use crate::world::{NodeSlot, World};
+use crate::world::{NodeSlot, Protocol, World};
 
 // Re-exported publicly through the crate root; the bounds error comes from
 // byzclock-core.
@@ -154,7 +154,6 @@ pub struct WorldBuilder {
     seed: u64,
     delta: SimDuration,
     rho: f64,
-    lambda: Option<f64>,
     big_delta: SimDuration,
     k: u32,
     params_override: Option<ProtocolParams>,
@@ -167,7 +166,6 @@ pub struct WorldBuilder {
     initial_bias: InitialBias,
     adversary: Option<Adversary>,
     sample_interval: Option<SimDuration>,
-    start_jitter: bool,
     pings_per_peer: usize,
     link_outages: Vec<LinkOutage>,
     message_loss: f64,
@@ -175,7 +173,7 @@ pub struct WorldBuilder {
     delay_spikes: Vec<DelaySpike>,
     restarts: Vec<(RealTime, ProcId)>,
     discipline: Discipline,
-    estimation: EstimationMode,
+    cached_estimation: Option<SimDuration>,
 }
 
 impl fmt::Debug for WorldBuilder {
@@ -197,7 +195,6 @@ impl WorldBuilder {
             seed: 0,
             delta: SimDuration::from_millis(10.0),
             rho: 1e-5,
-            lambda: None,
             big_delta: SimDuration::from_secs(600.0),
             k: 8,
             params_override: None,
@@ -210,7 +207,6 @@ impl WorldBuilder {
             initial_bias: InitialBias::Zero,
             adversary: None,
             sample_interval: None,
-            start_jitter: true,
             pings_per_peer: 1,
             link_outages: Vec::new(),
             message_loss: 0.0,
@@ -218,7 +214,7 @@ impl WorldBuilder {
             delay_spikes: Vec::new(),
             restarts: Vec::new(),
             discipline: Discipline::Step,
-            estimation: EstimationMode::PerRound,
+            cached_estimation: None,
         }
     }
 
@@ -237,13 +233,6 @@ impl WorldBuilder {
     /// Hardware drift bound ρ.
     pub fn rho(mut self, rho: f64) -> Self {
         self.rho = rho;
-        self
-    }
-
-    /// Clock-reading error Λ (defaults to the ping/pong natural value
-    /// `δ·(1+ρ)`).
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.lambda = Some(lambda);
         self
     }
 
@@ -327,12 +316,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Disables start-time jitter (nodes all start at τ = 0).
-    pub fn no_start_jitter(mut self) -> Self {
-        self.start_jitter = false;
-        self
-    }
-
     /// Sends `k` pings per peer per sync round and keeps the
     /// min-round-trip sample (the Section 3.1 / NTP refinement).
     pub fn pings_per_peer(mut self, k: usize) -> Self {
@@ -377,11 +360,15 @@ impl WorldBuilder {
         self
     }
 
-    /// Estimation mode: fresh per-round ping/pong (the analyzed protocol)
-    /// or the cached background-refresher variant the paper's Section 3.1
-    /// warns about (experiment E19).
-    pub fn estimation(mut self, mode: EstimationMode) -> Self {
-        self.estimation = mode;
+    /// Replaces fresh per-round estimation (the analyzed protocol) with the
+    /// cached variant the paper's Section 3.1 warns about, refreshed every
+    /// `refresh` local-time units (experiment E19; see [`CachedSync`]).
+    ///
+    /// # Panics
+    ///
+    /// `build` panics if `refresh` is not positive.
+    pub fn cached_estimation(mut self, refresh: SimDuration) -> Self {
+        self.cached_estimation = Some(refresh);
         self
     }
 
@@ -403,13 +390,10 @@ impl WorldBuilder {
     ///
     /// See [`BuildError`].
     pub fn build(self) -> Result<World, BuildError> {
-        let lambda = self
-            .lambda
-            .unwrap_or_else(|| NetworkModel::natural_lambda(self.delta, self.rho));
         let model = NetworkModel {
             delta: self.delta,
             rho: self.rho,
-            lambda,
+            lambda: NetworkModel::natural_lambda(self.delta, self.rho),
             big_delta: self.big_delta,
         };
 
@@ -529,19 +513,18 @@ impl WorldBuilder {
             // root seed: unpredictable to peers, reproducible from `seed`.
             let nonce_seed = hub.stream("nonce", i as u64).bits64();
             let node = SyncNode::with_convergence(id, params, self.convergence.box_clone())
-                .with_estimation(self.estimation)
                 .with_nonce_seed(nonce_seed);
-            nodes.push(NodeSlot::new(clock, node, drift, drift_rng));
+            let protocol = match self.cached_estimation {
+                None => Protocol::PerRound(node),
+                Some(refresh) => Protocol::Cached(CachedSync::new(node, refresh)),
+            };
+            nodes.push(NodeSlot::new(clock, protocol, drift, drift_rng));
         }
 
         // Deterministic start jitter over one sync interval.
         let mut jitter_rng = hub.stream("start-jitter", 0);
         for i in 0..self.n {
-            let at = if self.start_jitter {
-                RealTime::from_secs(jitter_rng.uniform(0.0, params.sync_int().as_secs()))
-            } else {
-                RealTime::ZERO
-            };
+            let at = RealTime::from_secs(jitter_rng.uniform(0.0, params.sync_int().as_secs()));
             engine.schedule_at(
                 at,
                 SimEvent::StartNode {

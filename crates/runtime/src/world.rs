@@ -1,7 +1,8 @@
 //! The simulation world: event-loop orchestrator over the sim driver.
 //!
 //! The world owns one [`Engine`] on the real-time axis and, per processor,
-//! a [`LogicalClock`], a drift model and a [`SyncNode`]. Node effects are
+//! a [`LogicalClock`], a drift model and a [`SyncNode`] (wrapped in a
+//! [`CachedSync`] under cached estimation). Node effects are
 //! executed through the [`byzclock-driver`](byzclock_driver) boundary —
 //! the deterministic implementations of transport, timers and clocks live
 //! in [`crate::sim_driver`] — while this module orchestrates: it pops and
@@ -14,7 +15,7 @@
 
 use byzclock_adversary::{Adversary, AttackReply, ClockSabotage};
 use byzclock_clock::{DriftModel, LocalTime, LogicalClock};
-use byzclock_core::{Input, Output, SyncNode, TimerKind, WireMessage};
+use byzclock_core::{CachedSync, Input, Output, SyncNode, TimerKind, WireMessage};
 use byzclock_driver::TimerControl;
 use byzclock_net::Network;
 use byzclock_sim::queue::EventId;
@@ -31,9 +32,32 @@ pub(crate) struct PendingTimer {
     pub(crate) target_local: LocalTime,
 }
 
+/// The protocol instance a slot runs: Figure 1 itself, or Figure 1 wrapped
+/// in the cached estimation of experiment E19.
+pub(crate) enum Protocol {
+    PerRound(SyncNode),
+    Cached(CachedSync),
+}
+
+impl Protocol {
+    fn handle_into(&mut self, input: Input, out: &mut Vec<Output>) {
+        match self {
+            Protocol::PerRound(node) => node.handle_into(input, out),
+            Protocol::Cached(cached) => cached.handle_into(input, out),
+        }
+    }
+
+    fn node(&self) -> &SyncNode {
+        match self {
+            Protocol::PerRound(node) => node,
+            Protocol::Cached(cached) => cached.node(),
+        }
+    }
+}
+
 pub(crate) struct NodeSlot {
     pub(crate) clock: LogicalClock,
-    pub(crate) node: SyncNode,
+    pub(crate) protocol: Protocol,
     pub(crate) drift: Box<dyn DriftModel>,
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
@@ -50,13 +74,13 @@ pub(crate) struct NodeSlot {
 impl NodeSlot {
     pub(crate) fn new(
         clock: LogicalClock,
-        node: SyncNode,
+        protocol: Protocol,
         drift: Box<dyn DriftModel>,
         drift_rng: DetRng,
     ) -> Self {
         NodeSlot {
             clock,
-            node,
+            protocol,
             drift,
             drift_rng,
             corruption_depth: 0,
@@ -87,7 +111,7 @@ pub struct World {
     pub(crate) bounds: Option<byzclock_core::TheoremBounds>,
     pub(crate) trace: TraceBuffer,
     pub(crate) discipline: Discipline,
-    /// Reusable output buffer for `SyncNode::handle_into`: one allocation
+    /// Reusable output buffer for the nodes' `handle_into`: one allocation
     /// for the whole run instead of one per handled input.
     pub(crate) scratch: Vec<Output>,
 }
@@ -164,7 +188,7 @@ impl World {
 
     /// Sync rounds completed by `p`.
     pub fn rounds_completed(&self, p: ProcId) -> u64 {
-        self.nodes[p.index()].node.rounds_completed()
+        self.nodes[p.index()].protocol.node().rounds_completed()
     }
 
     /// Bias of `p`'s clock right now.
@@ -273,7 +297,9 @@ impl World {
     fn handle_and_apply(&mut self, node: ProcId, input: Input) {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        self.nodes[node.index()].node.handle_into(input, &mut out);
+        self.nodes[node.index()]
+            .protocol
+            .handle_into(input, &mut out);
         byzclock_driver::apply_outputs(self, node, &out);
         out.clear();
         self.scratch = out;
