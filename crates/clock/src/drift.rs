@@ -2,9 +2,9 @@
 //!
 //! The paper only assumes Equation 2 — every hardware clock's rate stays
 //! within `[1/(1+ρ), 1+ρ]`. *How* a clock wanders inside that envelope is
-//! unspecified, so the simulator offers several models. All implementations
-//! guarantee the returned rates respect the bound; the runtime additionally
-//! debug-asserts it.
+//! unspecified, so the simulator offers two models: a constant rate and a
+//! bounded random walk. Both guarantee the returned rates respect the
+//! bound; the runtime additionally debug-asserts it.
 
 use byzclock_sim::{DetRng, RealTime, SimDuration};
 
@@ -64,14 +64,6 @@ impl ConstantDrift {
             "rate {rate} outside drift envelope for rho={rho}"
         );
         ConstantDrift { rho, rate }
-    }
-
-    /// A perfect clock (`rate = 1`), trivially inside any envelope.
-    pub fn perfect() -> Self {
-        ConstantDrift {
-            rho: 0.0,
-            rate: 1.0,
-        }
     }
 
     /// A clock pinned at a random rate inside the envelope (constant
@@ -147,75 +139,6 @@ impl DriftModel for RandomWalkDrift {
     }
 }
 
-/// A deterministic sinusoidal wander (e.g. thermal day/night cycles):
-/// `rate(τ) = 1 + a·sin(2πτ/period + phase)`, sampled every
-/// `sample_interval` and held piecewise constant in between.
-#[derive(Debug, Clone)]
-pub struct SinusoidDrift {
-    rho: f64,
-    amplitude: f64,
-    period: SimDuration,
-    phase: f64,
-    sample_interval: SimDuration,
-}
-
-impl SinusoidDrift {
-    /// Sinusoid of the given `amplitude` (must fit in the ρ-envelope),
-    /// `period` and `phase`, piecewise-sampled every `sample_interval`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the amplitude exceeds what the envelope permits, or if
-    /// `period`/`sample_interval` are not positive.
-    pub fn new(
-        rho: f64,
-        amplitude: f64,
-        period: SimDuration,
-        phase: f64,
-        sample_interval: SimDuration,
-    ) -> Self {
-        assert!(period > SimDuration::ZERO, "period must be positive");
-        assert!(
-            sample_interval > SimDuration::ZERO,
-            "sample_interval must be positive"
-        );
-        // 1 - a must be >= 1/(1+rho), i.e. a <= 1 - 1/(1+rho) = rho/(1+rho);
-        // and 1 + a <= 1 + rho, i.e. a <= rho. The former is tighter.
-        let max_amp = rho / (1.0 + rho);
-        assert!(
-            (0.0..=max_amp).contains(&amplitude),
-            "amplitude {amplitude} exceeds envelope limit {max_amp} for rho={rho}"
-        );
-        SinusoidDrift {
-            rho,
-            amplitude,
-            period,
-            phase,
-            sample_interval,
-        }
-    }
-
-    fn rate_at(&self, tau: RealTime) -> f64 {
-        1.0 + self.amplitude
-            * (std::f64::consts::TAU * tau.as_secs() / self.period.as_secs() + self.phase).sin()
-    }
-}
-
-impl DriftModel for SinusoidDrift {
-    fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    fn initial_rate(&mut self, _rng: &mut DetRng) -> f64 {
-        self.rate_at(RealTime::ZERO)
-    }
-
-    fn next_change(&mut self, now: RealTime, _rng: &mut DetRng) -> Option<(RealTime, f64)> {
-        let next = now + self.sample_interval;
-        Some((next, self.rate_at(next)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,12 +161,6 @@ mod tests {
         let mut r = rng();
         assert_eq!(m.initial_rate(&mut r), 1.00003);
         assert!(m.next_change(RealTime::ZERO, &mut r).is_none());
-    }
-
-    #[test]
-    fn constant_perfect_is_one() {
-        let mut m = ConstantDrift::perfect();
-        assert_eq!(m.initial_rate(&mut rng()), 1.0);
     }
 
     #[test]
@@ -299,59 +216,6 @@ mod tests {
     #[should_panic(expected = "interval")]
     fn random_walk_zero_interval_panics() {
         RandomWalkDrift::new(1e-4, 1e-5, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn sinusoid_stays_in_envelope() {
-        let rho = 1e-3;
-        let amp = rho / (1.0 + rho);
-        let mut m = SinusoidDrift::new(
-            rho,
-            amp,
-            SimDuration::from_secs(100.0),
-            0.3,
-            SimDuration::from_secs(1.0),
-        );
-        let mut r = rng();
-        let mut now = RealTime::ZERO;
-        let mut rate = m.initial_rate(&mut r);
-        for _ in 0..500 {
-            assert!(
-                (min_rate(rho) - 1e-12..=max_rate(rho) + 1e-12).contains(&rate),
-                "rate {rate} escaped envelope"
-            );
-            let (when, new_rate) = m.next_change(now, &mut r).unwrap();
-            now = when;
-            rate = new_rate;
-        }
-    }
-
-    #[test]
-    fn sinusoid_is_periodic() {
-        let mut m = SinusoidDrift::new(
-            1e-3,
-            5e-4,
-            SimDuration::from_secs(10.0),
-            0.0,
-            SimDuration::from_secs(10.0),
-        );
-        let mut r = rng();
-        let r0 = m.initial_rate(&mut r);
-        let (_, r1) = m.next_change(RealTime::ZERO, &mut r).unwrap();
-        // after exactly one period, the rate repeats
-        assert!((r0 - r1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn sinusoid_overlarge_amplitude_panics() {
-        SinusoidDrift::new(
-            1e-4,
-            1e-3,
-            SimDuration::from_secs(10.0),
-            0.0,
-            SimDuration::from_secs(1.0),
-        );
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!   (`read`) and inverse (`real_time_reaching`) evaluation, so local-time
 //!   alarms can be converted to real-time events *exactly* even when the
 //!   rate changes over time.
-//! * [`DriftModel`] — pluggable generators of rate changes (constant,
-//!   bounded random walk, sinusoidal), all guaranteed to respect the drift
-//!   bound ρ.
+//! * [`DriftModel`] — pluggable generators of rate changes (constant or
+//!   bounded random walk), all guaranteed to respect the drift bound ρ.
 //! * [`LogicalClock`] — `H_p + adj_p`, plus the paper's *bias*
 //!   `B_p(τ) = C_p(τ) − τ` (Section 4.2) used throughout the analysis.
 
@@ -32,7 +31,7 @@ pub mod drift;
 pub mod hardware;
 pub mod logical;
 
-pub use drift::{ConstantDrift, DriftModel, RandomWalkDrift, SinusoidDrift};
+pub use drift::{ConstantDrift, DriftModel, RandomWalkDrift};
 pub use hardware::HardwareClock;
 pub use logical::{Bias, LogicalClock};
 

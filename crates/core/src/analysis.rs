@@ -10,7 +10,6 @@
 
 use byzclock_clock::Bias;
 use byzclock_sim::RealTime;
-use serde::{Deserialize, Serialize};
 
 /// An envelope `Env{τ₀, [lo, hi]}` with drift slope ρ (Definition 6).
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(env.contains(Bias::from_secs(0.019), RealTime::from_secs(100.0)));
 /// assert!(!env.contains(Bias::from_secs(0.021), RealTime::from_secs(100.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     tau0: RealTime,
     lo: f64,

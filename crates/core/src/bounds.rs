@@ -28,7 +28,6 @@
 //! `2K−3` would be `O(1/K)`). See DESIGN.md §1.
 
 use byzclock_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::params::{ParamError, ProtocolParams};
@@ -49,7 +48,7 @@ use crate::params::{ParamError, ProtocolParams};
 /// assert!(derived.bounds.gamma > 16.0 * model.lambda); // γ above its floor
 /// assert_eq!(derived.params.max_wait(), model.delta * 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Message delivery bound δ, real seconds.
     pub delta: SimDuration,
@@ -99,7 +98,7 @@ impl From<ParamError> for BoundsError {
 }
 
 /// The quantitative guarantees of Theorem 5 for a concrete configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TheoremBounds {
     /// The interval length `T = (1+ρ)·SyncInt + 2·MaxWait`, real seconds.
     pub t: SimDuration,

@@ -22,13 +22,12 @@
 //! so experiment E7 can demonstrate exactly that failure.
 
 use byzclock_sim::ProcId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::estimate::OffsetSample;
 
 /// One peer's estimate as fed to a convergence function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerEstimate {
     /// Which processor this estimate is for.
     pub peer: ProcId,

@@ -18,7 +18,6 @@
 //! with the smallest round trip has the smallest error bound.
 
 use byzclock_clock::LocalTime;
-use serde::{Deserialize, Serialize};
 
 /// One `(d, a)` offset estimate.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.offset, 100.0); // C − (R+S)/2
 /// assert!((s.error - 0.1).abs() < 1e-12); // (R−S)/2
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffsetSample {
     /// Estimated offset `C_q − C_p`, seconds.
     pub offset: f64,

@@ -14,7 +14,6 @@
 //! knowledge of δ or ρ.
 
 use byzclock_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a parameter set is invalid.
@@ -58,7 +57,7 @@ impl fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 /// Validated parameters for one `Sync` node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolParams {
     n: usize,
     f: usize,

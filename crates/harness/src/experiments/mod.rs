@@ -139,11 +139,6 @@ pub fn registry() -> Vec<(&'static str, ExperimentRunner)> {
     ]
 }
 
-/// Runs every experiment.
-pub fn run_all(mode: Mode) -> Vec<ExperimentReport> {
-    registry().into_iter().map(|(_, f)| f(mode)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

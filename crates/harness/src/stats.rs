@@ -86,18 +86,6 @@ pub fn linear_fit(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((a, b))
 }
 
-/// Geometric mean of successive ratios `v[i+1]/v[i]` — the empirical
-/// per-step contraction factor of a decaying series. Ignores non-positive
-/// values; returns `None` if fewer than two positive values remain.
-pub fn contraction_factor(values: &[f64]) -> Option<f64> {
-    let positive: Vec<f64> = values.iter().copied().filter(|v| *v > 0.0).collect();
-    if positive.len() < 2 {
-        return None;
-    }
-    let log_ratio_sum: f64 = positive.windows(2).map(|w| (w[1] / w[0]).ln()).sum();
-    Some((log_ratio_sum / (positive.len() - 1) as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,20 +149,5 @@ mod tests {
     fn linear_fit_degenerate() {
         assert!(linear_fit(&[(1.0, 2.0)]).is_none());
         assert!(linear_fit(&[(1.0, 2.0), (1.0, 3.0)]).is_none());
-    }
-
-    #[test]
-    fn contraction_factor_of_geometric_series() {
-        let v: Vec<f64> = (0..8).map(|i| 100.0 * 0.5f64.powi(i)).collect();
-        let c = contraction_factor(&v).unwrap();
-        assert!((c - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contraction_factor_skips_nonpositive() {
-        assert!(contraction_factor(&[1.0]).is_none());
-        assert!(contraction_factor(&[0.0, 0.0]).is_none());
-        let c = contraction_factor(&[8.0, 0.0, 4.0, 2.0]).unwrap();
-        assert!((c - 0.5).abs() < 1e-12);
     }
 }

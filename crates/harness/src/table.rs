@@ -153,11 +153,6 @@ pub fn fmt_secs(v: f64) -> String {
     }
 }
 
-/// Formats a ratio like `0.43x`.
-pub fn fmt_ratio(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

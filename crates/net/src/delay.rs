@@ -2,7 +2,7 @@
 //!
 //! The paper's analysis uses only the *bound* δ; real networks have richer
 //! delay behavior, and the clock-estimation error depends on delay
-//! *asymmetry*, so several distributions are provided. Every model exposes
+//! *asymmetry*, so the delay distribution is pluggable. Every model exposes
 //! its worst case via [`DelayModel::max_delay`], and [`crate::Network`]
 //! (see [`crate::network`]) validates it against the configured δ once at
 //! construction.
@@ -97,116 +97,6 @@ impl DelayModel for UniformDelay {
     }
 }
 
-/// Normal delay truncated into `[min, max]` by resampling (with a clamp
-/// fallback after a bounded number of rejections, to keep sampling O(1)).
-#[derive(Debug, Clone)]
-pub struct TruncatedNormalDelay {
-    mean: SimDuration,
-    std_dev: SimDuration,
-    min: SimDuration,
-    max: SimDuration,
-}
-
-impl TruncatedNormalDelay {
-    /// Normal(mean, std) truncated into `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is invalid, `std_dev` is negative, or the mean
-    /// lies outside `[min, max]` (which would make rejection sampling
-    /// pathological).
-    pub fn new(
-        mean: SimDuration,
-        std_dev: SimDuration,
-        min: SimDuration,
-        max: SimDuration,
-    ) -> Self {
-        assert!(!min.is_negative(), "min delay must be non-negative");
-        assert!(min <= max, "min must not exceed max");
-        assert!(!std_dev.is_negative(), "std_dev must be non-negative");
-        assert!(
-            (min..=max).contains(&mean),
-            "mean must lie within [min, max]"
-        );
-        TruncatedNormalDelay {
-            mean,
-            std_dev,
-            min,
-            max,
-        }
-    }
-}
-
-impl DelayModel for TruncatedNormalDelay {
-    fn sample(&mut self, _from: ProcId, _to: ProcId, rng: &mut DetRng) -> SimDuration {
-        for _ in 0..16 {
-            let x = rng.normal_with(self.mean.as_secs(), self.std_dev.as_secs());
-            if (self.min.as_secs()..=self.max.as_secs()).contains(&x) {
-                return SimDuration::from_secs(x);
-            }
-        }
-        SimDuration::from_secs(
-            rng.normal_with(self.mean.as_secs(), self.std_dev.as_secs())
-                .clamp(self.min.as_secs(), self.max.as_secs()),
-        )
-    }
-    fn max_delay(&self) -> SimDuration {
-        self.max
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.min
-    }
-}
-
-/// Per-directed-link overrides on top of a fallback model — models a
-/// heterogeneous network (one slow WAN link among fast LAN links).
-#[derive(Debug)]
-pub struct PerLinkDelay {
-    fallback: Box<dyn DelayModel>,
-    overrides: Vec<((ProcId, ProcId), Box<dyn DelayModel>)>,
-}
-
-impl PerLinkDelay {
-    /// Wraps `fallback`; use [`PerLinkDelay::with_link`] to add overrides.
-    pub fn new(fallback: Box<dyn DelayModel>) -> Self {
-        PerLinkDelay {
-            fallback,
-            overrides: Vec::new(),
-        }
-    }
-
-    /// Overrides the delay model for the *directed* link `from → to`.
-    pub fn with_link(mut self, from: ProcId, to: ProcId, model: Box<dyn DelayModel>) -> Self {
-        self.overrides.push(((from, to), model));
-        self
-    }
-}
-
-impl DelayModel for PerLinkDelay {
-    fn sample(&mut self, from: ProcId, to: ProcId, rng: &mut DetRng) -> SimDuration {
-        for (key, model) in &mut self.overrides {
-            if *key == (from, to) {
-                return model.sample(from, to, rng);
-            }
-        }
-        self.fallback.sample(from, to, rng)
-    }
-
-    fn max_delay(&self) -> SimDuration {
-        self.overrides
-            .iter()
-            .map(|(_, m)| m.max_delay())
-            .fold(self.fallback.max_delay(), SimDuration::max)
-    }
-
-    fn min_delay(&self) -> SimDuration {
-        self.overrides
-            .iter()
-            .map(|(_, m)| m.min_delay())
-            .fold(self.fallback.min_delay(), SimDuration::min)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,50 +147,6 @@ mod tests {
     #[should_panic(expected = "exceed")]
     fn uniform_inverted_panics() {
         UniformDelay::new(ms(3.0), ms(1.0));
-    }
-
-    #[test]
-    fn truncated_normal_within_bounds() {
-        let mut m = TruncatedNormalDelay::new(ms(2.0), ms(1.0), ms(0.5), ms(4.0));
-        let mut r = rng();
-        for _ in 0..2000 {
-            let d = m.sample(ProcId(0), ProcId(1), &mut r);
-            assert!(d >= ms(0.5) && d <= ms(4.0), "sample {d} out of range");
-        }
-    }
-
-    #[test]
-    fn truncated_normal_mean_plausible() {
-        let mut m = TruncatedNormalDelay::new(ms(2.0), ms(0.2), ms(1.0), ms(3.0));
-        let mut r = rng();
-        let n = 5000;
-        let mean: f64 = (0..n)
-            .map(|_| m.sample(ProcId(0), ProcId(1), &mut r).as_millis())
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean={mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "mean")]
-    fn truncated_normal_mean_outside_panics() {
-        TruncatedNormalDelay::new(ms(10.0), ms(1.0), ms(0.0), ms(5.0));
-    }
-
-    #[test]
-    fn per_link_override_applies_directionally() {
-        let mut m = PerLinkDelay::new(Box::new(ConstantDelay::new(ms(1.0)))).with_link(
-            ProcId(0),
-            ProcId(1),
-            Box::new(ConstantDelay::new(ms(9.0))),
-        );
-        let mut r = rng();
-        assert_eq!(m.sample(ProcId(0), ProcId(1), &mut r), ms(9.0));
-        // reverse direction uses fallback
-        assert_eq!(m.sample(ProcId(1), ProcId(0), &mut r), ms(1.0));
-        assert_eq!(m.sample(ProcId(2), ProcId(3), &mut r), ms(1.0));
-        assert_eq!(m.max_delay(), ms(9.0));
-        assert_eq!(m.min_delay(), ms(1.0));
     }
 
     #[test]

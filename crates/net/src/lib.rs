@@ -7,16 +7,16 @@
 //!   within `[τ, τ+δ]` — and `q` never receives a message "from `p`" that
 //!   `p` did not send, unless `p` was faulty during the window. The
 //!   authentication rule is enforced by construction: honest sends go
-//!   through [`Network::send`], and forged traffic must go through
-//!   [`Network::send_forged`], which the runtime only exposes to the
+//!   through [`Network::send_times`], and forged traffic must go through
+//!   [`Network::send_forged_times`], which the runtime only exposes to the
 //!   adversary for processors it currently controls.
 //! * **Message delivery bound δ**: every delay model is validated against
 //!   the configured bound; sampling above it is a panic (it would silently
 //!   void the paper's analysis).
 //! * **Topology**: the paper assumes a fully connected graph; Section 5
 //!   discusses the two-cliques counterexample showing (3f+1)-connectivity is
-//!   insufficient. [`Topology`] supports both, plus rings and random graphs
-//!   for exploratory experiments.
+//!   insufficient. [`Topology`] supports both, plus circulant and random
+//!   graphs for exploratory experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,6 @@ pub mod delay;
 pub mod network;
 pub mod topology;
 
-pub use delay::{ConstantDelay, DelayModel, PerLinkDelay, TruncatedNormalDelay, UniformDelay};
-pub use network::{
-    DelaySpike, Deliveries, FaultProfile, LinkFilter, Network, NetworkStats, SendOutcome,
-};
+pub use delay::{ConstantDelay, DelayModel, UniformDelay};
+pub use network::{DelaySpike, Deliveries, FaultProfile, LinkFilter, Network, NetworkStats};
 pub use topology::Topology;

@@ -11,42 +11,6 @@ use byzclock_sim::{DetRng, ProcId, RealTime, SimDuration};
 use crate::delay::DelayModel;
 use crate::topology::Topology;
 
-/// Why a message was not delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// No edge between the endpoints in the topology.
-    NotAdjacent,
-    /// The link exists but is administratively down / partitioned.
-    LinkDown,
-    /// Sender and receiver are the same processor.
-    SelfSend,
-    /// Random loss (only when a loss probability is configured — this
-    /// deliberately steps outside the paper's reliable-link axiom).
-    Lost,
-}
-
-/// Result of a send attempt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SendOutcome {
-    /// The message will arrive at the receiver at the given real time.
-    Delivered {
-        /// Delivery time (`send time + sampled delay`).
-        at: RealTime,
-    },
-    /// The message is lost.
-    Dropped(DropReason),
-}
-
-impl SendOutcome {
-    /// Delivery time if delivered.
-    pub fn delivery_time(self) -> Option<RealTime> {
-        match self {
-            SendOutcome::Delivered { at } => Some(at),
-            SendOutcome::Dropped(_) => None,
-        }
-    }
-}
-
 /// Every delivery instant of one send: none (dropped), one, or two (the
 /// duplication fault fired).
 ///
@@ -131,28 +95,9 @@ impl LinkFilter {
         self.down.remove(&(b, a));
     }
 
-    /// Cuts every link between the two groups (a partition).
-    pub fn partition(&mut self, side_a: &[ProcId], side_b: &[ProcId]) {
-        for &a in side_a {
-            for &b in side_b {
-                self.cut(a, b);
-            }
-        }
-    }
-
-    /// Restores every link.
-    pub fn heal_all(&mut self) {
-        self.down.clear();
-    }
-
     /// True iff the directed link is up.
     pub fn is_up(&self, from: ProcId, to: ProcId) -> bool {
         !self.down.contains(&(from, to))
-    }
-
-    /// Number of directed links currently down.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
     }
 }
 
@@ -218,8 +163,8 @@ pub struct DelaySpike {
 /// Enforces the paper's Section 2.2 guarantees for honest traffic:
 /// messages between connected, link-up processors are delivered exactly
 /// once within `(0, δ]`. Authentication is structural: honest sends carry
-/// their true sender, and [`Network::send_forged`] exists only for the
-/// adversary (the runtime restricts it to currently-corrupted senders).
+/// their true sender, and [`Network::send_forged_times`] exists only for
+/// the adversary (the runtime restricts it to currently-corrupted senders).
 ///
 /// ```
 /// use byzclock_net::{ConstantDelay, Network, Topology};
@@ -232,8 +177,8 @@ pub struct DelaySpike {
 ///     delta,
 /// );
 /// let mut rng = RngHub::new(1).stream("net", 0);
-/// let out = net.send(ProcId(0), ProcId(1), RealTime::ZERO, &mut rng);
-/// assert_eq!(out.delivery_time().unwrap(), RealTime::from_secs(0.004));
+/// let times = net.send_times(ProcId(0), ProcId(1), RealTime::ZERO, &mut rng);
+/// assert_eq!(times[..], [RealTime::from_secs(0.004)]);
 /// ```
 #[derive(Debug)]
 pub struct Network {
@@ -347,43 +292,14 @@ impl Network {
         &self.stats
     }
 
-    /// Attempts to send a message from `from` to `to` at time `now`.
+    /// Sends a message from `from` to `to` at time `now` and returns *every*
+    /// delivery time for it, with the configured loss, fault profile and
+    /// delay spikes applied: empty if dropped, two entries when the
+    /// duplication fault fires.
     ///
-    /// On success the outcome carries the delivery time, strictly within
-    /// `(now, now + δ]` (or exactly `now` for zero-delay models).
-    pub fn send(
-        &mut self,
-        from: ProcId,
-        to: ProcId,
-        now: RealTime,
-        rng: &mut DetRng,
-    ) -> SendOutcome {
-        self.route(from, to, now, rng)
-    }
-
-    /// Sends adversary traffic claiming to originate from `claimed_from`.
-    ///
-    /// Routing and delay behave as if `claimed_from` had sent the message
-    /// (the adversary speaks *as* the corrupted processor). The runtime must
-    /// only call this for processors currently controlled by the adversary —
-    /// that is exactly the paper's authenticated-link axiom.
-    pub fn send_forged(
-        &mut self,
-        claimed_from: ProcId,
-        to: ProcId,
-        now: RealTime,
-        rng: &mut DetRng,
-    ) -> SendOutcome {
-        self.stats.forged += 1;
-        self.route(claimed_from, to, now, rng)
-    }
-
-    /// Like [`Network::send`], but with the configured fault profile and
-    /// delay spikes applied: returns *every* delivery time for this send
-    /// (empty if dropped, two entries when the duplication fault fires).
-    ///
-    /// This is the entry point the runtime uses for honest traffic; with a
-    /// quiet [`FaultProfile`] and no spikes it is exactly `send`.
+    /// With a quiet [`FaultProfile`] and no spikes, a delivered message
+    /// arrives once, within `(now, now + δ]` (or exactly `now` for
+    /// zero-delay models).
     pub fn send_times(
         &mut self,
         from: ProcId,
@@ -394,11 +310,13 @@ impl Network {
         self.fan_out(from, to, now, rng)
     }
 
-    /// Like [`Network::send_forged`], but with the configured fault profile
-    /// and delay spikes applied — the forged-traffic twin of
-    /// [`Network::send_times`].
+    /// Sends adversary traffic claiming to originate from `claimed_from` —
+    /// the forged-traffic twin of [`Network::send_times`].
     ///
-    /// The adversary speaks *as* the corrupted processor over the victim's
+    /// Routing and delay behave as if `claimed_from` had sent the message
+    /// (the adversary speaks *as* the corrupted processor). The runtime must
+    /// only call this for processors currently controlled by the adversary —
+    /// that is exactly the paper's authenticated-link axiom. The adversary speaks *as* the corrupted processor over the victim's
     /// real links, so its traffic is subject to exactly the same loss,
     /// duplication, reordering and delay-spike models as honest traffic —
     /// anything else would make forged replies systematically better
@@ -418,7 +336,7 @@ impl Network {
     /// and [`Network::send_forged_times`].
     fn fan_out(&mut self, from: ProcId, to: ProcId, now: RealTime, rng: &mut DetRng) -> Deliveries {
         let mut times = Deliveries::default();
-        let Some(at) = self.route(from, to, now, rng).delivery_time() else {
+        let Some(at) = self.route(from, to, now, rng) else {
             return times;
         };
         times.push(self.apply_timing_faults(now, at, rng));
@@ -454,22 +372,24 @@ impl Network {
         now + SimDuration::from_secs(delay)
     }
 
-    fn route(&mut self, from: ProcId, to: ProcId, now: RealTime, rng: &mut DetRng) -> SendOutcome {
-        if from == to {
+    /// The delivery time of one send before timing faults, or `None` (and a
+    /// drop counted) for a self-send, a non-adjacent pair, a cut link or a
+    /// random loss. The loss draw comes last, so it consumes randomness
+    /// only for sends that could otherwise be delivered.
+    fn route(
+        &mut self,
+        from: ProcId,
+        to: ProcId,
+        now: RealTime,
+        rng: &mut DetRng,
+    ) -> Option<RealTime> {
+        if from == to
+            || !self.topology.are_connected(from, to)
+            || !self.links.is_up(from, to)
+            || (self.loss_probability > 0.0 && rng.chance(self.loss_probability))
+        {
             self.stats.dropped += 1;
-            return SendOutcome::Dropped(DropReason::SelfSend);
-        }
-        if !self.topology.are_connected(from, to) {
-            self.stats.dropped += 1;
-            return SendOutcome::Dropped(DropReason::NotAdjacent);
-        }
-        if !self.links.is_up(from, to) {
-            self.stats.dropped += 1;
-            return SendOutcome::Dropped(DropReason::LinkDown);
-        }
-        if self.loss_probability > 0.0 && rng.chance(self.loss_probability) {
-            self.stats.dropped += 1;
-            return SendOutcome::Dropped(DropReason::Lost);
+            return None;
         }
         let delay = self.delays.sample(from, to, rng);
         debug_assert!(
@@ -477,7 +397,7 @@ impl Network {
             "sampled delay {delay} violates bound"
         );
         self.stats.delivered += 1;
-        SendOutcome::Delivered { at: now + delay }
+        Some(now + delay)
     }
 }
 
@@ -506,19 +426,16 @@ mod tests {
     #[test]
     fn delivers_with_sampled_delay() {
         let mut net = mesh_net(3);
-        let out = net.send(ProcId(0), ProcId(1), RealTime::from_secs(1.0), &mut rng());
-        assert_eq!(
-            out.delivery_time().unwrap(),
-            RealTime::from_secs(1.0) + ms(2.0)
-        );
+        let times = net.send_times(ProcId(0), ProcId(1), RealTime::from_secs(1.0), &mut rng());
+        assert_eq!(times[..], [RealTime::from_secs(1.0) + ms(2.0)]);
         assert_eq!(net.stats().delivered, 1);
     }
 
     #[test]
     fn self_send_is_dropped() {
         let mut net = mesh_net(3);
-        let out = net.send(ProcId(1), ProcId(1), RealTime::ZERO, &mut rng());
-        assert_eq!(out, SendOutcome::Dropped(DropReason::SelfSend));
+        let times = net.send_times(ProcId(1), ProcId(1), RealTime::ZERO, &mut rng());
+        assert!(times.is_empty());
         assert_eq!(net.stats().dropped, 1);
     }
 
@@ -529,57 +446,35 @@ mod tests {
             Box::new(ConstantDelay::new(ms(1.0))),
             ms(10.0),
         );
-        let out = net.send(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng());
-        assert_eq!(out, SendOutcome::Dropped(DropReason::NotAdjacent));
+        let times = net.send_times(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng());
+        assert!(times.is_empty());
+        assert_eq!(net.stats().dropped, 1);
     }
 
     #[test]
     fn cut_link_drops_and_restore_heals() {
         let mut net = mesh_net(3);
+        let send = |net: &mut Network, a: u32, b: u32| {
+            net.send_times(ProcId(a), ProcId(b), RealTime::ZERO, &mut rng())
+                .len()
+        };
         net.links_mut().cut(ProcId(0), ProcId(1));
-        let out = net.send(ProcId(0), ProcId(1), RealTime::ZERO, &mut rng());
-        assert_eq!(out, SendOutcome::Dropped(DropReason::LinkDown));
+        assert_eq!(send(&mut net, 0, 1), 0);
         // symmetric
-        let out = net.send(ProcId(1), ProcId(0), RealTime::ZERO, &mut rng());
-        assert_eq!(out, SendOutcome::Dropped(DropReason::LinkDown));
+        assert_eq!(send(&mut net, 1, 0), 0);
+        assert_eq!(net.stats().dropped, 2);
         // other links unaffected
-        assert!(net
-            .send(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng())
-            .delivery_time()
-            .is_some());
+        assert_eq!(send(&mut net, 0, 2), 1);
         net.links_mut().restore(ProcId(0), ProcId(1));
-        assert!(net
-            .send(ProcId(0), ProcId(1), RealTime::ZERO, &mut rng())
-            .delivery_time()
-            .is_some());
-    }
-
-    #[test]
-    fn partition_cuts_cross_traffic_only() {
-        let mut net = mesh_net(4);
-        net.links_mut()
-            .partition(&[ProcId(0), ProcId(1)], &[ProcId(2), ProcId(3)]);
-        assert!(net
-            .send(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng())
-            .delivery_time()
-            .is_none());
-        assert!(net
-            .send(ProcId(0), ProcId(1), RealTime::ZERO, &mut rng())
-            .delivery_time()
-            .is_some());
-        net.links_mut().heal_all();
-        assert!(net
-            .send(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng())
-            .delivery_time()
-            .is_some());
-        assert_eq!(net.links_mut().down_count(), 0);
+        assert_eq!(send(&mut net, 0, 1), 1);
     }
 
     #[test]
     fn forged_traffic_counted() {
         let mut net = mesh_net(3);
-        let out = net.send_forged(ProcId(2), ProcId(0), RealTime::ZERO, &mut rng());
-        assert!(out.delivery_time().is_some());
+        let now = RealTime::from_secs(1.0);
+        let times = net.send_forged_times(ProcId(2), ProcId(0), now, &mut rng());
+        assert_eq!(times[..], [now + ms(2.0)]);
         assert_eq!(net.stats().forged, 1);
         assert_eq!(net.stats().delivered, 1);
     }
@@ -595,7 +490,7 @@ mod tests {
         let mut r = rng();
         let now = RealTime::from_secs(5.0);
         for _ in 0..1000 {
-            if let Some(at) = net.send(ProcId(0), ProcId(1), now, &mut r).delivery_time() {
+            for at in net.send_times(ProcId(0), ProcId(1), now, &mut r) {
                 assert!(at > now && at <= now + delta);
             }
         }
@@ -610,9 +505,8 @@ mod tests {
         let total = 2000;
         for _ in 0..total {
             if net
-                .send(ProcId(0), ProcId(1), RealTime::ZERO, &mut r)
-                .delivery_time()
-                .is_none()
+                .send_times(ProcId(0), ProcId(1), RealTime::ZERO, &mut r)
+                .is_empty()
             {
                 lost += 1;
             }
@@ -681,9 +575,9 @@ mod tests {
 
     #[test]
     fn forged_times_subject_to_delay_spikes() {
-        // Regression: adversary pongs used to go through `send_forged`,
-        // which skipped `apply_timing_faults` entirely — forged traffic was
-        // immune to spikes the honest traffic suffered.
+        // Regression: adversary pongs used to go through a fault-free
+        // forged send that skipped `apply_timing_faults` entirely — forged
+        // traffic was immune to spikes the honest traffic suffered.
         let mut net = mesh_net(2);
         net.add_delay_spike(DelaySpike {
             from: RealTime::ZERO,

@@ -57,20 +57,6 @@ impl Topology {
         t
     }
 
-    /// A cycle on `n ≥ 3` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3`.
-    pub fn ring(n: usize) -> Self {
-        assert!(n >= 3, "ring needs at least 3 nodes");
-        let mut t = Topology::empty(n);
-        for i in 0..n {
-            t.add_edge(ProcId(i as u32), ProcId(((i + 1) % n) as u32));
-        }
-        t
-    }
-
     /// The Section 5 counterexample: two cliques of `3f+1` nodes each, with
     /// node `i` of one clique connected to node `i` of the other (a perfect
     /// matching). Total `6f+2` nodes; the graph is `(3f+1)`-connected.
@@ -217,12 +203,6 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// Total number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        let directed: usize = (0..self.n).map(|i| self.degree(ProcId(i as u32))).sum();
-        directed / 2
-    }
-
     /// True iff the graph is connected (BFS from node 0).
     pub fn is_connected(&self) -> bool {
         let mut seen = vec![false; self.n];
@@ -284,26 +264,8 @@ mod tests {
                 assert_eq!(t.are_connected(ProcId(i), ProcId(j)), i != j);
             }
         }
-        assert_eq!(t.edge_count(), 10);
         assert_eq!(t.min_degree(), 4);
         assert!(t.is_connected());
-    }
-
-    #[test]
-    fn ring_shape() {
-        let t = Topology::ring(5);
-        assert!(t.are_connected(ProcId(0), ProcId(1)));
-        assert!(t.are_connected(ProcId(4), ProcId(0)));
-        assert!(!t.are_connected(ProcId(0), ProcId(2)));
-        assert_eq!(t.edge_count(), 5);
-        assert_eq!(t.min_degree(), 2);
-        assert!(t.is_connected());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 3")]
-    fn tiny_ring_panics() {
-        Topology::ring(2);
     }
 
     #[test]
@@ -354,7 +316,6 @@ mod tests {
         }
         assert!(t.is_connected());
         assert!(t.are_connected(ProcId(7), ProcId(1))); // wrap-around
-        assert_eq!(t.edge_count(), 16);
     }
 
     #[test]
@@ -367,10 +328,10 @@ mod tests {
     fn erdos_renyi_extremes() {
         let mut rng = RngHub::new(5).stream("topo", 0);
         let t0 = Topology::erdos_renyi(6, 0.0, &mut rng);
-        assert_eq!(t0.edge_count(), 0);
+        assert_eq!(t0, Topology::empty(6));
         assert!(!t0.is_connected());
         let t1 = Topology::erdos_renyi(6, 1.0, &mut rng);
-        assert_eq!(t1.edge_count(), 15);
+        assert_eq!(t1, Topology::full_mesh(6));
         assert!(t1.is_connected());
     }
 

@@ -68,9 +68,9 @@ proptest! {
         for i in 0..sends {
             let from = ProcId((i % n) as u32);
             let to = ProcId(((i + 1) % n) as u32);
-            let out = net.send(from, to, now, &mut rng);
-            let at = out.delivery_time().expect("mesh links deliver");
-            prop_assert!(at >= now && at <= now + delta);
+            let times = net.send_times(from, to, now, &mut rng);
+            prop_assert_eq!(times.len(), 1, "mesh links deliver exactly once");
+            prop_assert!(times[0] >= now && times[0] <= now + delta);
         }
         prop_assert_eq!(net.stats().delivered, sends as u64);
     }
@@ -117,7 +117,7 @@ proptest! {
     }
 
     /// Link cuts are exact: cut pairs drop, everything else still delivers,
-    /// and healing restores every link.
+    /// and restoring the cut pairs brings every link back.
     #[test]
     fn link_filter_cut_restore(
         seed in any::<u64>(),
@@ -150,18 +150,19 @@ proptest! {
                 let is_cut = cuts.iter().any(|(x, y)| {
                     (*x == pa && *y == pb) || (*x == pb && *y == pa)
                 });
-                let delivered = net.send(pa, pb, now, &mut rng).delivery_time().is_some();
+                let delivered = !net.send_times(pa, pb, now, &mut rng).is_empty();
                 prop_assert_eq!(delivered, !is_cut);
             }
         }
-        net.links_mut().heal_all();
+        for (a, b) in &cuts {
+            net.links_mut().restore(*a, *b);
+        }
         for a in 0..n as u32 {
             for b in 0..n as u32 {
                 if a != b {
-                    prop_assert!(net
-                        .send(ProcId(a), ProcId(b), now, &mut rng)
-                        .delivery_time()
-                        .is_some());
+                    prop_assert!(!net
+                        .send_times(ProcId(a), ProcId(b), now, &mut rng)
+                        .is_empty());
                 }
             }
         }

@@ -14,9 +14,7 @@
 //!   executions in different processors" — Section 3.3).
 
 use byzclock_adversary::{Adversary, AdversaryAction};
-use byzclock_clock::{
-    ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift, SinusoidDrift,
-};
+use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift};
 use byzclock_core::{
     BoundsError as CoreBoundsError, CachedSync, ConvergenceFn, NetworkModel, PaperSync,
     ProtocolParams, SyncNode, TheoremBounds,
@@ -35,8 +33,6 @@ pub use byzclock_core::bounds::BoundsError;
 /// How hardware clocks wander inside the ρ-envelope.
 #[derive(Debug, Clone)]
 pub enum DriftSpec {
-    /// All clocks tick at exactly rate 1 (ρ still bounds the model).
-    Perfect,
     /// Each clock gets an independent random constant rate inside the
     /// envelope — the dominant real-world situation (fixed crystal skew).
     ConstantRandomRate,
@@ -46,13 +42,6 @@ pub enum DriftSpec {
         step_std: f64,
         /// Time between steps.
         interval: SimDuration,
-    },
-    /// Deterministic sinusoidal wander (day/night cycles).
-    Sinusoid {
-        /// Oscillation period.
-        period: SimDuration,
-        /// Piecewise-sampling interval.
-        sample_interval: SimDuration,
     },
     /// Explicit constant rate per node (length must equal `n`); each rate
     /// must lie inside the ρ-envelope. Used e.g. to give the two cliques of
@@ -106,8 +95,11 @@ pub struct LinkOutage {
 pub enum BuildError {
     /// Parameter derivation failed (see [`BoundsError`]).
     Bounds(CoreBoundsError),
-    /// An explicit initial-bias vector had the wrong length.
-    InitialBiasLength {
+    /// An explicit per-node vector (initial biases or drift rates) does
+    /// not have one entry per node.
+    LengthMismatch {
+        /// What the vector holds, e.g. `"initial bias"`.
+        what: &'static str,
         /// expected (n)
         expected: usize,
         /// provided
@@ -126,12 +118,11 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::Bounds(e) => write!(f, "parameter derivation failed: {e}"),
-            BuildError::InitialBiasLength { expected, got } => {
-                write!(
-                    f,
-                    "initial bias vector has length {got}, expected {expected}"
-                )
-            }
+            BuildError::LengthMismatch {
+                what,
+                expected,
+                got,
+            } => write!(f, "{what} vector has length {got}, expected {expected}"),
             BuildError::TopologySize { expected, got } => {
                 write!(f, "topology has {got} nodes, expected {expected}")
             }
@@ -311,6 +302,11 @@ impl WorldBuilder {
     }
 
     /// Metrics sampling interval (default: `T/4`).
+    ///
+    /// # Panics
+    ///
+    /// `build` panics if `interval` is not positive and finite (a zero
+    /// interval would re-arm the sample event at the same instant forever).
     pub fn sample_interval(mut self, interval: SimDuration) -> Self {
         self.sample_interval = Some(interval);
         self
@@ -459,7 +455,8 @@ impl WorldBuilder {
             }
             InitialBias::Explicit(v) => {
                 if v.len() != self.n {
-                    return Err(BuildError::InitialBiasLength {
+                    return Err(BuildError::LengthMismatch {
+                        what: "initial bias",
                         expected: self.n,
                         got: v.len(),
                     });
@@ -475,26 +472,16 @@ impl WorldBuilder {
             let id = ProcId(i as u32);
             let mut drift_rng = hub.stream("drift", i as u64);
             let mut drift: Box<dyn DriftModel> = match &self.drift {
-                DriftSpec::Perfect => Box::new(ConstantDrift::perfect()),
                 DriftSpec::ConstantRandomRate => {
                     Box::new(ConstantDrift::random_within(self.rho, &mut drift_rng))
                 }
                 DriftSpec::RandomWalk { step_std, interval } => {
                     Box::new(RandomWalkDrift::new(self.rho, *step_std, *interval))
                 }
-                DriftSpec::Sinusoid {
-                    period,
-                    sample_interval,
-                } => Box::new(SinusoidDrift::new(
-                    self.rho,
-                    self.rho / (1.0 + self.rho),
-                    *period,
-                    i as f64, // per-node phase
-                    *sample_interval,
-                )),
                 DriftSpec::ExplicitRates(rates) => {
                     if rates.len() != self.n {
-                        return Err(BuildError::InitialBiasLength {
+                        return Err(BuildError::LengthMismatch {
+                            what: "drift rates",
                             expected: self.n,
                             got: rates.len(),
                         });
@@ -566,10 +553,12 @@ impl WorldBuilder {
         let t = bounds
             .map(|b| b.t)
             .unwrap_or_else(|| derived_t(&params, self.rho));
-        let sample_interval = Some(self.sample_interval.unwrap_or(t / 4.0));
-        if let Some(si) = sample_interval {
-            engine.schedule_at(RealTime::ZERO + si, SimEvent::Sample);
-        }
+        let sample_interval = self.sample_interval.unwrap_or(t / 4.0);
+        assert!(
+            sample_interval.as_secs() > 0.0 && sample_interval.as_secs().is_finite(),
+            "sample interval {sample_interval} must be positive and finite"
+        );
+        engine.schedule_at(RealTime::ZERO + sample_interval, SimEvent::Sample);
 
         if let Discipline::Slew { max_rate } = self.discipline {
             assert!(
@@ -578,10 +567,8 @@ impl WorldBuilder {
             );
         }
 
-        let way_off = params.way_off();
         Ok(World {
             discipline: self.discipline,
-            trace: byzclock_sim::TraceBuffer::default(),
             engine,
             nodes,
             network,
@@ -591,7 +578,6 @@ impl WorldBuilder {
             net_rng: hub.stream("net", 0),
             adv_rng: hub.stream("adv", 0),
             observers: Vec::new(),
-            way_off,
             params,
             bounds,
             scratch: Vec::new(),
@@ -633,8 +619,23 @@ mod tests {
             .initial_bias(InitialBias::Explicit(vec![0.0; 3]))
             .build()
             .unwrap_err();
-        assert!(matches!(err, BuildError::InitialBiasLength { .. }));
-        assert!(format!("{err}").contains("length 3"));
+        assert!(matches!(err, BuildError::LengthMismatch { .. }));
+        assert_eq!(
+            err.to_string(),
+            "initial bias vector has length 3, expected 4"
+        );
+    }
+
+    #[test]
+    fn explicit_rates_length_checked() {
+        let err = WorldBuilder::new(4, 1)
+            .drift(DriftSpec::ExplicitRates(vec![1.0; 3]))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "drift rates vector has length 3, expected 4"
+        );
     }
 
     #[test]
@@ -686,6 +687,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sample interval")]
+    fn zero_sample_interval_panics() {
+        let _ = WorldBuilder::new(4, 1)
+            .sample_interval(SimDuration::ZERO)
+            .build();
+    }
+
+    #[test]
     fn message_loss_is_applied() {
         let mut w = WorldBuilder::new(4, 1)
             .big_delta(SimDuration::from_secs(40.0))
@@ -703,16 +712,12 @@ mod tests {
     #[test]
     fn drift_specs_all_build() {
         for spec in [
-            DriftSpec::Perfect,
             DriftSpec::ConstantRandomRate,
             DriftSpec::RandomWalk {
                 step_std: 1e-6,
                 interval: SimDuration::from_secs(10.0),
             },
-            DriftSpec::Sinusoid {
-                period: SimDuration::from_secs(100.0),
-                sample_interval: SimDuration::from_secs(5.0),
-            },
+            DriftSpec::ExplicitRates(vec![1.0 - 5e-6, 1.0, 1.0, 1.0 + 5e-6]),
         ] {
             let mut w = WorldBuilder::new(4, 1).drift(spec).build().unwrap();
             w.run_until(RealTime::from_secs(30.0));

@@ -10,10 +10,9 @@
 use byzclock_clock::Bias;
 use byzclock_core::RoundSummary;
 use byzclock_sim::{ProcId, RealTime};
-use serde::{Deserialize, Serialize};
 
 /// A periodic snapshot of all clock biases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldSample {
     /// Real time of the snapshot.
     pub tau: RealTime,

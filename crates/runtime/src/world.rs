@@ -19,7 +19,7 @@ use byzclock_core::{CachedSync, Input, Output, SyncNode, TimerKind, WireMessage}
 use byzclock_driver::TimerControl;
 use byzclock_net::Network;
 use byzclock_sim::queue::EventId;
-use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration, TraceBuffer, TraceLevel};
+use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
 
 use crate::builder::Discipline;
 use crate::events::SimEvent;
@@ -102,14 +102,12 @@ pub struct World {
     pub(crate) network: Network,
     pub(crate) adversary: Adversary,
     pub(crate) big_delta: SimDuration,
-    pub(crate) sample_interval: Option<SimDuration>,
+    pub(crate) sample_interval: SimDuration,
     pub(crate) net_rng: DetRng,
     pub(crate) adv_rng: DetRng,
     pub(crate) observers: Vec<Box<dyn Observer>>,
-    pub(crate) way_off: f64,
     pub(crate) params: byzclock_core::ProtocolParams,
     pub(crate) bounds: Option<byzclock_core::TheoremBounds>,
-    pub(crate) trace: TraceBuffer,
     pub(crate) discipline: Discipline,
     /// Reusable output buffer for the nodes' `handle_into`: one allocation
     /// for the whole run instead of one per handled input.
@@ -157,12 +155,6 @@ impl World {
     /// Registers an observer (before or between runs).
     pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
         self.observers.push(observer);
-    }
-
-    /// The structured trace of notable events (corruptions, releases,
-    /// link transitions, node restarts).
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
     }
 
     /// The network traffic statistics.
@@ -222,12 +214,6 @@ impl World {
         }
     }
 
-    /// Runs for `span` more simulated time.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now() + span;
-        self.run_until(deadline);
-    }
-
     fn dispatch(&mut self, tau: RealTime, event: SimEvent) {
         match event {
             SimEvent::StartNode { node } => self.start_node(node),
@@ -236,20 +222,8 @@ impl World {
             SimEvent::DriftChange { node, new_rate } => self.drift_change(tau, node, new_rate),
             SimEvent::Corrupt { node } => self.corrupt(tau, node),
             SimEvent::Release { node } => self.release(tau, node),
-            SimEvent::LinkCut { a, b } => {
-                self.trace
-                    .record(tau, TraceLevel::Info, "net", format!("link {a}-{b} cut"));
-                self.network.links_mut().cut(a, b)
-            }
-            SimEvent::LinkRestore { a, b } => {
-                self.trace.record(
-                    tau,
-                    TraceLevel::Info,
-                    "net",
-                    format!("link {a}-{b} restored"),
-                );
-                self.network.links_mut().restore(a, b)
-            }
+            SimEvent::LinkCut { a, b } => self.network.links_mut().cut(a, b),
+            SimEvent::LinkRestore { a, b } => self.network.links_mut().restore(a, b),
             SimEvent::Restart { node } => self.restart(tau, node),
             SimEvent::Sample => self.sample_tick(),
         }
@@ -270,8 +244,6 @@ impl World {
         }
         // Crash: all pending alarms die with the process.
         self.cancel_all(node);
-        self.trace
-            .record(tau, TraceLevel::Info, "node", format!("restart {node}"));
         self.notify(|o| o.on_restart(node, tau));
         // Reboot: re-enter the protocol from the persistent clock alone —
         // the paper's tiny-recovery-state property makes this identical to
@@ -360,7 +332,7 @@ impl World {
             nodes[victim.index()].clock.read(tau),
             Some(nodes[from.index()].clock.bias(tau)),
             &good_bias_range,
-            self.way_off,
+            self.params.way_off(),
         );
         match self.adversary.reply_to_ping(&ctx, &mut self.adv_rng) {
             AttackReply::Silent => {}
@@ -440,25 +412,9 @@ impl World {
         }
         // Cancel all pending alarms: the adversary wipes protocol state.
         self.cancel_all(node);
-        match self.adversary.on_corrupt(node, &mut self.adv_rng) {
-            ClockSabotage::None => {
-                self.trace.record(
-                    tau,
-                    TraceLevel::Warn,
-                    "adversary",
-                    format!("corrupt {node}"),
-                );
-            }
-            ClockSabotage::SetBias(b) => {
-                let target = LocalTime::from_secs(tau.as_secs() + b);
-                self.nodes[idx].clock.sabotage_to(tau, target);
-                self.trace.record(
-                    tau,
-                    TraceLevel::Warn,
-                    "adversary",
-                    format!("corrupt {node}, clock reset to bias {b:+.6}s"),
-                );
-            }
+        if let ClockSabotage::SetBias(b) = self.adversary.on_corrupt(node, &mut self.adv_rng) {
+            let target = LocalTime::from_secs(tau.as_secs() + b);
+            self.nodes[idx].clock.sabotage_to(tau, target);
         }
         self.notify(|o| o.on_corrupt(node, tau));
     }
@@ -473,12 +429,6 @@ impl World {
         if self.nodes[idx].corruption_depth > 0 {
             return;
         }
-        self.trace.record(
-            tau,
-            TraceLevel::Warn,
-            "adversary",
-            format!("release {node}"),
-        );
         self.notify(|o| o.on_release(node, tau));
         // Recovery: the processor reboots its protocol with whatever clock
         // the adversary left behind.
@@ -489,9 +439,8 @@ impl World {
     fn sample_tick(&mut self) {
         let sample = self.sample_now();
         self.notify(|o| o.on_sample(&sample));
-        if let Some(interval) = self.sample_interval {
-            self.engine.schedule_after(interval, SimEvent::Sample);
-        }
+        self.engine
+            .schedule_after(self.sample_interval, SimEvent::Sample);
     }
 
     pub(crate) fn notify(&mut self, mut f: impl FnMut(&mut Box<dyn Observer>)) {
@@ -708,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_corruption_lifecycle() {
+    fn corruption_applies_the_strategys_clock_sabotage() {
         let schedule = CorruptionSchedule::single(ProcId(1), t(5.0), d(2.0));
         let adversary = Adversary::new(schedule, Box::new(ConstantOffsetStrategy::new(3.0)));
         let mut w = WorldBuilder::new(4, 1)
@@ -717,16 +666,10 @@ mod tests {
             .adversary(adversary)
             .build()
             .unwrap();
-        w.run_until(t(20.0));
-        let adv_events: Vec<String> = w
-            .trace()
-            .by_subsystem("adversary")
-            .map(|e| e.message.clone())
-            .collect();
-        assert_eq!(adv_events.len(), 2);
-        assert!(adv_events[0].contains("corrupt p1"));
-        assert!(adv_events[0].contains("clock reset"));
-        assert!(adv_events[1].contains("release p1"));
+        w.run_until(t(6.0));
+        assert!(w.is_corrupt(ProcId(1)));
+        let bias = w.bias_of(ProcId(1)).as_secs();
+        assert!((bias - 3.0).abs() < 1e-3, "sabotaged bias {bias}");
     }
 
     #[test]
@@ -748,15 +691,6 @@ mod tests {
         w.schedule_restart(t(30.0), ProcId(1));
         w.run_until(t(120.0));
         assert_eq!(*seen.borrow(), vec![(ProcId(1), t(30.0))]);
-        let restarts: Vec<String> = w
-            .trace()
-            .by_subsystem("node")
-            .map(|e| e.message.clone())
-            .collect();
-        assert!(
-            restarts.iter().any(|m| m.contains("restart p1")),
-            "{restarts:?}"
-        );
         // the rebooted node keeps syncing and stays in the good set
         let s = w.sample_now();
         assert!(
@@ -769,6 +703,18 @@ mod tests {
 
     #[test]
     fn restart_during_corruption_is_a_noop() {
+        use crate::observer::Observer;
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct RestartCount(Rc<Cell<usize>>);
+        impl Observer for RestartCount {
+            fn on_restart(&mut self, _node: ProcId, _tau: RealTime) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+
+        let restarts = Rc::new(Cell::new(0));
         let schedule = CorruptionSchedule::single(ProcId(2), t(10.0), d(10.0));
         let adversary = Adversary::new(schedule, Box::new(ConstantOffsetStrategy::new(5.0)));
         let mut w = WorldBuilder::new(4, 1)
@@ -777,9 +723,10 @@ mod tests {
             .adversary(adversary)
             .build()
             .unwrap();
+        w.add_observer(Box::new(RestartCount(Rc::clone(&restarts))));
         w.schedule_restart(t(15.0), ProcId(2));
         w.run_until(t(30.0));
-        assert_eq!(w.trace().by_subsystem("node").count(), 0);
+        assert_eq!(restarts.get(), 0);
     }
 
     #[test]
@@ -823,8 +770,8 @@ mod tests {
 
     #[test]
     fn delay_spike_inflates_forged_pongs() {
-        // Regression: adversary pongs used to be scheduled via
-        // `send_forged(..).delivery_time()`, bypassing the delay-spike /
+        // Regression: adversary pongs used to be scheduled through a
+        // fault-free forged send, bypassing the delay-spike /
         // fault-injection path entirely — forged replies crossed a faster
         // network than the honest traffic. With the whole run inside a
         // spike window, every delivery (honest and forged) must be spiked.

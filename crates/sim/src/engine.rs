@@ -145,20 +145,6 @@ impl<T> Engine<T> {
             }
         }
     }
-
-    /// Advances `now` to `deadline` without processing events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events are pending before `deadline` (they would be skipped)
-    /// or if `deadline` is in the past.
-    pub fn advance_to(&mut self, deadline: RealTime) {
-        assert!(deadline >= self.now, "advance_to into the past");
-        if let Some(t) = self.queue.peek_time() {
-            assert!(t > deadline, "advance_to would skip a pending event at {t}");
-        }
-        self.now = deadline;
-    }
 }
 
 #[cfg(test)]
@@ -263,21 +249,6 @@ mod tests {
         let id = e.schedule_at(t(1.0), 1);
         assert!(e.cancel(id));
         assert!(e.pop().is_none());
-    }
-
-    #[test]
-    fn advance_to_moves_time() {
-        let mut e: Engine<u8> = Engine::new();
-        e.advance_to(t(9.0));
-        assert_eq!(e.now(), t(9.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "skip")]
-    fn advance_to_refuses_to_skip_events() {
-        let mut e: Engine<u8> = Engine::new();
-        e.schedule_at(t(1.0), 1);
-        e.advance_to(t(2.0));
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //!   forked by label so components cannot perturb each other's randomness.
 //! * [`pool`] — order-preserving scoped-thread fan-out for running many
 //!   independent seeds/scenarios at once with bit-identical results.
-//! * [`trace`] — lightweight structured trace ring buffer for debugging
-//!   simulations and asserting on event sequences in tests.
 //!
 //! # Example
 //!
@@ -48,7 +46,6 @@ pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use engine::Engine;
 pub use ids::ProcId;
@@ -56,4 +53,3 @@ pub use pool::{default_workers, par_map, par_map_auto};
 pub use queue::{EventId, EventQueue};
 pub use rng::{DetRng, RngHub};
 pub use time::{RealTime, SimDuration};
-pub use trace::{TraceBuffer, TraceEvent, TraceLevel};

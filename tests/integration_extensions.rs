@@ -3,7 +3,9 @@
 //! full stack.
 
 use byzclock::prelude::*;
-use byzclock::runtime::{Discipline, LinkOutage};
+use byzclock::runtime::{Discipline, LinkOutage, Observer};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn builder(n: usize, f: usize, seed: u64) -> WorldBuilder {
     WorldBuilder::new(n, f)
@@ -129,7 +131,22 @@ fn full_partition_heals_after_outage() {
 }
 
 #[test]
-fn trace_is_inspectable_after_run() {
+fn observer_sees_every_corruption_and_release() {
+    #[derive(Default)]
+    struct Transitions {
+        corrupts: usize,
+        releases: usize,
+    }
+    struct Probe(Rc<RefCell<Transitions>>);
+    impl Observer for Probe {
+        fn on_corrupt(&mut self, _node: ProcId, _tau: RealTime) {
+            self.0.borrow_mut().corrupts += 1;
+        }
+        fn on_release(&mut self, _node: ProcId, _tau: RealTime) {
+            self.0.borrow_mut().releases += 1;
+        }
+    }
+
     let schedule = CorruptionSchedule::rotating(
         7,
         2,
@@ -145,17 +162,10 @@ fn trace_is_inspectable_after_run() {
         ))
         .build()
         .unwrap();
+    let seen = Rc::new(RefCell::new(Transitions::default()));
+    world.add_observer(Box::new(Probe(Rc::clone(&seen))));
     world.run_until(RealTime::from_secs(300.0));
-    let corrupts = world
-        .trace()
-        .by_subsystem("adversary")
-        .filter(|e| e.message.starts_with("corrupt"))
-        .count();
-    let releases = world
-        .trace()
-        .by_subsystem("adversary")
-        .filter(|e| e.message.starts_with("release"))
-        .count();
-    assert!(corrupts >= 4, "corrupts: {corrupts}");
-    assert!(releases >= 4, "releases: {releases}");
+    let seen = seen.borrow();
+    assert!(seen.corrupts >= 4, "corrupts: {}", seen.corrupts);
+    assert!(seen.releases >= 4, "releases: {}", seen.releases);
 }
