@@ -56,8 +56,8 @@ pub const RULES: [RuleInfo; 6] = [
         id: "d5",
         slug: "hot-path-unwrap",
         summary: "no .unwrap()/.expect() inside impl SyncNode / CachedSync / \
-                  World event-dispatch code — a poisoned or absent value must be \
-                  handled, not crash the world mid-event",
+                  World / EventQueue / Engine event-dispatch code — a poisoned \
+                  or absent value must be handled, not crash the world mid-event",
     },
     RuleInfo {
         id: "d6",
@@ -289,7 +289,7 @@ impl<'a> Analyzer<'a> {
     }
 
     fn in_dispatch_impl(&self) -> bool {
-        self.in_impl_of(&["SyncNode", "CachedSync", "World"])
+        self.in_impl_of(&["SyncNode", "CachedSync", "World", "EventQueue", "Engine"])
     }
 
     fn in_round_hot_path_impl(&self) -> bool {
@@ -401,7 +401,8 @@ impl<'a> Analyzer<'a> {
                         .into(),
                 );
             }
-            // D5 — unwrap/expect in SyncNode/CachedSync/World dispatch code.
+            // D5 — unwrap/expect in SyncNode/CachedSync/World/EventQueue/Engine
+            // dispatch code.
             "unwrap" | "expect" => {
                 let is_call = prev_dot && self.tok(at + 1).is_some_and(|t| t.is_punct('('));
                 if is_call && self.in_dispatch_impl() {
@@ -561,6 +562,26 @@ mod tests {
         let f = lint_source("x.rs", src);
         assert_eq!(slugs(&f), ["hot-path-unwrap"]);
         assert!(f[0].message.contains("handle_into"));
+    }
+
+    #[test]
+    fn d5_covers_the_event_queue_and_engine() {
+        let src = r#"
+            impl<T: Copy> EventQueue<T> {
+                fn min_src(&mut self) -> u8 { self.run.last().expect("min_src saw an entry") }
+            }
+        "#;
+        let f = lint_source("x.rs", src);
+        assert_eq!(slugs(&f), ["hot-path-unwrap"]);
+        assert!(f[0].message.contains("min_src"));
+        let src = r#"
+            impl<T: Copy> Engine<T> {
+                fn pop(&mut self) -> T { self.queue.pop().unwrap().1 }
+            }
+        "#;
+        let f = lint_source("x.rs", src);
+        assert_eq!(slugs(&f), ["hot-path-unwrap"]);
+        assert!(f[0].message.contains("pop"));
     }
 
     #[test]

@@ -30,13 +30,13 @@ pub struct Engine<T> {
     processed: u64,
 }
 
-impl<T> Default for Engine<T> {
+impl<T: Copy> Default for Engine<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> Engine<T> {
+impl<T: Copy> Engine<T> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
@@ -65,14 +65,10 @@ impl<T> Engine<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is earlier than [`Engine::now`] — causality violation.
+    /// Panics if `at` is NaN, or earlier than [`Engine::now`] — causality
+    /// violation.
     pub fn schedule_at(&mut self, at: RealTime, payload: T) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} < now={now}",
-            at = at,
-            now = self.now
-        );
+        self.check_at(at);
         self.queue.schedule(at, payload)
     }
 
@@ -82,27 +78,37 @@ impl<T> Engine<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is earlier than [`Engine::now`] — causality violation.
+    /// Panics if `at` is NaN, or earlier than [`Engine::now`] — causality
+    /// violation.
     pub fn schedule_at_with(
         &mut self,
         at: RealTime,
         payload: impl FnOnce(EventId) -> T,
     ) -> EventId {
+        self.check_at(at);
+        self.queue.schedule_with(at, payload)
+    }
+
+    /// Rejects a NaN instant, which `total_cmp` orders after +∞ and so would
+    /// pass the causality check and later set `now` to NaN, and an instant
+    /// before `now`.
+    fn check_at(&self, at: RealTime) {
+        assert!(!at.as_secs().is_nan(), "cannot schedule at a NaN instant");
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} < now={now}",
             at = at,
             now = self.now
         );
-        self.queue.schedule_with(at, payload)
     }
 
     /// Schedules an event `after` from now.
     ///
     /// # Panics
     ///
-    /// Panics if `after` is negative or NaN-producing.
+    /// Panics if `after` is negative or NaN.
     pub fn schedule_after(&mut self, after: SimDuration, payload: T) -> EventId {
+        assert!(!after.as_secs().is_nan(), "cannot schedule a NaN delay");
         assert!(
             !after.is_negative(),
             "cannot schedule a negative delay: {after}"
@@ -115,18 +121,10 @@ impl<T> Engine<T> {
         self.queue.cancel(id)
     }
 
-    /// Time of the next event without popping it.
-    pub fn peek_time(&mut self) -> Option<RealTime> {
-        self.queue.peek_time()
-    }
-
     /// Pops the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(RealTime, T)> {
-        let (time, payload) = self.queue.pop()?;
-        debug_assert!(time >= self.now, "event queue returned stale time");
-        self.now = time;
-        self.processed += 1;
-        Some((time, payload))
+        let popped = self.queue.pop()?;
+        Some(self.advance(popped))
     }
 
     /// Pops the next event only if it is scheduled at or before `deadline`;
@@ -135,15 +133,23 @@ impl<T> Engine<T> {
     /// This is the primitive for "run until τ" loops: after it returns
     /// `None`, `now() == deadline` and no event before the deadline remains.
     pub fn pop_until(&mut self, deadline: RealTime) -> Option<(RealTime, T)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
+        match self.queue.pop_at_or_before(deadline) {
+            Some(popped) => Some(self.advance(popped)),
+            None => {
                 if deadline > self.now {
                     self.now = deadline;
                 }
                 None
             }
         }
+    }
+
+    /// Moves `now` to a popped event's time and counts the event.
+    fn advance(&mut self, (time, payload): (RealTime, T)) -> (RealTime, T) {
+        debug_assert!(time >= self.now, "event queue returned stale time");
+        self.now = time;
+        self.processed += 1;
+        (time, payload)
     }
 }
 
@@ -156,6 +162,11 @@ mod tests {
     }
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
+    }
+    /// ∞ − ∞: how a NaN instant arises without tripping `from_secs`'s
+    /// debug assertion.
+    fn nan_instant() -> RealTime {
+        RealTime::from_secs(f64::INFINITY) - SimDuration::INFINITE
     }
 
     #[test]
@@ -194,6 +205,38 @@ mod tests {
     fn schedule_negative_delay_panics() {
         let mut e: Engine<u8> = Engine::new();
         e.schedule_after(d(-1.0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN instant")]
+    fn schedule_at_nan_panics() {
+        let mut e: Engine<u8> = Engine::new();
+        e.schedule_at(nan_instant(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN instant")]
+    fn schedule_at_with_nan_panics() {
+        let mut e: Engine<EventId> = Engine::new();
+        e.schedule_at_with(nan_instant(), |id| id);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN delay")]
+    fn schedule_after_nan_panics() {
+        let mut e: Engine<u8> = Engine::new();
+        e.schedule_after(SimDuration::INFINITE - SimDuration::INFINITE, 1);
+    }
+
+    #[test]
+    fn infinite_instants_still_schedule_and_pop_last() {
+        let mut e: Engine<u8> = Engine::new();
+        e.schedule_after(SimDuration::INFINITE, 2);
+        e.schedule_at(RealTime::from_secs(f64::INFINITY), 3);
+        e.schedule_at(t(1.0), 1);
+        let order: Vec<u8> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, [1, 2, 3]);
+        assert_eq!(e.now(), RealTime::from_secs(f64::INFINITY));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! * [`time`] — [`RealTime`] / [`SimDuration`] newtypes over `f64` seconds,
 //!   with total ordering and checked arithmetic helpers.
-//! * [`queue`] — [`EventQueue`], a binary-heap based priority queue with
-//!   O(log n) scheduling, lazy cancellation and deterministic FIFO ordering
-//!   of simultaneous events.
+//! * [`queue`] — [`EventQueue`], a priority queue with lazy cancellation
+//!   and deterministic FIFO ordering of simultaneous events: a ring of
+//!   0.24 ms buckets takes the next ~62 ms of events in O(1), and a binary
+//!   heap behind it takes the rest, in exactly the heap-only pop order.
 //! * [`engine`] — [`Engine`], which owns the queue and the current
 //!   simulation time and drives event dispatch.
 //! * [`rng`] — [`RngHub`] / [`DetRng`], deterministic seeded RNG streams
