@@ -570,6 +570,7 @@ impl WorldBuilder {
         Ok(World {
             discipline: self.discipline,
             engine,
+            events: 0,
             nodes,
             network,
             adversary,

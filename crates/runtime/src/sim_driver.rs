@@ -19,13 +19,16 @@
 //! `SetTimer { after }` means *local* time units. The driver computes the
 //! exact real time at which the node's logical clock reaches
 //! `local_now + after` using the current hardware rate, and whenever a
-//! drift model changes the rate the world cancels and recomputes every
-//! pending alarm of that node. Each pending alarm is one engine event,
-//! indexed by its engine id in the node's pending map; replacing or
-//! dropping an alarm removes the entry and cancels the event, so a stale
-//! alarm never pops. [`TimerControl::cancel_all`] drops all of them at
-//! once (corruption or crash destroyed the "thread" that would re-arm
-//! them — the paper's recovery discussion), and
+//! drift model changes the rate (or a slew changes the logical slope) the
+//! world recomputes every pending alarm of that node. Each pending alarm
+//! is one engine event, indexed by its engine id in the node's pending
+//! map, and that map is the only record of which alarms are live:
+//! replacing or dropping an alarm removes its entry and leaves the engine
+//! event queued. The stale event still pops, finds no entry and is
+//! dropped uncounted, so it neither fires nor shows in
+//! [`World::events_processed`]. [`TimerControl::cancel_all`] drops all of
+//! a node's alarms at once (corruption or crash destroyed the "thread"
+//! that would re-arm them — the paper's recovery discussion), and
 //! [`Input::Start`](byzclock_core::Input::Start) on release re-arms
 //! everything.
 
@@ -65,13 +68,10 @@ impl TimerControl for World {
             .insert(engine_id, PendingTimer { kind, target_local });
     }
 
-    /// Forgets every pending alarm of the node and cancels its engine
-    /// event, so none of them fires.
+    /// Forgets every pending alarm of the node, so none of them fires:
+    /// their engine events pop stale.
     fn cancel_all(&mut self, node: ProcId) {
-        let idx = node.index();
-        for engine_id in std::mem::take(&mut self.nodes[idx].pending).into_keys() {
-            self.engine.cancel(engine_id);
-        }
+        self.nodes[node.index()].pending.clear();
     }
 }
 
@@ -106,16 +106,14 @@ impl Driver for World {
 }
 
 impl World {
-    /// Cancels and re-arms every pending alarm of `node` against its
-    /// current clock trajectory (after a drift change or slew).
+    /// Re-arms every pending alarm of `node` against its current clock
+    /// trajectory (after a drift change or slew); the old engine events
+    /// pop stale.
     pub(crate) fn reschedule_pending_timers(&mut self, tau: RealTime, node: ProcId) {
         let idx = node.index();
         // BTreeMap iteration is id-ordered, so the re-armed events are
         // assigned fresh ids in a deterministic order (replay safety).
         let pending = std::mem::take(&mut self.nodes[idx].pending);
-        for engine_id in pending.keys() {
-            self.engine.cancel(*engine_id);
-        }
         for timer in pending.into_values() {
             let real_at = self.real_time_for_local_target(node, tau, timer.target_local);
             let engine_id = self

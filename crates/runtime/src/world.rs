@@ -61,9 +61,12 @@ pub(crate) struct NodeSlot {
     pub(crate) drift: Box<dyn DriftModel>,
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
-    /// Pending alarms indexed by their engine [`EventId`]: O(log n) exact
-    /// lookup/cancel instead of a linear scan, and — unlike a
-    /// `(kind, target)` match — unambiguous when two alarms coincide.
+    /// Pending alarms indexed by their engine [`EventId`]: the only record
+    /// of which alarms are live. Replacing or dropping an alarm removes its
+    /// entry here and nothing else, so its engine event still pops and
+    /// [`World`] drops it. O(log n) exact lookup instead of a linear scan,
+    /// and — unlike a `(kind, target)` match — unambiguous when two alarms
+    /// coincide.
     /// A `BTreeMap` (not `HashMap`) so iteration during rescheduling is
     /// id-ordered: std hash maps iterate in per-process random order, which
     /// would leak into event scheduling order and break cross-process
@@ -98,6 +101,8 @@ impl NodeSlot {
 /// Construct via [`WorldBuilder`](crate::builder::WorldBuilder).
 pub struct World {
     pub(crate) engine: Engine<SimEvent>,
+    /// Events dispatched so far, superseded alarms excluded.
+    pub(crate) events: u64,
     pub(crate) nodes: Vec<NodeSlot>,
     pub(crate) network: Network,
     pub(crate) adversary: Adversary,
@@ -119,7 +124,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.engine.now())
             .field("n", &self.nodes.len())
-            .field("pending_events", &self.engine.pending())
+            .field("queued_events", &self.engine.queued())
             .finish()
     }
 }
@@ -162,9 +167,11 @@ impl World {
         self.network.stats()
     }
 
-    /// Events processed so far.
+    /// Events processed so far. A superseded alarm still pops from the
+    /// engine, but the world drops it uncounted, so this counts only the
+    /// events that took effect.
     pub fn events_processed(&self) -> u64 {
-        self.engine.processed()
+        self.events
     }
 
     /// True iff `p` is currently controlled by the adversary.
@@ -210,15 +217,19 @@ impl World {
     /// Runs the event loop until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: RealTime) {
         while let Some((tau, event)) = self.engine.pop_until(deadline) {
-            self.dispatch(tau, event);
+            if self.dispatch(tau, event) {
+                self.events += 1;
+            }
         }
     }
 
-    fn dispatch(&mut self, tau: RealTime, event: SimEvent) {
+    /// Handles one popped event; false if it was a superseded alarm,
+    /// which is dropped.
+    fn dispatch(&mut self, tau: RealTime, event: SimEvent) -> bool {
         match event {
+            SimEvent::NodeTimer { node, id } => return self.node_timer(node, id),
             SimEvent::StartNode { node } => self.start_node(node),
             SimEvent::Deliver { to, from, msg } => self.deliver(tau, to, from, msg),
-            SimEvent::NodeTimer { node, id } => self.node_timer(node, id),
             SimEvent::DriftChange { node, new_rate } => self.drift_change(tau, node, new_rate),
             SimEvent::Corrupt { node } => self.corrupt(tau, node),
             SimEvent::Release { node } => self.release(tau, node),
@@ -227,6 +238,7 @@ impl World {
             SimEvent::Restart { node } => self.restart(tau, node),
             SimEvent::Sample => self.sample_tick(),
         }
+        true
     }
 
     /// Schedules a benign crash+reboot of `node` at `at`: volatile protocol
@@ -362,19 +374,20 @@ impl World {
         }
     }
 
-    fn node_timer(&mut self, node: ProcId, id: EventId) {
-        let slot = &mut self.nodes[node.index()];
-        if slot.corrupted() {
-            return;
-        }
+    /// Fires the alarm `id` of `node`; false if the alarm was superseded.
+    fn node_timer(&mut self, node: ProcId, id: EventId) -> bool {
         // Match the fired event against the pending index by its own engine
         // id: exact and unambiguous even when another alarm shares
         // `(kind, target_local)` — a positional match could clear the
         // twin's bookkeeping instead. An absent id means the alarm was
-        // superseded (rescheduled or cancelled) and must not fire.
+        // superseded (re-armed, or dropped by a restart or corruption) and
+        // must not fire. A corrupted node's index is empty, so none of its
+        // alarms fires.
+        let slot = &mut self.nodes[node.index()];
         let Some(PendingTimer { kind, .. }) = slot.pending.remove(&id) else {
-            return;
+            return false;
         };
+        debug_assert!(!slot.corrupted(), "a corrupted node holds an alarm");
         let local_now = self.local_now(node);
         self.handle_and_apply(
             node,
@@ -383,6 +396,7 @@ impl World {
                 local_now,
             },
         );
+        true
     }
 
     fn drift_change(&mut self, tau: RealTime, node: ProcId, new_rate: f64) {
@@ -410,7 +424,7 @@ impl World {
         if self.nodes[idx].corruption_depth > 1 {
             return; // overlapping episodes: already under control
         }
-        // Cancel all pending alarms: the adversary wipes protocol state.
+        // Drop all pending alarms: the adversary wipes protocol state.
         self.cancel_all(node);
         if let ClockSabotage::SetBias(b) = self.adversary.on_corrupt(node, &mut self.adv_rng) {
             let target = LocalTime::from_secs(tau.as_secs() + b);
@@ -847,6 +861,90 @@ mod tests {
             w.nodes[idx].pending.contains_key(&late),
             "the not-yet-fired twin must stay armed"
         );
+    }
+
+    #[test]
+    fn superseded_alarms_pop_without_firing_and_go_uncounted() {
+        // A restart, a corruption and a slew each drop or re-arm a node's
+        // pending alarms, leaving the old engine events queued. This loop
+        // mirrors `run_until`, notes every alarm an event supersedes, and
+        // checks that each one later pops without touching its node.
+        use crate::builder::Discipline;
+        use crate::events::SimEvent;
+        use byzclock_sim::queue::EventId;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        let world = || {
+            let schedule = CorruptionSchedule::single(ProcId(1), t(12.0), d(4.0));
+            let adversary = Adversary::new(schedule, Box::new(ConstantOffsetStrategy::new(2.0)));
+            let mut w = WorldBuilder::new(4, 1)
+                .seed(41)
+                .delta(SimDuration::from_millis(10.0))
+                .big_delta(d(40.0))
+                .initial_bias_spread(0.2)
+                .discipline(Discipline::Slew { max_rate: 0.05 })
+                .adversary(adversary)
+                .build()
+                .unwrap();
+            w.schedule_restart(t(21.0), ProcId(2));
+            w
+        };
+        let deadline = t(60.0);
+        let pending = |w: &crate::World| -> BTreeSet<EventId> {
+            w.nodes
+                .iter()
+                .flat_map(|s| s.pending.keys().copied())
+                .collect()
+        };
+
+        let mut w = world();
+        let mut superseded: BTreeMap<EventId, &str> = BTreeMap::new();
+        let mut stale_by_cause: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut pops = 0u64;
+        while let Some((tau, event)) = w.engine.pop_until(deadline) {
+            pops += 1;
+            if let SimEvent::NodeTimer { node, id } = event {
+                if let Some(cause) = superseded.remove(&id) {
+                    let slot = &w.nodes[node.index()];
+                    let before = (slot.protocol.node().round(), slot.pending.len());
+                    let bias = w.bias_of(node);
+                    assert!(!w.dispatch(tau, event), "a {cause} alarm fired");
+                    let slot = &w.nodes[node.index()];
+                    assert_eq!((slot.protocol.node().round(), slot.pending.len()), before);
+                    assert_eq!(w.bias_of(node), bias);
+                    *stale_by_cause.entry(cause).or_default() += 1;
+                    continue;
+                }
+            }
+            let cause = match event {
+                SimEvent::Restart { .. } => "restart",
+                SimEvent::Corrupt { .. } => "corruption",
+                _ => "slew",
+            };
+            let fired = match event {
+                SimEvent::NodeTimer { id, .. } => Some(id),
+                _ => None,
+            };
+            let before = pending(&w);
+            assert!(w.dispatch(tau, event), "a live event was dropped");
+            let after = pending(&w);
+            for id in before.difference(&after) {
+                if Some(*id) != fired {
+                    superseded.insert(*id, cause);
+                }
+            }
+        }
+        for cause in ["restart", "corruption", "slew"] {
+            assert!(
+                stale_by_cause.get(cause).is_some_and(|&n| n > 0),
+                "no {cause} alarm popped stale: {stale_by_cause:?}"
+            );
+        }
+        let stale: u64 = stale_by_cause.values().sum();
+
+        let mut counted = world();
+        counted.run_until(deadline);
+        assert_eq!(counted.events_processed(), pops - stale);
     }
 
     #[test]

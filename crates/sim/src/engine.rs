@@ -27,7 +27,6 @@ use crate::time::{RealTime, SimDuration};
 pub struct Engine<T> {
     queue: EventQueue<T>,
     now: RealTime,
-    processed: u64,
 }
 
 impl<T: Copy> Default for Engine<T> {
@@ -42,7 +41,6 @@ impl<T: Copy> Engine<T> {
         Engine {
             queue: EventQueue::new(),
             now: RealTime::ZERO,
-            processed: 0,
         }
     }
 
@@ -51,13 +49,9 @@ impl<T: Copy> Engine<T> {
         self.now
     }
 
-    /// Total number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of pending (live) events.
-    pub fn pending(&self) -> usize {
+    /// Number of queued events, including any that a higher layer has
+    /// superseded but that have not popped yet.
+    pub fn queued(&self) -> usize {
         self.queue.len()
     }
 
@@ -116,11 +110,6 @@ impl<T: Copy> Engine<T> {
         self.queue.schedule(self.now + after, payload)
     }
 
-    /// Cancels a scheduled event; `true` if it was live.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
     /// Pops the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(RealTime, T)> {
         let popped = self.queue.pop()?;
@@ -144,11 +133,10 @@ impl<T: Copy> Engine<T> {
         }
     }
 
-    /// Moves `now` to a popped event's time and counts the event.
+    /// Moves `now` to a popped event's time.
     fn advance(&mut self, (time, payload): (RealTime, T)) -> (RealTime, T) {
         debug_assert!(time >= self.now, "event queue returned stale time");
         self.now = time;
-        self.processed += 1;
         (time, payload)
     }
 }
@@ -177,7 +165,6 @@ mod tests {
         let (at, _) = e.pop().unwrap();
         assert_eq!(at, t(5.0));
         assert_eq!(e.now(), t(5.0));
-        assert_eq!(e.processed(), 1);
     }
 
     #[test]
@@ -248,7 +235,7 @@ mod tests {
         assert!(e.pop_until(t(2.0)).is_none());
         assert_eq!(e.now(), t(2.0));
         // the later event is still pending
-        assert_eq!(e.pending(), 1);
+        assert_eq!(e.queued(), 1);
         assert_eq!(e.pop_until(t(4.0)).unwrap().1, 3);
     }
 
@@ -284,14 +271,6 @@ mod tests {
         e.schedule_at_with(t(10.0), |id| id);
         e.pop().unwrap();
         e.schedule_at_with(t(5.0), |id| id);
-    }
-
-    #[test]
-    fn cancel_through_engine() {
-        let mut e: Engine<u8> = Engine::new();
-        let id = e.schedule_at(t(1.0), 1);
-        assert!(e.cancel(id));
-        assert!(e.pop().is_none());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! This crate is the lowest substrate of the reproduction of
 //! *"Clock Synchronization with Faults and Recoveries"* (Barak, Halevi,
 //! Herzberg, Naor — PODC 2000). The paper's analysis is carried out against
-//! real time `τ`; this crate provides that real-time axis, a cancellable
-//! event queue with fully deterministic tie-breaking, and labeled
+//! real time `τ`; this crate provides that real-time axis, an event queue
+//! with fully deterministic tie-breaking, and labeled
 //! deterministic random-number streams so that an entire simulation is a
 //! pure function of its root seed.
 //!
@@ -12,10 +12,11 @@
 //!
 //! * [`time`] — [`RealTime`] / [`SimDuration`] newtypes over `f64` seconds,
 //!   with total ordering and checked arithmetic helpers.
-//! * [`queue`] — [`EventQueue`], a priority queue with lazy cancellation
-//!   and deterministic FIFO ordering of simultaneous events: a ring of
-//!   0.24 ms buckets takes the next ~62 ms of events in O(1), and a binary
-//!   heap behind it takes the rest, in exactly the heap-only pop order.
+//! * [`queue`] — [`EventQueue`], a priority queue with deterministic FIFO
+//!   ordering of simultaneous events: a ring of 15 µs buckets takes the
+//!   next ~62 ms of events in O(1), and a binary heap behind it takes the
+//!   rest, in exactly the heap-only pop order. It has no cancellation: a
+//!   layer that supersedes events drops them when they pop.
 //! * [`engine`] — [`Engine`], which owns the queue and the current
 //!   simulation time and drives event dispatch.
 //! * [`rng`] — [`RngHub`] / [`DetRng`], deterministic seeded RNG streams

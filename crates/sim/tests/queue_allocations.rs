@@ -1,9 +1,11 @@
 //! The event queue's near-future ring allocates only as it grows.
 //!
-//! Every ring slot is a linked list in one node arena with a free list, so
-//! a fresh queue allocates nothing, a warmed-up queue recycles its nodes,
-//! and filling the ring costs the arena's doubling growth rather than one
-//! allocation per slot. A counting global allocator checks all three.
+//! Every ring slot is a linked list in one node arena with a free list, and
+//! the slot heads and occupancy bitmap are allocated by the first ring
+//! push, so a fresh queue allocates nothing, a warmed-up queue recycles its
+//! nodes, and filling the ring costs the arena's doubling growth rather
+//! than one allocation per slot. A counting global allocator checks all
+//! three.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -45,12 +47,16 @@ fn allocations(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// One ring bucket, 2^-12 s.
-const BUCKET: f64 = 1.0 / 4096.0;
+/// One ring bucket, 2^-16 s.
+const BUCKET: f64 = 1.0 / 65_536.0;
+/// Buckets the ring holds ahead of the current one.
+const AHEAD: u64 = 4095;
 
 /// Payloads the size of the simulator's events.
 type Payload = [u64; 5];
 
+/// The slot heads and the occupancy bitmap stay unallocated until the
+/// first ring push.
 #[test]
 fn a_new_queue_allocates_nothing() {
     let mut q = None;
@@ -59,12 +65,12 @@ fn a_new_queue_allocates_nothing() {
 }
 
 /// Keeps 300 events in flight: each step pops the earliest and schedules
-/// one `k` buckets after it, with `k` cycling through 1..=255 so that the
+/// one `k` buckets after it, with `k` cycling through 1..=4095 so that the
 /// new event lands in every ring slot in turn.
 fn cycle(q: &mut EventQueue<Payload>, steps: u64, step0: u64) {
     for step in step0..step0 + steps {
         let (now, _) = q.pop().expect("300 events stay queued");
-        let k = (step % 255 + 1) as f64;
+        let k = (step % AHEAD + 1) as f64;
         q.schedule(RealTime::from_secs(now.as_secs() + k * BUCKET), [step; 5]);
     }
 }
@@ -73,7 +79,7 @@ fn cycle(q: &mut EventQueue<Payload>, steps: u64, step0: u64) {
 fn a_warm_schedule_pop_cycle_over_every_ring_slot_allocates_nothing() {
     let mut q = EventQueue::new();
     for i in 0..300u64 {
-        q.schedule(RealTime::from_secs((i % 255 + 1) as f64 * BUCKET), [i; 5]);
+        q.schedule(RealTime::from_secs((i % AHEAD + 1) as f64 * BUCKET), [i; 5]);
     }
     cycle(&mut q, 20_000, 0);
     let count = allocations(|| cycle(&mut q, 20_000, 20_000));
@@ -86,12 +92,12 @@ fn filling_the_ring_grows_the_arena_not_one_allocation_per_slot() {
     let mut q = EventQueue::new();
     let count = allocations(|| {
         for i in 0..10_000u64 {
-            let at = (i % 255 + 1) as f64 * BUCKET + (i / 255) as f64 * 1e-9;
+            let at = (i % AHEAD + 1) as f64 * BUCKET + (i / AHEAD) as f64 * 1e-9;
             q.schedule(RealTime::from_secs(at), [i; 5]);
         }
     });
-    // Doubling from one node to 10 000 is 15 growth steps; one list per
-    // slot would allocate at least 255 times.
+    // Doubling from one node to 10 000 is 15 growth steps, plus the heads
+    // and the bitmap; one list per slot would allocate thousands of times.
     assert!(
         (1..=20).contains(&count),
         "filling 10 000 near-future events made {count} allocations"
