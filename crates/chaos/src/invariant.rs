@@ -103,6 +103,8 @@ pub struct InvariantSuite {
     within_model: bool,
     step: bool,
     slew: bool,
+    /// The previous sample, kept only under slew (the one check that
+    /// reads it).
     prev: Option<WorldSample>,
     /// Per-node flag: a corrupt/release/restart happened since the last
     /// sample, so skip one monotonicity interval for that node.
@@ -179,7 +181,12 @@ impl Observer for InvariantSuite {
         for d in &mut self.dirty {
             *d = false;
         }
-        self.prev = Some(sample.clone());
+        if self.slew {
+            match &mut self.prev {
+                Some(prev) => prev.clone_from(sample),
+                None => self.prev = Some(sample.clone()),
+            }
+        }
     }
 
     fn on_adjustment(&mut self, node: ProcId, delta: f64, tau: RealTime, good: bool) {

@@ -1,7 +1,7 @@
 //! The paper's primary contribution: the `Sync` clock synchronization
 //! protocol of Barak, Halevi, Herzberg and Naor (PODC 2000), plus the
-//! baselines it is compared against and the analytical machinery of its
-//! proof.
+//! baselines it is compared against and its Theorem 5 bounds. The checks of
+//! Lemma 7 and Claim 8 against measured runs live in the experiment harness.
 //!
 //! # Layout
 //!
@@ -22,8 +22,6 @@
 //!   fully unit-testable and embeddable. It holds only Figure 1's state.
 //! * [`cached`] — the cached-estimation variant Section 3.1 warns about,
 //!   composed around a node (experiment E19).
-//! * [`analysis`] — the `(τ, β)`-plane envelopes of Definition 6 used by
-//!   the Lemma 7 / Claim 8 experiments.
 //!
 //! # Quick taste (pure state machine)
 //!
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod bounds;
 pub mod cached;
 pub mod convergence;
@@ -59,7 +56,6 @@ pub mod node;
 pub mod params;
 pub mod wire;
 
-pub use analysis::{ChainViolation, Envelope, EnvelopeChain};
 pub use bounds::{BoundsError, Derived, NetworkModel, TheoremBounds};
 pub use cached::CachedSync;
 pub use convergence::{

@@ -12,7 +12,7 @@ use byzclock_adversary::RandomReplyStrategy;
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -33,26 +33,26 @@ pub fn run(mode: Mode) -> ExperimentReport {
     for &k in ks {
         let scenario = Scenario::standard(10, 3).with_k(k);
         let bounds = scenario.bounds();
-        let warmup = scenario.big_delta;
+        let warmup = RealTime::ZERO + scenario.big_delta;
         let horizon = RealTime::ZERO + scenario.big_delta * (1.0 + horizon_deltas);
 
         let quiet_dev = {
-            let tracker = DeviationTracker::measuring_from(RealTime::ZERO + warmup);
+            let log = RunLog::new();
             let mut world = scenario.quiet_world();
-            world.add_observer(Box::new(tracker.clone()));
+            world.add_observer(Box::new(log.clone()));
             world.run_until(horizon);
-            tracker.max_deviation().unwrap_or(f64::NAN)
+            log.max_deviation(warmup).unwrap_or(f64::NAN)
         };
 
         let churn_dev = {
-            let tracker = DeviationTracker::measuring_from(RealTime::ZERO + warmup);
+            let log = RunLog::new();
             let mut world = scenario.churn_world(
                 Box::new(RandomReplyStrategy::new(bounds.gamma * 10.0)),
                 horizon,
             );
-            world.add_observer(Box::new(tracker.clone()));
+            world.add_observer(Box::new(log.clone()));
             world.run_until(horizon);
-            tracker.max_deviation().unwrap_or(f64::NAN)
+            log.max_deviation(warmup).unwrap_or(f64::NAN)
         };
 
         let ok = quiet_dev <= bounds.gamma && churn_dev <= bounds.gamma;

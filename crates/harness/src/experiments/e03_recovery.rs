@@ -15,7 +15,7 @@
 use byzclock_adversary::ConstantOffsetStrategy;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{BiasHistory, RecoveryTracker};
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::series::Series;
 use crate::table::{fmt_secs, Table};
@@ -46,12 +46,12 @@ pub fn run(mode: Mode) -> ExperimentReport {
         let offset = mult * gamma;
         let (mut world, _victim, release_at) =
             scenario.recovery_world(offset, Box::new(ConstantOffsetStrategy::new(offset)));
-        let recovery = RecoveryTracker::new(gamma);
-        world.add_observer(Box::new(recovery.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         // fine-grained sampling for latency resolution
         let horizon = release_at + scenario.big_delta * 2.0;
         world.run_until(horizon);
-        let latency = recovery.latencies().first().copied();
+        let latency = log.latencies(gamma).first().copied();
         let ok = latency.is_some_and(|l| l <= scenario.big_delta.as_secs());
         all_pass &= ok;
         table.row_owned(vec![
@@ -67,8 +67,8 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let eps = bounds.way_off * 0.8;
     let (mut world, victim, release_at) =
         scenario.recovery_world(eps, Box::new(ConstantOffsetStrategy::new(eps)));
-    let history = BiasHistory::new();
-    world.add_observer(Box::new(history.clone()));
+    let log = RunLog::new();
+    world.add_observer(Box::new(log.clone()));
     world.run_until(release_at + scenario.big_delta * 2.0);
 
     let mut series = Series::new(
@@ -79,7 +79,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let t_secs = scenario.t().as_secs();
     let release_secs = release_at.as_secs();
     let mut per_interval: Vec<f64> = Vec::new();
-    for (tau, dist) in history.distance_to_good(victim) {
+    for (tau, dist) in log.distance_to_good(victim) {
         if tau >= release_secs {
             let intervals = (tau - release_secs) / t_secs;
             series.push(intervals, dist.max(1e-12));

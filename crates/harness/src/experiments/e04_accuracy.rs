@@ -16,10 +16,10 @@
 //! says it is at most ρ̃. Discontinuity is the largest single adjustment
 //! applied by any (always-good) processor.
 
-use byzclock_sim::ProcId;
+use byzclock_sim::{ProcId, RealTime};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{AdjustmentTracker, BiasHistory};
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -29,12 +29,10 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let bounds = scenario.bounds();
     let horizon = scenario.big_delta * mode.horizon_deltas(6.0, 20.0);
 
-    let history = BiasHistory::new();
-    let adjustments = AdjustmentTracker::new();
+    let log = RunLog::new();
     let mut world = scenario.quiet_world();
-    world.add_observer(Box::new(history.clone()));
-    world.add_observer(Box::new(adjustments.clone()));
-    world.run_until(byzclock_sim::RealTime::ZERO + horizon);
+    world.add_observer(Box::new(log.clone()));
+    world.run_until(RealTime::ZERO + horizon);
 
     // Windowed excess rate per node, excluding the initial-convergence
     // transient (Theorem 5(ii) assumes a correctly initialized system;
@@ -45,7 +43,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let mut max_excess_rate: f64 = 0.0;
     let mut max_raw_rate: f64 = 0.0;
     for p in 0..scenario.n {
-        let traj: Vec<(f64, f64)> = history
+        let traj: Vec<(f64, f64)> = log
             .trajectory(ProcId(p as u32))
             .into_iter()
             .filter(|(t, _)| *t >= warmup)
@@ -61,8 +59,8 @@ pub fn run(mode: Mode) -> ExperimentReport {
         }
     }
 
-    let measured_psi = adjustments
-        .max_good_discontinuity_from(warmup)
+    let measured_psi = log
+        .max_good_discontinuity(RealTime::from_secs(warmup))
         .unwrap_or(0.0);
 
     let drift_ok = max_excess_rate <= bounds.logical_drift;
@@ -103,7 +101,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
                 "hardware rho = {:.0e}, bound rho~ = {:.3e}; adjustments counted: {}",
                 scenario.rho,
                 bounds.logical_drift,
-                adjustments.count()
+                log.adjustments().len()
             ),
             "quiet run: every processor is good throughout, so all adjustments count".into(),
         ],

@@ -13,7 +13,7 @@ use byzclock_adversary::RandomReplyStrategy;
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::series::Series;
 use crate::table::{fmt_secs, Table};
@@ -24,24 +24,25 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let bounds = scenario.bounds();
     let horizon = RealTime::ZERO + scenario.big_delta * mode.horizon_deltas(6.0, 20.0);
 
-    let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+    let warmup = RealTime::ZERO + scenario.big_delta;
+    let log = RunLog::new();
     let mut world = scenario.churn_world(
         Box::new(RandomReplyStrategy::new(bounds.gamma * 10.0)),
         horizon,
     );
     let episodes = world_episodes(&world);
-    world.add_observer(Box::new(tracker.clone()));
+    world.add_observer(Box::new(log.clone()));
     world.run_until(horizon);
 
-    let max_dev = tracker.max_deviation().unwrap_or(f64::NAN);
-    let min_good = tracker.min_good_count().unwrap_or(0);
+    let max_dev = log.max_deviation(warmup).unwrap_or(f64::NAN);
+    let min_good = log.min_good_count(warmup).unwrap_or(0);
 
     let mut series = Series::new(
         "good-set deviation under mobile churn",
         "tau (s)",
         "dev (s)",
     );
-    for (t, d) in tracker.series() {
+    for (t, d) in log.deviations(warmup) {
         series.push(t, d);
     }
 

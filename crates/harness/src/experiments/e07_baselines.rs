@@ -20,7 +20,7 @@ use byzclock_core::{
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{DeviationTracker, RecoveryTracker};
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -86,15 +86,15 @@ pub fn run(mode: Mode) -> ExperimentReport {
                 RealTime::ZERO + scenario.big_delta * 1.5,
             )
         };
-        let recovery = RecoveryTracker::new(gamma);
-        world.add_observer(Box::new(recovery.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(release_at + scenario.big_delta * 2.0);
-        let latency = recovery.latencies().first().copied();
+        let latency = log.latencies(gamma).first().copied();
         let recovered_in_delta = latency.is_some_and(|l| l <= scenario.big_delta.as_secs());
 
         // (b) churn deviation
         let horizon = RealTime::ZERO + scenario.big_delta * churn_deltas;
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let log = RunLog::new();
         let schedule = byzclock_adversary::CorruptionSchedule::rotating(
             scenario.n,
             scenario.f,
@@ -112,9 +112,11 @@ pub fn run(mode: Mode) -> ExperimentReport {
             ))
             .build()
             .expect("E7 churn world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let max_dev = tracker.max_deviation().unwrap_or(f64::NAN);
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::NAN);
         let dev_bounded = max_dev <= gamma;
 
         let ok = recovered_in_delta == expect_recover && dev_bounded == expect_bounded;

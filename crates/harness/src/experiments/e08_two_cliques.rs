@@ -16,7 +16,7 @@ use byzclock_runtime::DriftSpec;
 use byzclock_sim::{ProcId, RealTime};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::BiasHistory;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::series::Series;
 use crate::table::{fmt_secs, Table};
@@ -36,18 +36,17 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let rates: Vec<f64> = (0..n).map(|i| if i < half { fast } else { slow }).collect();
 
     let run_topology = |topology: Topology| -> Vec<(f64, f64)> {
-        let history = BiasHistory::new();
+        let log = RunLog::new();
         let mut world = scenario
             .builder()
             .topology(topology)
             .drift(DriftSpec::ExplicitRates(rates.clone()))
             .build()
             .expect("E8 world must build");
-        world.add_observer(Box::new(history.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
         // inter-clique gap: |mean bias of A − mean bias of B| per sample
-        history
-            .samples()
+        log.samples()
             .iter()
             .map(|s| {
                 let mean = |range: std::ops::Range<usize>| -> f64 {

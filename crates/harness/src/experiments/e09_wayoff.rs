@@ -15,7 +15,7 @@ use byzclock_adversary::{Adversary, ConstantOffsetStrategy, CorruptionSchedule};
 use byzclock_sim::{ProcId, RealTime};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{AdjustmentTracker, RecoveryTracker};
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -68,19 +68,17 @@ pub fn run(mode: Mode) -> ExperimentReport {
             ))
             .build()
             .expect("E9 world must build");
-        let recovery = RecoveryTracker::new(gamma);
-        let adjustments = AdjustmentTracker::new();
-        world.add_observer(Box::new(recovery.clone()));
-        world.add_observer(Box::new(adjustments.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         let release_at = RealTime::ZERO + scenario.big_delta * 1.5;
         world.run_until(release_at + scenario.big_delta * 3.0);
 
-        let latency = recovery.latencies().first().copied();
-        let max_step = adjustments
-            .of_node(victim)
+        let latency = log.latencies(gamma).first().copied();
+        let max_step = log
+            .adjustments()
             .iter()
-            .filter(|(t, _)| *t >= release_at.as_secs())
-            .map(|(_, d)| d.abs())
+            .filter(|a| a.node == victim && a.tau.as_secs() >= release_at.as_secs())
+            .map(|a| a.delta.abs())
             .fold(0.0f64, f64::max);
         rows.push((way_off, latency, max_step));
         table.row_owned(vec![

@@ -12,7 +12,7 @@
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::series::Series;
 use crate::table::{fmt_secs, Table};
@@ -37,11 +37,13 @@ pub fn run(mode: Mode) -> ExperimentReport {
     for &k in &ks {
         let scenario = Scenario::standard(7, 2).with_k(k);
         let bounds = scenario.bounds();
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let log = RunLog::new();
         let mut world = scenario.quiet_world();
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::ZERO + scenario.big_delta * (1.0 + horizon_deltas));
-        let measured = tracker.max_deviation().unwrap_or(f64::NAN);
+        let measured = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::NAN);
         let ok = measured <= bounds.gamma;
         all_pass &= ok;
         bound_series.push(k as f64, bounds.gamma);

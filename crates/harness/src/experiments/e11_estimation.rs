@@ -16,7 +16,7 @@ use byzclock_net::{DelayModel, UniformDelay};
 use byzclock_sim::{ProcId, RngHub};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::stats::Summary;
 use crate::table::{fmt_secs, Table};
@@ -104,22 +104,22 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let horizon = byzclock_sim::RealTime::ZERO + scenario.big_delta * mode.horizon_deltas(3.0, 6.0);
     let mut mean_devs = Vec::new();
     for k in [1usize, 4] {
-        let tracker =
-            DeviationTracker::measuring_from(byzclock_sim::RealTime::ZERO + scenario.big_delta);
+        let warmup = byzclock_sim::RealTime::ZERO + scenario.big_delta;
+        let log = RunLog::new();
         let mut world = scenario
             .builder()
             .pings_per_peer(k)
             .initial_bias_spread(0.02)
             .build()
             .expect("E11 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let mean_dev = tracker.avg_deviation().unwrap_or(f64::NAN);
+        let mean_dev = log.avg_deviation(warmup).unwrap_or(f64::NAN);
         mean_devs.push(mean_dev);
         e2e_table.row_owned(vec![
             k.to_string(),
             fmt_secs(mean_dev),
-            fmt_secs(tracker.max_deviation().unwrap_or(f64::NAN)),
+            fmt_secs(log.max_deviation(warmup).unwrap_or(f64::NAN)),
         ]);
     }
     // four pings per peer must tighten the average deviation

@@ -17,7 +17,7 @@ use byzclock_adversary::{
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{DeviationTracker, RecoveryTracker};
+use crate::metrics::{RecoveryRecord, RunLog};
 use crate::scenario::Scenario;
 use crate::stats::Summary;
 use crate::table::{fmt_secs, Table};
@@ -61,20 +61,23 @@ pub fn run(mode: Mode) -> ExperimentReport {
 
     for strategy in strategies {
         let name = strategy.name();
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
-        let recovery = RecoveryTracker::new(gamma);
+        let log = RunLog::new();
         let mut world = scenario.churn_world(strategy, horizon);
-        world.add_observer(Box::new(tracker.clone()));
-        world.add_observer(Box::new(recovery.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
 
-        let max_dev = tracker.max_deviation().unwrap_or(f64::NAN);
-        let latencies = recovery.latencies();
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::NAN);
+        let recoveries = log.recoveries(gamma);
+        let latencies: Vec<f64> = recoveries
+            .iter()
+            .filter_map(RecoveryRecord::latency_secs)
+            .collect();
         let mean_latency = Summary::of(&latencies).map(|s| s.mean);
         // Releases near the end of the run legitimately have no time to
         // recover; only count an episode unrecovered if it had >= Delta.
-        let truly_unrecovered = recovery
-            .records()
+        let truly_unrecovered = recoveries
             .iter()
             .filter(|r| {
                 r.recovered_at.is_none()

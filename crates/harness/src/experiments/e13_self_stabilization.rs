@@ -22,7 +22,7 @@ use byzclock_runtime::InitialBias;
 use byzclock_sim::{DetRng, ProcId, RealTime, RngHub};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -68,20 +68,20 @@ pub fn run(mode: Mode) -> ExperimentReport {
                     Box::new(ColluderStrategy::new()),
                 ));
             }
-            let tracker = DeviationTracker::new();
+            let log = RunLog::new();
             let mut world = builder.build().expect("E13 world must build");
-            world.add_observer(Box::new(tracker.clone()));
+            world.add_observer(Box::new(log.clone()));
             world.run_until(horizon);
 
             // settling time: first sample after which deviation stays <= gamma
-            let series = tracker.series();
+            let series = log.deviations(RealTime::ZERO);
             let settled_at = series
                 .iter()
                 .rev()
                 .take_while(|(_, d)| *d <= gamma)
                 .last()
                 .map(|(t, _)| *t);
-            let final_dev = tracker.last_deviation().unwrap_or(f64::NAN);
+            let final_dev = series.last().map_or(f64::NAN, |(_, d)| *d);
             let converged = final_dev <= gamma && settled_at.is_some();
             // We only *require* convergence (the conjecture's direction);
             // settling speed is informational.

@@ -23,7 +23,7 @@ use byzclock_net::Topology;
 use byzclock_sim::{RealTime, RngHub};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -54,7 +54,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         let min_degree = topology.min_degree();
         let connected = topology.is_connected();
 
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let log = RunLog::new();
         let schedule = byzclock_adversary::CorruptionSchedule::rotating(
             scenario.n,
             scenario.f,
@@ -73,10 +73,12 @@ pub fn run(mode: Mode) -> ExperimentReport {
             ))
             .build()
             .expect("E14 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
 
-        let max_dev = tracker.max_deviation().unwrap_or(f64::INFINITY);
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::INFINITY);
         let synced = max_dev <= gamma;
         results.push((p, max_dev));
         table.row_owned(vec![

@@ -15,7 +15,7 @@ use byzclock_adversary::{Adversary, CorruptionSchedule, RandomReplyStrategy};
 use byzclock_sim::{ProcId, RealTime};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::series::Series;
 use crate::table::{fmt_secs, Table};
@@ -52,13 +52,13 @@ pub fn run(mode: Mode) -> ExperimentReport {
         ))
         .build()
         .expect("E15 world must build");
-    let tracker = DeviationTracker::new();
-    world.add_observer(Box::new(tracker.clone()));
+    let log = RunLog::new();
+    world.add_observer(Box::new(log.clone()));
     world.run_until(horizon);
 
     // Deviation over *all* processors (none is Definition-3-good around the
     // overpowered window, so use the raw all-node spread for the story).
-    let series_data = tracker.series();
+    let series_data = log.deviations(RealTime::ZERO);
     let mut series = Series::new(
         "good-set deviation through an overpowered period",
         "tau (s)",
@@ -81,7 +81,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         .iter()
         .filter(|(t, _)| healed_at.is_some_and(|h| *t > h))
         .any(|(_, d)| *d > gamma);
-    let final_dev = tracker.last_deviation().unwrap_or(f64::NAN);
+    let final_dev = series_data.last().map_or(f64::NAN, |(_, d)| *d);
 
     let heal_latency = healed_at.map(|h| h - over_end.as_secs());
     let pass = healed_at.is_some() && !relapsed && final_dev <= gamma;

@@ -20,7 +20,7 @@ use byzclock_runtime::LinkOutage;
 use byzclock_sim::{ProcId, RealTime, RngHub};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -74,7 +74,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
             }
         }
 
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let log = RunLog::new();
         let mut builder = scenario
             .builder()
             .topology(Topology::full_mesh(scenario.n))
@@ -93,10 +93,12 @@ pub fn run(mode: Mode) -> ExperimentReport {
                 builder.adversary(Adversary::new(schedule, Box::new(ColluderStrategy::new())));
         }
         let mut world = builder.build().expect("E16 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
 
-        let max_dev = tracker.max_deviation().unwrap_or(f64::INFINITY);
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::INFINITY);
         let synced = max_dev <= gamma;
         let ok = synced == expect_synced;
         all_pass &= ok;

@@ -18,7 +18,7 @@
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -53,7 +53,8 @@ pub fn run(mode: Mode) -> ExperimentReport {
         .flat_map(|&loss| [(loss, 1usize), (loss, 4)])
         .collect();
     let cells = byzclock_sim::par_map_auto(grid, |_, (loss, k)| {
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let warmup = RealTime::ZERO + scenario.big_delta;
+        let log = RunLog::new();
         let mut world = scenario
             .builder()
             .message_loss(loss)
@@ -61,10 +62,10 @@ pub fn run(mode: Mode) -> ExperimentReport {
             .initial_bias_spread(gamma / 8.0)
             .build()
             .expect("E17 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let mean = tracker.avg_deviation().unwrap_or(f64::NAN);
-        let max = tracker.max_deviation().unwrap_or(f64::NAN);
+        let mean = log.avg_deviation(warmup).unwrap_or(f64::NAN);
+        let max = log.max_deviation(warmup).unwrap_or(f64::NAN);
         (mean, max)
     });
     for (i, &loss) in losses.iter().enumerate() {

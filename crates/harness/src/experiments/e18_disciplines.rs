@@ -23,7 +23,7 @@ use byzclock_runtime::Discipline;
 use byzclock_sim::{ProcId, RealTime, SimDuration};
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::{BiasHistory, DeviationTracker, RecoveryTracker};
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -75,17 +75,13 @@ pub fn run(mode: Mode) -> ExperimentReport {
             ))
             .build()
             .expect("E18 world must build");
-        let deviation = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
-        let recovery = RecoveryTracker::new(gamma);
-        let history = BiasHistory::new();
-        world.add_observer(Box::new(deviation.clone()));
-        world.add_observer(Box::new(recovery.clone()));
-        world.add_observer(Box::new(history.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::ZERO + scenario.big_delta * (1.5 + horizon_extra));
 
         // Clock monotonicity of an always-good node (p0): C must never
         // decrease between samples. C(t2) − C(t1) = (t2 − t1) + (B2 − B1).
-        let traj = history.trajectory(ProcId(0));
+        let traj = log.trajectory(ProcId(0));
         let mut max_backward: f64 = 0.0;
         for w in traj.windows(2) {
             let ((t1, b1), (t2, b2)) = (w[0], w[1]);
@@ -95,8 +91,10 @@ pub fn run(mode: Mode) -> ExperimentReport {
             }
         }
         let monotone = max_backward == 0.0;
-        let latency = recovery.latencies().first().copied();
-        let steady = deviation.avg_deviation().unwrap_or(f64::NAN);
+        let latency = log.latencies(gamma).first().copied();
+        let steady = log
+            .avg_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::NAN);
         rows.push((latency, monotone, steady));
         table.row_owned(vec![
             label.to_string(),

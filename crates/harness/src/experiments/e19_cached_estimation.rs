@@ -18,7 +18,7 @@
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -43,16 +43,17 @@ pub fn run(mode: Mode) -> ExperimentReport {
     let mut means = Vec::new();
 
     for (label, refresh_mult) in variants {
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let warmup = RealTime::ZERO + scenario.big_delta;
+        let log = RunLog::new();
         let mut builder = scenario.builder().initial_bias_spread(gamma / 8.0);
         if let Some(m) = refresh_mult {
             builder = builder.cached_estimation(sync_int * *m);
         }
         let mut world = builder.build().expect("E19 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let mean = tracker.avg_deviation().unwrap_or(f64::NAN);
-        let max = tracker.max_deviation().unwrap_or(f64::NAN);
+        let mean = log.avg_deviation(warmup).unwrap_or(f64::NAN);
+        let max = log.max_deviation(warmup).unwrap_or(f64::NAN);
         means.push(mean);
         table.row_owned(vec![
             label.to_string(),

@@ -20,7 +20,7 @@ use byzclock_net::Topology;
 use byzclock_sim::RealTime;
 
 use crate::experiments::{ExperimentReport, Mode};
-use crate::metrics::DeviationTracker;
+use crate::metrics::RunLog;
 use crate::scenario::Scenario;
 use crate::table::{fmt_secs, Table};
 
@@ -53,7 +53,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
             None => (Topology::full_mesh(scenario.n), scenario.n - 1),
             Some(k) => (Topology::circulant(scenario.n, k), 2 * k),
         };
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + scenario.big_delta);
+        let log = RunLog::new();
         let schedule = byzclock_adversary::CorruptionSchedule::rotating(
             scenario.n,
             scenario.f,
@@ -72,9 +72,11 @@ pub fn run(mode: Mode) -> ExperimentReport {
             ))
             .build()
             .expect("E20 world must build");
-        world.add_observer(Box::new(tracker.clone()));
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let max_dev = tracker.max_deviation().unwrap_or(f64::INFINITY);
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + scenario.big_delta)
+            .unwrap_or(f64::INFINITY);
         let synced = max_dev <= gamma;
         results.push((degree, max_dev, synced));
         table.row_owned(vec![

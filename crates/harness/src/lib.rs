@@ -4,7 +4,7 @@
 //! offers instead are precise quantitative claims (Theorem 5, Lemma 7,
 //! Claim 8) and comparative discussion claims (Sections 1.1, 3.3, 5). This
 //! crate regenerates each of those as a table or series — see DESIGN.md §3
-//! for the experiment index E1–E19 and EXPERIMENTS.md for the recorded
+//! for the experiment index E1–E21 and EXPERIMENTS.md for the recorded
 //! results.
 //!
 //! Structure:
@@ -13,10 +13,11 @@
 //! * [`table`] / [`series`] — paper-style table and ASCII-plot rendering
 //!   (plus CSV for machine consumption), and [`svg`] for publication-style
 //!   figures.
-//! * [`metrics`] — [`Observer`](byzclock_runtime::Observer) implementations
-//!   that track deviation, recovery, discontinuity and accuracy during a
-//!   run (shared-handle pattern: clone the tracker, box one clone into the
-//!   world, read the other afterwards).
+//! * [`metrics`] — [`RunLog`], the one
+//!   [`Observer`](byzclock_runtime::Observer): it records a run's samples,
+//!   adjustments and releases, and deviation, recovery, discontinuity and
+//!   accuracy are queries over that record (shared-handle pattern: box one
+//!   clone into the world, query the other afterwards).
 //! * [`scenario`] — canned world configurations used across experiments.
 //! * [`experiments`] — one module per experiment, each returning an
 //!   [`experiments::ExperimentReport`].
@@ -35,7 +36,7 @@ pub mod svg;
 pub mod table;
 
 pub use experiments::{ExperimentReport, Mode};
-pub use metrics::{AdjustmentTracker, BiasHistory, DeviationTracker, RecoveryTracker};
+pub use metrics::RunLog;
 pub use series::Series;
 pub use stats::Summary;
 pub use table::Table;

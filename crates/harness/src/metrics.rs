@@ -1,22 +1,26 @@
-//! Metric trackers: [`Observer`] implementations with shared handles.
+//! The run log: one [`Observer`] that records a run for later queries.
 //!
-//! Pattern: trackers are cheaply cloneable handles over shared interior
-//! state. Clone one into the world as an observer and keep the other to
-//! read results after the run:
+//! [`RunLog`] is a cheaply cloneable handle over shared interior state.
+//! Clone one into the world as an observer and keep the other to query
+//! after the run. It records, in arrival order, every [`WorldSample`],
+//! every clock adjustment and every release; each metric an experiment
+//! reads (deviation, discontinuity, trajectories, recovery) is a query over
+//! that record, so a warm-up instant or a recovery threshold is an argument
+//! of the query:
 //!
 //! ```
-//! use byzclock_harness::DeviationTracker;
+//! use byzclock_harness::RunLog;
 //! use byzclock_runtime::WorldBuilder;
 //! use byzclock_sim::{RealTime, SimDuration};
 //!
-//! let tracker = DeviationTracker::new();
+//! let log = RunLog::new();
 //! let mut world = WorldBuilder::new(4, 1)
 //!     .big_delta(SimDuration::from_secs(40.0))
 //!     .build()
 //!     .unwrap();
-//! world.add_observer(Box::new(tracker.clone()));
+//! world.add_observer(Box::new(log.clone()));
 //! world.run_until(RealTime::from_secs(60.0));
-//! assert!(tracker.max_deviation().unwrap() < 1.0);
+//! assert!(log.max_deviation(RealTime::ZERO).unwrap() < 1.0);
 //! ```
 
 use std::cell::RefCell;
@@ -25,226 +29,31 @@ use std::rc::Rc;
 use byzclock_runtime::{Observer, WorldSample};
 use byzclock_sim::{ProcId, RealTime};
 
-/// Tracks the maximum good-set deviation and its time series.
+/// Records every sample, adjustment and release of a run.
 #[derive(Debug, Clone, Default)]
-pub struct DeviationTracker {
-    inner: Rc<RefCell<DeviationInner>>,
+pub struct RunLog {
+    inner: Rc<RefCell<Record>>,
 }
 
 #[derive(Debug, Default)]
-struct DeviationInner {
-    max: Option<(RealTime, f64)>,
-    series: Vec<(f64, f64)>,
-    min_good_count: Option<usize>,
-    /// Samples ignored before this time (warm-up).
-    measure_from: f64,
+struct Record {
+    samples: Vec<WorldSample>,
+    adjustments: Vec<Adjustment>,
+    /// `(node, released at, samples recorded before the release)`.
+    releases: Vec<(ProcId, RealTime, usize)>,
 }
 
-impl DeviationTracker {
-    /// Tracker measuring from time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tracker that ignores samples before `from` (warm-up period).
-    pub fn measuring_from(from: RealTime) -> Self {
-        let t = Self::default();
-        t.inner.borrow_mut().measure_from = from.as_secs();
-        t
-    }
-
-    /// The maximum observed good-set deviation, seconds.
-    pub fn max_deviation(&self) -> Option<f64> {
-        self.inner.borrow().max.map(|(_, d)| d)
-    }
-
-    /// When the maximum occurred.
-    pub fn max_deviation_at(&self) -> Option<RealTime> {
-        self.inner.borrow().max.map(|(t, _)| t)
-    }
-
-    /// Full `(τ seconds, deviation)` series.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        self.inner.borrow().series.clone()
-    }
-
-    /// Smallest number of good processors seen in any sample.
-    pub fn min_good_count(&self) -> Option<usize> {
-        self.inner.borrow().min_good_count
-    }
-
-    /// The most recent deviation value.
-    pub fn last_deviation(&self) -> Option<f64> {
-        self.inner.borrow().series.last().map(|(_, d)| *d)
-    }
-
-    /// Mean deviation over all recorded samples (more stable than the max
-    /// for comparing configurations).
-    pub fn avg_deviation(&self) -> Option<f64> {
-        let inner = self.inner.borrow();
-        if inner.series.is_empty() {
-            return None;
-        }
-        Some(inner.series.iter().map(|(_, d)| d).sum::<f64>() / inner.series.len() as f64)
-    }
-}
-
-impl Observer for DeviationTracker {
-    fn on_sample(&mut self, sample: &WorldSample) {
-        let mut inner = self.inner.borrow_mut();
-        if sample.tau.as_secs() < inner.measure_from {
-            return;
-        }
-        let gc = sample.good_count();
-        inner.min_good_count = Some(inner.min_good_count.map_or(gc, |m| m.min(gc)));
-        if let Some(dev) = sample.good_deviation() {
-            inner.series.push((sample.tau.as_secs(), dev));
-            if inner.max.is_none_or(|(_, m)| dev > m) {
-                inner.max = Some((sample.tau, dev));
-            }
-        }
-    }
-}
-
-/// Records every clock adjustment, for discontinuity metrics.
-#[derive(Debug, Clone, Default)]
-pub struct AdjustmentTracker {
-    inner: Rc<RefCell<AdjustmentInner>>,
-}
-
-#[derive(Debug, Default)]
-struct AdjustmentInner {
-    /// `(node, delta, tau, good)` tuples.
-    all: Vec<(ProcId, f64, f64, bool)>,
-}
-
-impl AdjustmentTracker {
-    /// New tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Max `|delta|` over adjustments applied by *good* processors — the
-    /// measured discontinuity ψ.
-    pub fn max_good_discontinuity(&self) -> Option<f64> {
-        self.max_good_discontinuity_from(0.0)
-    }
-
-    /// Like [`AdjustmentTracker::max_good_discontinuity`] but ignoring
-    /// adjustments before `from_secs` (the initial-convergence transient is
-    /// not covered by Theorem 5(ii), which assumes a correctly initialized
-    /// system).
-    pub fn max_good_discontinuity_from(&self, from_secs: f64) -> Option<f64> {
-        self.inner
-            .borrow()
-            .all
-            .iter()
-            .filter(|(_, _, t, good)| *good && *t >= from_secs)
-            .map(|(_, d, _, _)| d.abs())
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Total number of adjustments recorded.
-    pub fn count(&self) -> usize {
-        self.inner.borrow().all.len()
-    }
-
-    /// Adjustments of one node as `(tau, delta)`.
-    pub fn of_node(&self, node: ProcId) -> Vec<(f64, f64)> {
-        self.inner
-            .borrow()
-            .all
-            .iter()
-            .filter(|(p, _, _, _)| *p == node)
-            .map(|(_, d, t, _)| (*t, *d))
-            .collect()
-    }
-}
-
-impl Observer for AdjustmentTracker {
-    fn on_adjustment(&mut self, node: ProcId, delta: f64, tau: RealTime, good: bool) {
-        self.inner
-            .borrow_mut()
-            .all
-            .push((node, delta, tau.as_secs(), good));
-    }
-}
-
-/// Stores every sample — the raw material for contraction, recovery and
-/// accuracy analysis.
-#[derive(Debug, Clone, Default)]
-pub struct BiasHistory {
-    inner: Rc<RefCell<Vec<WorldSample>>>,
-}
-
-impl BiasHistory {
-    /// New history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// All recorded samples.
-    pub fn samples(&self) -> Vec<WorldSample> {
-        self.inner.borrow().clone()
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    /// True iff no samples recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().is_empty()
-    }
-
-    /// Bias trajectory of one node: `(τ seconds, bias seconds)`.
-    pub fn trajectory(&self, node: ProcId) -> Vec<(f64, f64)> {
-        self.inner
-            .borrow()
-            .iter()
-            .map(|s| (s.tau.as_secs(), s.bias_of(node).as_secs()))
-            .collect()
-    }
-
-    /// Distance of `node`'s bias to the good range (excluding the node
-    /// itself), per sample: `(τ, |distance|)`. The Lemma 7(iii) ε.
-    pub fn distance_to_good(&self, node: ProcId) -> Vec<(f64, f64)> {
-        self.inner
-            .borrow()
-            .iter()
-            .filter_map(|s| {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                let mut any = false;
-                for (i, (b, g)) in s.biases.iter().zip(&s.good).enumerate() {
-                    if i != node.index() && *g {
-                        lo = lo.min(b.as_secs());
-                        hi = hi.max(b.as_secs());
-                        any = true;
-                    }
-                }
-                if !any {
-                    return None;
-                }
-                let b = s.bias_of(node).as_secs();
-                let d = if b > hi {
-                    b - hi
-                } else if b < lo {
-                    lo - b
-                } else {
-                    0.0
-                };
-                Some((s.tau.as_secs(), d))
-            })
-            .collect()
-    }
-}
-
-impl Observer for BiasHistory {
-    fn on_sample(&mut self, sample: &WorldSample) {
-        self.inner.borrow_mut().push(sample.clone());
-    }
+/// One clock adjustment as the world reported it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Adjustment {
+    /// The adjusting processor.
+    pub node: ProcId,
+    /// The applied adjustment, seconds.
+    pub delta: f64,
+    /// When it was applied.
+    pub tau: RealTime,
+    /// The Definition 3(i) "good" flag at that moment.
+    pub good: bool,
 }
 
 /// One corruption episode's recovery measurement.
@@ -255,7 +64,7 @@ pub struct RecoveryRecord {
     /// When the adversary released it.
     pub released_at: RealTime,
     /// First sample time at which its distance to the good range fell to
-    /// `threshold` or below (`None` = never within the run).
+    /// the threshold or below (`None` = never within the run).
     pub recovered_at: Option<RealTime>,
 }
 
@@ -266,113 +75,199 @@ impl RecoveryRecord {
     }
 }
 
-/// Measures recovery times: after each release, the first sample where the
-/// node's bias is within `threshold` of the good range.
-#[derive(Debug, Clone)]
-pub struct RecoveryTracker {
-    inner: Rc<RefCell<RecoveryInner>>,
-}
+impl RunLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-#[derive(Debug)]
-struct RecoveryInner {
-    threshold: f64,
-    pending: Vec<(ProcId, RealTime)>,
-    records: Vec<RecoveryRecord>,
-}
+    /// All recorded samples, in arrival order.
+    pub fn samples(&self) -> Vec<WorldSample> {
+        self.inner.borrow().samples.clone()
+    }
 
-impl RecoveryTracker {
-    /// Recovery is declared when the distance to the good range is at most
-    /// `threshold` seconds.
+    /// All recorded adjustments, in arrival order.
+    pub fn adjustments(&self) -> Vec<Adjustment> {
+        self.inner.borrow().adjustments.clone()
+    }
+
+    /// `(τ seconds, good-set deviation)` for every sample at or after
+    /// `from` (the warm-up instant) with at least two good processors.
+    pub fn deviations(&self, from: RealTime) -> Vec<(f64, f64)> {
+        self.inner
+            .borrow()
+            .samples
+            .iter()
+            .filter(|s| s.tau.as_secs() >= from.as_secs())
+            .filter_map(|s| Some((s.tau.as_secs(), s.good_deviation()?)))
+            .collect()
+    }
+
+    /// The maximum good-set deviation at or after `from`, seconds.
+    pub fn max_deviation(&self, from: RealTime) -> Option<f64> {
+        self.deviations(from)
+            .into_iter()
+            .fold(None, |max, (_, dev)| {
+                if max.is_none_or(|m| dev > m) {
+                    Some(dev)
+                } else {
+                    max
+                }
+            })
+    }
+
+    /// Mean good-set deviation at or after `from` (more stable than the
+    /// max for comparing configurations).
+    pub fn avg_deviation(&self, from: RealTime) -> Option<f64> {
+        let series = self.deviations(from);
+        if series.is_empty() {
+            return None;
+        }
+        Some(series.iter().map(|(_, d)| d).sum::<f64>() / series.len() as f64)
+    }
+
+    /// Smallest number of good processors in any sample at or after `from`.
+    pub fn min_good_count(&self, from: RealTime) -> Option<usize> {
+        self.inner
+            .borrow()
+            .samples
+            .iter()
+            .filter(|s| s.tau.as_secs() >= from.as_secs())
+            .map(WorldSample::good_count)
+            .min()
+    }
+
+    /// Max `|delta|` over adjustments applied by *good* processors at or
+    /// after `from` — the measured discontinuity ψ. The initial-convergence
+    /// transient is not covered by Theorem 5(ii), which assumes a correctly
+    /// initialized system, so callers usually skip it.
+    pub fn max_good_discontinuity(&self, from: RealTime) -> Option<f64> {
+        self.inner
+            .borrow()
+            .adjustments
+            .iter()
+            .filter(|a| a.good && a.tau.as_secs() >= from.as_secs())
+            .map(|a| a.delta.abs())
+            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
+    }
+
+    /// Bias trajectory of one node: `(τ seconds, bias seconds)`.
+    pub fn trajectory(&self, node: ProcId) -> Vec<(f64, f64)> {
+        self.inner
+            .borrow()
+            .samples
+            .iter()
+            .map(|s| (s.tau.as_secs(), s.bias_of(node).as_secs()))
+            .collect()
+    }
+
+    /// Distance of `node`'s bias to the range of the *other* good
+    /// processors, per sample that has one: `(τ seconds, distance)`. The
+    /// Lemma 7(iii) ε.
+    pub fn distance_to_good(&self, node: ProcId) -> Vec<(f64, f64)> {
+        self.inner
+            .borrow()
+            .samples
+            .iter()
+            .filter_map(|s| Some((s.tau.as_secs(), distance_to_good(s, node)?)))
+            .collect()
+    }
+
+    /// One record per release: the first later sample in which the node is
+    /// not corrupt and within `threshold` seconds of the other good
+    /// processors' range. Recovered episodes come first, in the order they
+    /// recovered, then unrecovered ones in release order.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is negative or non-finite.
-    pub fn new(threshold: f64) -> Self {
+    pub fn recoveries(&self, threshold: f64) -> Vec<RecoveryRecord> {
         assert!(
             threshold.is_finite() && threshold >= 0.0,
             "invalid threshold"
         );
-        RecoveryTracker {
-            inner: Rc::new(RefCell::new(RecoveryInner {
-                threshold,
-                pending: Vec::new(),
-                records: Vec::new(),
-            })),
+        let record = self.inner.borrow();
+        let mut recovered = Vec::new();
+        let mut pending = Vec::new();
+        for &(node, released_at, seen) in &record.releases {
+            // Scan from the samples recorded after the release, not by τ: a
+            // sample taken at the release instant but before it does not
+            // count.
+            let hit = record.samples[seen..].iter().enumerate().find(|(_, s)| {
+                !s.corrupt[node.index()]
+                    && distance_to_good(s, node).is_some_and(|d| d <= threshold)
+            });
+            let rec = RecoveryRecord {
+                node,
+                released_at,
+                recovered_at: hit.map(|(_, s)| s.tau),
+            };
+            match hit {
+                Some((i, _)) => recovered.push((seen + i, rec)),
+                None => pending.push(rec),
+            }
         }
-    }
-
-    /// Completed and pending episodes (pending ones have
-    /// `recovered_at = None`).
-    pub fn records(&self) -> Vec<RecoveryRecord> {
-        let inner = self.inner.borrow();
-        let mut out = inner.records.clone();
-        out.extend(inner.pending.iter().map(|(node, at)| RecoveryRecord {
-            node: *node,
-            released_at: *at,
-            recovered_at: None,
-        }));
-        out
-    }
-
-    /// Recovery latencies of all recovered episodes, seconds.
-    pub fn latencies(&self) -> Vec<f64> {
-        self.inner
-            .borrow()
-            .records
-            .iter()
-            .filter_map(|r| r.latency_secs())
+        recovered.sort_by_key(|(i, _)| *i);
+        recovered
+            .into_iter()
+            .map(|(_, r)| r)
+            .chain(pending)
             .collect()
     }
 
-    /// Number of episodes that never recovered (still pending).
-    pub fn unrecovered(&self) -> usize {
-        self.inner.borrow().pending.len()
+    /// Latencies of the recovered episodes, seconds, in recovery order.
+    pub fn latencies(&self, threshold: f64) -> Vec<f64> {
+        self.recoveries(threshold)
+            .iter()
+            .filter_map(RecoveryRecord::latency_secs)
+            .collect()
     }
 }
 
-impl Observer for RecoveryTracker {
-    fn on_release(&mut self, node: ProcId, tau: RealTime) {
-        self.inner.borrow_mut().pending.push((node, tau));
+/// Distance of `node`'s bias to the range of the *other* good processors'
+/// biases in `sample`; `None` if no other processor is good.
+fn distance_to_good(sample: &WorldSample, node: ProcId) -> Option<f64> {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    let mut any = false;
+    for (i, (b, g)) in sample.biases.iter().zip(&sample.good).enumerate() {
+        if i != node.index() && *g {
+            lo = lo.min(b.as_secs());
+            hi = hi.max(b.as_secs());
+            any = true;
+        }
+    }
+    if !any {
+        return None;
+    }
+    let b = sample.bias_of(node).as_secs();
+    Some(if b > hi {
+        b - hi
+    } else if b < lo {
+        lo - b
+    } else {
+        0.0
+    })
+}
+
+impl Observer for RunLog {
+    fn on_sample(&mut self, sample: &WorldSample) {
+        self.inner.borrow_mut().samples.push(sample.clone());
     }
 
-    fn on_sample(&mut self, sample: &WorldSample) {
-        let mut inner = self.inner.borrow_mut();
-        let threshold = inner.threshold;
-        let mut still_pending = Vec::new();
-        let pending = std::mem::take(&mut inner.pending);
-        for (node, released_at) in pending {
-            // distance of node's bias to the range of *other* good nodes
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut any = false;
-            for (i, (b, g)) in sample.biases.iter().zip(&sample.good).enumerate() {
-                if i != node.index() && *g {
-                    lo = lo.min(b.as_secs());
-                    hi = hi.max(b.as_secs());
-                    any = true;
-                }
-            }
-            let b = sample.bias_of(node).as_secs();
-            let dist = if !any {
-                f64::INFINITY
-            } else if b > hi {
-                b - hi
-            } else if b < lo {
-                lo - b
-            } else {
-                0.0
-            };
-            if !sample.corrupt[node.index()] && dist <= threshold {
-                inner.records.push(RecoveryRecord {
-                    node,
-                    released_at,
-                    recovered_at: Some(sample.tau),
-                });
-            } else {
-                still_pending.push((node, released_at));
-            }
-        }
-        inner.pending = still_pending;
+    fn on_adjustment(&mut self, node: ProcId, delta: f64, tau: RealTime, good: bool) {
+        self.inner.borrow_mut().adjustments.push(Adjustment {
+            node,
+            delta,
+            tau,
+            good,
+        });
+    }
+
+    fn on_release(&mut self, node: ProcId, tau: RealTime) {
+        let mut record = self.inner.borrow_mut();
+        let seen = record.samples.len();
+        record.releases.push((node, tau, seen));
     }
 }
 
@@ -390,54 +285,72 @@ mod tests {
         }
     }
 
+    fn at(secs: f64) -> RealTime {
+        RealTime::from_secs(secs)
+    }
+
+    fn unrecovered(log: &RunLog, threshold: f64) -> usize {
+        let recs = log.recoveries(threshold);
+        recs.iter().filter(|r| r.recovered_at.is_none()).count()
+    }
+
     #[test]
     fn deviation_tracker_takes_max() {
-        let mut t = DeviationTracker::new();
+        let mut t = RunLog::new();
         t.on_sample(&sample(1.0, &[0.0, 0.1], &[true, true], &[false, false]));
         t.on_sample(&sample(2.0, &[0.0, 0.3], &[true, true], &[false, false]));
         t.on_sample(&sample(3.0, &[0.0, 0.2], &[true, true], &[false, false]));
-        assert!((t.max_deviation().unwrap() - 0.3).abs() < 1e-12);
-        assert_eq!(t.max_deviation_at().unwrap(), RealTime::from_secs(2.0));
-        assert_eq!(t.series().len(), 3);
-        assert!((t.last_deviation().unwrap() - 0.2).abs() < 1e-12);
-        assert_eq!(t.min_good_count(), Some(2));
+        let max = t.max_deviation(RealTime::ZERO).unwrap();
+        assert!((max - 0.3).abs() < 1e-12);
+        let series = t.deviations(RealTime::ZERO);
+        let max_at = series.iter().find(|(_, d)| *d == max).map(|(tau, _)| *tau);
+        assert_eq!(max_at, Some(2.0));
+        assert_eq!(series.len(), 3);
+        assert!((series.last().unwrap().1 - 0.2).abs() < 1e-12);
+        assert_eq!(t.min_good_count(RealTime::ZERO), Some(2));
     }
 
     #[test]
     fn deviation_tracker_warmup_skips() {
-        let mut t = DeviationTracker::measuring_from(RealTime::from_secs(10.0));
+        let mut t = RunLog::new();
         t.on_sample(&sample(5.0, &[0.0, 9.0], &[true, true], &[false, false]));
-        assert!(t.max_deviation().is_none());
+        assert!(t.max_deviation(at(10.0)).is_none());
         t.on_sample(&sample(15.0, &[0.0, 0.1], &[true, true], &[false, false]));
-        assert!((t.max_deviation().unwrap() - 0.1).abs() < 1e-12);
+        assert!((t.max_deviation(at(10.0)).unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn deviation_tracker_ignores_bad_nodes() {
-        let mut t = DeviationTracker::new();
+        let mut t = RunLog::new();
         t.on_sample(&sample(
             1.0,
             &[0.0, 0.1, 99.0],
             &[true, true, false],
             &[false, false, true],
         ));
-        assert!((t.max_deviation().unwrap() - 0.1).abs() < 1e-12);
+        assert!((t.max_deviation(RealTime::ZERO).unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn adjustment_tracker_good_discontinuity() {
-        let mut t = AdjustmentTracker::new();
-        t.on_adjustment(ProcId(0), 0.05, RealTime::from_secs(1.0), true);
-        t.on_adjustment(ProcId(1), -0.2, RealTime::from_secs(2.0), true);
-        t.on_adjustment(ProcId(2), 99.0, RealTime::from_secs(3.0), false); // recovering: exempt
-        assert!((t.max_good_discontinuity().unwrap() - 0.2).abs() < 1e-12);
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.of_node(ProcId(1)), vec![(2.0, -0.2)]);
+        let mut t = RunLog::new();
+        t.on_adjustment(ProcId(0), 0.05, at(1.0), true);
+        t.on_adjustment(ProcId(1), -0.2, at(2.0), true);
+        t.on_adjustment(ProcId(2), 99.0, at(3.0), false); // recovering: exempt
+        assert!((t.max_good_discontinuity(RealTime::ZERO).unwrap() - 0.2).abs() < 1e-12);
+        let all = t.adjustments();
+        assert_eq!(all.len(), 3);
+        let of_node_1: Vec<(f64, f64)> = all
+            .iter()
+            .filter(|a| a.node == ProcId(1))
+            .map(|a| (a.tau.as_secs(), a.delta))
+            .collect();
+        assert_eq!(of_node_1, vec![(2.0, -0.2)]);
     }
 
     #[test]
     fn bias_history_trajectory_and_distance() {
-        let mut h = BiasHistory::new();
+        let mut h = RunLog::new();
         h.on_sample(&sample(
             1.0,
             &[0.0, 0.1, 5.0],
@@ -450,7 +363,7 @@ mod tests {
             &[true, true, false],
             &[false, false, false],
         ));
-        assert_eq!(h.len(), 2);
+        assert_eq!(h.samples().len(), 2);
         assert_eq!(h.trajectory(ProcId(2)), vec![(1.0, 5.0), (2.0, 2.0)]);
         let d = h.distance_to_good(ProcId(2));
         assert!((d[0].1 - 4.9).abs() < 1e-12);
@@ -462,8 +375,8 @@ mod tests {
 
     #[test]
     fn recovery_tracker_measures_latency() {
-        let mut t = RecoveryTracker::new(0.5);
-        t.on_release(ProcId(2), RealTime::from_secs(10.0));
+        let mut t = RunLog::new();
+        t.on_release(ProcId(2), at(10.0));
         // still far at 11
         t.on_sample(&sample(
             11.0,
@@ -471,7 +384,7 @@ mod tests {
             &[true, true, false],
             &[false, false, false],
         ));
-        assert_eq!(t.unrecovered(), 1);
+        assert_eq!(unrecovered(&t, 0.5), 1);
         // recovered at 14
         t.on_sample(&sample(
             14.0,
@@ -479,28 +392,28 @@ mod tests {
             &[true, true, false],
             &[false, false, false],
         ));
-        assert_eq!(t.unrecovered(), 0);
-        let recs = t.records();
+        assert_eq!(unrecovered(&t, 0.5), 0);
+        let recs = t.recoveries(0.5);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].latency_secs(), Some(4.0));
-        assert_eq!(t.latencies(), vec![4.0]);
+        assert_eq!(t.latencies(0.5), vec![4.0]);
     }
 
     #[test]
     fn recovery_tracker_requires_release_of_control() {
-        let mut t = RecoveryTracker::new(0.5);
-        t.on_release(ProcId(1), RealTime::from_secs(0.0));
+        let mut t = RunLog::new();
+        t.on_release(ProcId(1), at(0.0));
         // bias looks fine but the node is corrupted again: not recovered
         t.on_sample(&sample(1.0, &[0.0, 0.1], &[true, false], &[false, true]));
-        assert_eq!(t.unrecovered(), 1);
+        assert_eq!(unrecovered(&t, 0.5), 1);
     }
 
     #[test]
     fn recovery_pending_reported_as_unrecovered_record() {
-        let t = RecoveryTracker::new(0.1);
+        let t = RunLog::new();
         let mut obs = t.clone();
-        obs.on_release(ProcId(0), RealTime::from_secs(3.0));
-        let recs = t.records();
+        obs.on_release(ProcId(0), at(3.0));
+        let recs = t.recoveries(0.1);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].recovered_at.is_none());
         assert!(recs[0].latency_secs().is_none());
@@ -509,14 +422,48 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold")]
     fn recovery_rejects_bad_threshold() {
-        RecoveryTracker::new(f64::NAN);
+        RunLog::new().recoveries(f64::NAN);
+    }
+
+    #[test]
+    fn recovery_scans_from_the_release_not_from_its_instant() {
+        let close = |tau| sample(tau, &[0.0, 0.1, 0.05], &[true, true, false], &[false; 3]);
+        let mut t = RunLog::new();
+        // A sample taken at the release instant but delivered before the
+        // release does not count; the next one does.
+        t.on_sample(&close(10.0));
+        t.on_release(ProcId(2), at(10.0));
+        t.on_sample(&close(12.0));
+        // A sample delivered after a release at the same instant counts.
+        t.on_release(ProcId(1), at(12.0));
+        t.on_sample(&close(12.0));
+        let recs = t.recoveries(0.5);
+        assert_eq!(recs[0].node, ProcId(2));
+        assert_eq!(recs[0].recovered_at, Some(at(12.0)));
+        assert_eq!(recs[1].node, ProcId(1));
+        assert_eq!(recs[1].latency_secs(), Some(0.0));
+    }
+
+    #[test]
+    fn recoveries_list_recovered_in_recovery_order_then_pending() {
+        let far = [0.0, 0.1, 9.0, 9.0];
+        let good = [true, true, false, false];
+        let mut t = RunLog::new();
+        t.on_release(ProcId(3), at(1.0));
+        t.on_release(ProcId(2), at(2.0));
+        t.on_sample(&sample(3.0, &far, &good, &[false; 4]));
+        t.on_sample(&sample(4.0, &[0.0, 0.1, 0.2, 9.0], &good, &[false; 4]));
+        let recs = t.recoveries(0.5);
+        assert_eq!(recs[0].node, ProcId(2));
+        assert_eq!(recs[1].node, ProcId(3));
+        assert_eq!(recs[1].recovered_at, None);
     }
 
     #[test]
     fn clone_handles_share_state() {
-        let t = DeviationTracker::new();
+        let t = RunLog::new();
         let mut observer = t.clone();
         observer.on_sample(&sample(1.0, &[0.0, 1.0], &[true, true], &[false, false]));
-        assert!((t.max_deviation().unwrap() - 1.0).abs() < 1e-12);
+        assert!((t.max_deviation(RealTime::ZERO).unwrap() - 1.0).abs() < 1e-12);
     }
 }

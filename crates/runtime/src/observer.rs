@@ -12,7 +12,7 @@ use byzclock_core::RoundSummary;
 use byzclock_sim::{ProcId, RealTime};
 
 /// A periodic snapshot of all clock biases.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct WorldSample {
     /// Real time of the snapshot.
     pub tau: RealTime,
@@ -24,38 +24,54 @@ pub struct WorldSample {
     pub good: Vec<bool>,
 }
 
+/// `clone_from` reuses the target's buffers, so an observer that keeps the
+/// previous sample does not allocate per sample.
+impl Clone for WorldSample {
+    fn clone(&self) -> Self {
+        WorldSample {
+            tau: self.tau,
+            biases: self.biases.clone(),
+            corrupt: self.corrupt.clone(),
+            good: self.good.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.tau = source.tau;
+        self.biases.clone_from(&source.biases);
+        self.corrupt.clone_from(&source.corrupt);
+        self.good.clone_from(&source.good);
+    }
+}
+
 impl WorldSample {
     /// Maximum pairwise deviation `|C_p − C_q|` over good processors;
     /// `None` if fewer than two are good.
     pub fn good_deviation(&self) -> Option<f64> {
-        let good: Vec<f64> = self
-            .biases
-            .iter()
-            .zip(&self.good)
-            .filter(|(_, g)| **g)
-            .map(|(b, _)| b.as_secs())
-            .collect();
-        if good.len() < 2 {
-            return None;
-        }
-        let lo = good.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = good.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Some(hi - lo)
+        let (count, lo, hi) = self.good_fold();
+        (count >= 2).then_some(hi - lo)
     }
 
     /// `(min, max)` bias over good processors, if any.
     pub fn good_bias_range(&self) -> Option<(f64, f64)> {
+        let (count, lo, hi) = self.good_fold();
+        (count > 0).then_some((lo, hi))
+    }
+
+    /// Count, min and max of the good processors' biases, folded in index
+    /// order without allocating.
+    fn good_fold(&self) -> (usize, f64, f64) {
+        let mut count = 0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        let mut any = false;
         for (b, g) in self.biases.iter().zip(&self.good) {
             if *g {
-                any = true;
+                count += 1;
                 lo = lo.min(b.as_secs());
                 hi = hi.max(b.as_secs());
             }
         }
-        any.then_some((lo, hi))
+        (count, lo, hi)
     }
 
     /// Number of good processors.
@@ -150,6 +166,65 @@ mod tests {
         assert_eq!(s.good_bias_range().unwrap(), (0.01, 0.01));
         s.good = vec![false; 4];
         assert!(s.good_bias_range().is_none());
+    }
+
+    #[test]
+    fn good_deviation_matches_a_collecting_reference() {
+        // The pre-fold implementation: collect the good biases, then fold.
+        fn reference(s: &WorldSample) -> Option<f64> {
+            let good: Vec<f64> = s
+                .biases
+                .iter()
+                .zip(&s.good)
+                .filter(|(_, g)| **g)
+                .map(|(b, _)| b.as_secs())
+                .collect();
+            if good.len() < 2 {
+                return None;
+            }
+            let lo = good.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = good.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            Some(hi - lo)
+        }
+        let biases = [
+            vec![0.0, -0.0, 0.0],
+            vec![-0.0, 0.0, -0.0],
+            vec![0.25, 0.25, 0.25],
+            vec![-1.5, 0.0, 2.75],
+            vec![1e-300, -1e-300, 5.0],
+        ];
+        let masks = [
+            [false, false, false],
+            [true, false, false],
+            [false, true, true],
+            [true, false, true],
+            [true, true, true],
+        ];
+        for b in &biases {
+            for good in &masks {
+                let s = WorldSample {
+                    tau: RealTime::ZERO,
+                    biases: b.iter().map(|x| Bias::from_secs(*x)).collect(),
+                    corrupt: vec![false; 3],
+                    good: good.to_vec(),
+                };
+                let got = s.good_deviation().map(f64::to_bits);
+                assert_eq!(got, reference(&s).map(f64::to_bits), "{b:?} {good:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_every_field() {
+        let mut prev = sample();
+        let mut next = sample();
+        next.tau = RealTime::from_secs(11.0);
+        next.biases[0] = Bias::from_secs(0.5);
+        next.corrupt[1] = true;
+        next.good[2] = false;
+        prev.clone_from(&next);
+        assert_eq!(prev, next);
+        assert_eq!(next.clone(), next);
     }
 
     #[test]

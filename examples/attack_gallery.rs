@@ -49,10 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         let gamma = world.bounds().unwrap().gamma;
         gamma_printed.get_or_insert(gamma);
-        let tracker = DeviationTracker::measuring_from(RealTime::ZERO + big_delta);
-        world.add_observer(Box::new(tracker.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(horizon);
-        let max_dev = tracker.max_deviation().unwrap_or(f64::NAN);
+        let max_dev = log
+            .max_deviation(RealTime::ZERO + big_delta)
+            .unwrap_or(f64::NAN);
         table.row_owned(vec![
             name.to_string(),
             fmt_secs(max_dev),

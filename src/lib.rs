@@ -87,7 +87,7 @@ pub mod prelude {
     pub use byzclock_core::{
         ConvergenceFn, NetworkModel, PaperSync, ProtocolParams, SyncNode, TheoremBounds,
     };
-    pub use byzclock_harness::{DeviationTracker, RecoveryTracker};
+    pub use byzclock_harness::RunLog;
     pub use byzclock_net::Topology;
     pub use byzclock_runtime::{DriftSpec, InitialBias, World, WorldBuilder};
     pub use byzclock_sim::{ProcId, RealTime, SimDuration};

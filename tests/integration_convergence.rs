@@ -54,10 +54,10 @@ fn deviation_bound_holds_across_seeds() {
             .build()
             .unwrap();
         let gamma = world.bounds().unwrap().gamma;
-        let tracker = DeviationTracker::measuring_from(RealTime::from_secs(60.0));
-        world.add_observer(Box::new(tracker.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::from_secs(240.0));
-        let max = tracker.max_deviation().unwrap();
+        let max = log.max_deviation(RealTime::from_secs(60.0)).unwrap();
         assert!(max <= gamma, "seed {seed}: deviation {max} > gamma {gamma}");
     }
 }

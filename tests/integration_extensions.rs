@@ -72,10 +72,10 @@ fn heavy_message_loss_does_not_break_the_bound() {
         .build()
         .unwrap();
     let gamma = world.bounds().unwrap().gamma;
-    let tracker = DeviationTracker::measuring_from(RealTime::from_secs(60.0));
-    world.add_observer(Box::new(tracker.clone()));
+    let log = RunLog::new();
+    world.add_observer(Box::new(log.clone()));
     world.run_until(RealTime::from_secs(300.0));
-    assert!(tracker.max_deviation().unwrap() <= gamma);
+    assert!(log.max_deviation(RealTime::from_secs(60.0)).unwrap() <= gamma);
     // losses really happened
     assert!(world.network_stats().dropped > 100);
 }
@@ -89,10 +89,10 @@ fn multi_ping_tightens_deviation_under_loss() {
             .initial_bias_spread(0.02)
             .build()
             .unwrap();
-        let tracker = DeviationTracker::measuring_from(RealTime::from_secs(60.0));
-        world.add_observer(Box::new(tracker.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::from_secs(240.0));
-        tracker.avg_deviation().unwrap()
+        log.avg_deviation(RealTime::from_secs(60.0)).unwrap()
     };
     let k1 = run(1);
     let k4 = run(4);

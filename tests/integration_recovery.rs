@@ -30,10 +30,10 @@ fn single_corruption_recovers_within_delta() {
             .build()
             .unwrap();
         let gamma = world.bounds().unwrap().gamma;
-        let recovery = RecoveryTracker::new(gamma);
-        world.add_observer(Box::new(recovery.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::from_secs(BIG_DELTA * 3.0));
-        let latencies = recovery.latencies();
+        let latencies = log.latencies(gamma);
         assert_eq!(latencies.len(), 1, "offset {offset}: must recover");
         assert!(
             latencies[0] <= BIG_DELTA,
@@ -73,10 +73,10 @@ fn unbounded_cumulative_faults_are_tolerated() {
         .build()
         .unwrap();
     let gamma = world.bounds().unwrap().gamma;
-    let tracker = DeviationTracker::measuring_from(RealTime::from_secs(BIG_DELTA));
-    world.add_observer(Box::new(tracker.clone()));
+    let log = RunLog::new();
+    world.add_observer(Box::new(log.clone()));
     world.run_until(horizon);
-    let max_dev = tracker.max_deviation().unwrap();
+    let max_dev = log.max_deviation(RealTime::from_secs(BIG_DELTA)).unwrap();
     assert!(
         max_dev <= gamma,
         "mobile churn broke the bound: {max_dev} > {gamma}"
@@ -96,10 +96,10 @@ fn flood_attack_cannot_move_good_clocks_much() {
         .build()
         .unwrap();
     let gamma = world.bounds().unwrap().gamma;
-    let tracker = DeviationTracker::measuring_from(RealTime::from_secs(BIG_DELTA));
-    world.add_observer(Box::new(tracker.clone()));
+    let log = RunLog::new();
+    world.add_observer(Box::new(log.clone()));
     world.run_until(RealTime::from_secs(BIG_DELTA * 6.0));
-    assert!(tracker.max_deviation().unwrap() <= gamma);
+    assert!(log.max_deviation(RealTime::from_secs(BIG_DELTA)).unwrap() <= gamma);
     // absolute accuracy also holds: good biases stay close to real time
     let sample = world.sample_now();
     for p in 0..7 {

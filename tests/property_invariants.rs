@@ -30,10 +30,10 @@ proptest! {
             .build()
             .unwrap();
         let gamma = world.bounds().unwrap().gamma;
-        let tracker = DeviationTracker::measuring_from(RealTime::from_secs(60.0));
-        world.add_observer(Box::new(tracker.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::from_secs(180.0));
-        let max = tracker.max_deviation().unwrap();
+        let max = log.max_deviation(RealTime::from_secs(60.0)).unwrap();
         prop_assert!(max <= gamma, "seed {}: {} > {}", seed, max, gamma);
     }
 
@@ -111,10 +111,10 @@ proptest! {
             .build()
             .unwrap();
         let gamma = world.bounds().unwrap().gamma;
-        let recovery = RecoveryTracker::new(gamma);
-        world.add_observer(Box::new(recovery.clone()));
+        let log = RunLog::new();
+        world.add_observer(Box::new(log.clone()));
         world.run_until(RealTime::from_secs(big_delta * 3.0));
-        let latencies = recovery.latencies();
+        let latencies = log.latencies(gamma);
         prop_assert_eq!(latencies.len(), 1);
         prop_assert!(latencies[0] <= big_delta,
             "offset {}: latency {}", offset, latencies[0]);
