@@ -117,20 +117,6 @@ impl HardwareClock {
         }
         real_now + SimDuration::from_secs(remaining / self.rate)
     }
-
-    /// Converts a span of *local* duration starting at `real_now` into the
-    /// real duration it will take at the current rate.
-    pub fn real_duration_for(&self, local_span: SimDuration) -> SimDuration {
-        SimDuration::from_secs(local_span.as_secs() / self.rate)
-    }
-
-    /// True iff the rate is within the paper's Equation 2 drift envelope
-    /// for bound `rho`: `1/(1+ρ) ≤ rate ≤ 1+ρ`.
-    pub fn rate_within_drift_bound(&self, rho: f64) -> bool {
-        let lo = 1.0 / (1.0 + rho);
-        let hi = 1.0 + rho;
-        (lo..=hi).contains(&self.rate)
-    }
 }
 
 #[cfg(test)]
@@ -187,25 +173,6 @@ mod tests {
         let hw = HardwareClock::new(1.0);
         let when = hw.real_time_reaching(t(5.0), LocalTime::from_secs(1.0));
         assert_eq!(when, t(5.0));
-    }
-
-    #[test]
-    fn real_duration_for_scales_by_rate() {
-        let hw = HardwareClock::new(2.0);
-        assert_eq!(
-            hw.real_duration_for(SimDuration::from_secs(4.0)),
-            SimDuration::from_secs(2.0)
-        );
-    }
-
-    #[test]
-    fn drift_bound_check() {
-        let rho = 1e-4;
-        assert!(HardwareClock::new(1.0).rate_within_drift_bound(rho));
-        assert!(HardwareClock::new(1.0 + rho).rate_within_drift_bound(rho));
-        assert!(HardwareClock::new(1.0 / (1.0 + rho)).rate_within_drift_bound(rho));
-        assert!(!HardwareClock::new(1.0 + 2.0 * rho).rate_within_drift_bound(rho));
-        assert!(!HardwareClock::new(1.0 - 2.0 * rho).rate_within_drift_bound(rho));
     }
 
     #[test]

@@ -129,8 +129,6 @@ pub struct LogicalClock {
     hardware: HardwareClock,
     adj: f64,
     slew: Option<SlewState>,
-    total_abs_adjustment: f64,
-    adjustments: u64,
 }
 
 impl LogicalClock {
@@ -140,8 +138,6 @@ impl LogicalClock {
             hardware,
             adj: 0.0,
             slew: None,
-            total_abs_adjustment: 0.0,
-            adjustments: 0,
         }
     }
 
@@ -152,8 +148,6 @@ impl LogicalClock {
             hardware,
             adj: adj.as_secs(),
             slew: None,
-            total_abs_adjustment: 0.0,
-            adjustments: 0,
         }
     }
 
@@ -172,8 +166,6 @@ impl LogicalClock {
     /// correct protocol performs; paper Figure 1 line 11/12).
     pub fn adjust(&mut self, delta: SimDuration) {
         self.adj += delta.as_secs();
-        self.total_abs_adjustment += delta.abs().as_secs();
-        self.adjustments += 1;
     }
 
     /// Applies `delta` gradually at (absolute) rate `max_rate` local
@@ -194,8 +186,6 @@ impl LogicalClock {
         );
         let pending = self.fold_slew(real_now);
         let total = delta.as_secs() + pending;
-        self.total_abs_adjustment += delta.abs().as_secs();
-        self.adjustments += 1;
         if total != 0.0 {
             self.slew = Some(SlewState {
                 start: real_now,
@@ -274,21 +264,6 @@ impl LogicalClock {
         self.adj
     }
 
-    /// Number of adjustments applied via [`LogicalClock::adjust`].
-    pub fn adjustment_count(&self) -> u64 {
-        self.adjustments
-    }
-
-    /// Sum of absolute adjustment magnitudes (for discontinuity metrics).
-    pub fn total_abs_adjustment(&self) -> f64 {
-        self.total_abs_adjustment
-    }
-
-    /// Immutable access to the underlying hardware clock.
-    pub fn hardware(&self) -> &HardwareClock {
-        &self.hardware
-    }
-
     /// Mutable access to the underlying hardware clock (drift changes).
     pub fn hardware_mut(&mut self) -> &mut HardwareClock {
         &mut self.hardware
@@ -321,17 +296,14 @@ mod tests {
     fn with_adjustment_initializer() {
         let c = LogicalClock::with_adjustment(HardwareClock::new(1.0), SimDuration::from_secs(7.0));
         assert_eq!(c.bias(t(0.0)).as_secs(), 7.0);
-        assert_eq!(c.adjustment_count(), 0);
     }
 
     #[test]
-    fn adjust_accumulates_and_counts() {
+    fn adjust_accumulates() {
         let mut c = LogicalClock::new(HardwareClock::new(1.0));
         c.adjust(SimDuration::from_secs(3.0));
         c.adjust(SimDuration::from_secs(-1.0));
         assert_eq!(c.adjustment(), 2.0);
-        assert_eq!(c.adjustment_count(), 2);
-        assert_eq!(c.total_abs_adjustment(), 4.0);
     }
 
     #[test]
@@ -339,8 +311,6 @@ mod tests {
         let mut c = LogicalClock::new(HardwareClock::new(1.0));
         c.sabotage_to(t(50.0), LocalTime::from_secs(1234.5));
         assert_eq!(c.read(t(50.0)).as_secs(), 1234.5);
-        // sabotage does not count as a protocol adjustment
-        assert_eq!(c.adjustment_count(), 0);
     }
 
     #[test]
@@ -374,7 +344,6 @@ mod tests {
         assert!(!c.is_slewing(t(20.0)));
         // stays applied afterwards
         assert!((c.read(t(30.0)).as_secs() - 31.0).abs() < 1e-12);
-        assert_eq!(c.adjustment_count(), 1);
     }
 
     #[test]

@@ -190,27 +190,11 @@ impl NetworkModel {
     /// Fails if `K < 5`, the model is invalid, or Δ is too short to fit
     /// `K` intervals respecting `SyncInt ≥ 2·MaxWait`.
     pub fn derive(&self, n: usize, f: usize, k: u32) -> Result<Derived, BoundsError> {
-        self.validate()?;
-        if k < 5 {
-            return Err(BoundsError::KTooSmall(k));
+        let derived = self.derive_unchecked_resilience(n, f, k)?;
+        if n < 3 * f + 1 {
+            return Err(ParamError::TooFewProcessors { n, f }.into());
         }
-        let t = self.big_delta / (k as f64);
-        let max_wait = self.delta * 2.0;
-        let sync_int = (t - max_wait * 2.0) / (1.0 + self.rho);
-        if sync_int < max_wait * 2.0 {
-            // minimal T: (1+rho)*2*MaxWait + 2*MaxWait
-            let min_t = max_wait.as_secs() * (2.0 * (1.0 + self.rho) + 2.0);
-            return Err(BoundsError::PeriodTooShort {
-                required_secs: min_t * k as f64,
-            });
-        }
-        let bounds = self.bounds_for_t(t)?;
-        let params = ProtocolParams::builder(n, f)
-            .sync_int(sync_int)
-            .max_wait(max_wait)
-            .way_off(bounds.way_off)
-            .build()?;
-        Ok(Derived { params, bounds })
+        Ok(derived)
     }
 
     /// Like [`NetworkModel::derive`] but skips the `n ≥ 3f+1` check for the
@@ -233,6 +217,7 @@ impl NetworkModel {
         let max_wait = self.delta * 2.0;
         let sync_int = (t - max_wait * 2.0) / (1.0 + self.rho);
         if sync_int < max_wait * 2.0 {
+            // minimal T: (1+rho)*2*MaxWait + 2*MaxWait
             let min_t = max_wait.as_secs() * (2.0 * (1.0 + self.rho) + 2.0);
             return Err(BoundsError::PeriodTooShort {
                 required_secs: min_t * k as f64,

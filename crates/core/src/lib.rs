@@ -20,6 +20,10 @@
 //!   (timers, messages) stamped with local clock readings; it emits outputs
 //!   (sends, timers, clock adjustments). No IO, no simulator dependency —
 //!   fully unit-testable and embeddable. It holds only Figure 1's state.
+//!   Next to the outputs sits the host contract: the [`Driver`] trait, one
+//!   method per output, and [`apply_outputs`], which maps one to the other.
+//! * [`wire`] — the ping/pong messages and their length-prefixed binary
+//!   frame codec for real-socket hosts.
 //! * [`cached`] — the cached-estimation variant Section 3.1 warns about,
 //!   composed around a node (experiment E19).
 //!
@@ -63,6 +67,6 @@ pub use convergence::{
     PaperSync, PeerEstimate, TrimmedMean, UnguardedMean,
 };
 pub use estimate::OffsetSample;
-pub use node::{Input, Output, RoundSummary, SyncNode, TimerKind};
+pub use node::{apply_outputs, Driver, Input, Output, RoundSummary, SyncNode, TimerKind};
 pub use params::{ParamError, ProtocolParams};
 pub use wire::WireMessage;

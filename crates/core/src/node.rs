@@ -110,6 +110,44 @@ pub struct RoundSummary {
     pub timeouts: usize,
 }
 
+/// A host for [`SyncNode`]s: one method per [`Output`] variant.
+///
+/// The simulator's `World` and the UDP loopback runtime are the two
+/// implementors. Figure 1 asks its host for three effects (send, arm a
+/// local-time alarm, add to `adj_p`) plus the round report.
+pub trait Driver {
+    /// Carries `msg` from `from` toward `to`. Delivery may be delayed,
+    /// duplicated, reordered or lost; it must not re-enter the sender.
+    fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage);
+
+    /// Arms an alarm that fires when `node`'s *local* clock has advanced
+    /// `after` past its current reading.
+    fn set_timer(&mut self, node: ProcId, after: SimDuration, kind: TimerKind);
+
+    /// Adds `delta` to `node`'s adjustment variable (Figure 1 line 11/12),
+    /// as an instant step or gradually (slew discipline).
+    fn adjust_clock(&mut self, node: ProcId, delta: SimDuration);
+
+    /// `node` completed a sync round; hosts surface it to observers.
+    fn round_completed(&mut self, node: ProcId, summary: &RoundSummary);
+}
+
+/// Executes a batch of `node`'s outputs through the driver, in order.
+///
+/// This is the one place [`Output`] variants are mapped to driver calls,
+/// so every host runs effects in the same order: sends before the timeout
+/// that guards them, the adjustment before the round summary.
+pub fn apply_outputs<D: Driver + ?Sized>(driver: &mut D, node: ProcId, outputs: &[Output]) {
+    for &output in outputs {
+        match output {
+            Output::Send { to, msg } => driver.send(node, to, msg),
+            Output::SetTimer { after, kind } => driver.set_timer(node, after, kind),
+            Output::AdjustClock { delta } => driver.adjust_clock(node, delta),
+            Output::RoundCompleted(summary) => driver.round_completed(node, &summary),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ActiveRound {
     round: u64,
@@ -468,6 +506,64 @@ pub(crate) mod tests {
 
     fn start(node: &mut SyncNode, at: f64) -> Vec<Output> {
         handle(node, Input::Start { local_now: lt(at) })
+    }
+
+    /// Records every driver call in order.
+    #[derive(Default)]
+    struct Log {
+        calls: Vec<String>,
+    }
+
+    impl Driver for Log {
+        fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage) {
+            self.calls
+                .push(format!("send {from}->{to} round {}", msg.round()));
+        }
+        fn set_timer(&mut self, node: ProcId, after: SimDuration, kind: TimerKind) {
+            self.calls
+                .push(format!("timer {node} +{} {kind:?}", after.as_secs()));
+        }
+        fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
+            self.calls
+                .push(format!("adjust {node} {}", delta.as_secs()));
+        }
+        fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
+            self.calls.push(format!("round {node} #{}", summary.round));
+        }
+    }
+
+    #[test]
+    fn outputs_map_to_capability_calls_in_order() {
+        let mut log = Log::default();
+        let outputs = [
+            Output::Send {
+                to: ProcId(1),
+                msg: WireMessage::Ping { round: 3, nonce: 9 },
+            },
+            Output::SetTimer {
+                after: SimDuration::from_secs(2.0),
+                kind: TimerKind::SyncDue,
+            },
+            Output::AdjustClock {
+                delta: SimDuration::from_secs(-0.5),
+            },
+            Output::RoundCompleted(RoundSummary {
+                round: 3,
+                adjustment: -0.5,
+                responders: 2,
+                timeouts: 1,
+            }),
+        ];
+        apply_outputs(&mut log, ProcId(0), &outputs);
+        assert_eq!(
+            log.calls,
+            vec![
+                "send p0->p1 round 3",
+                "timer p0 +2 SyncDue",
+                "adjust p0 -0.5",
+                "round p0 #3",
+            ]
+        );
     }
 
     pub(crate) fn extract_ping(outputs: &[Output], to: ProcId) -> (u64, u64) {

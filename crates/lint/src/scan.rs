@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use crate::rules::{lint_source, Finding};
 
 /// Crates whose `src/` trees the workspace pass audits.
-pub const SCANNED_CRATES: [&str; 10] = [
+pub const SCANNED_CRATES: [&str; 9] = [
     "clock",
     "core",
     "net",
@@ -28,7 +28,6 @@ pub const SCANNED_CRATES: [&str; 10] = [
     "adversary",
     "chaos",
     "harness",
-    "driver",
     "live",
 ];
 

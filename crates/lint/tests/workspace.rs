@@ -39,7 +39,6 @@ fn scan_covers_the_agreed_crate_set() {
             "adversary",
             "chaos",
             "harness",
-            "driver",
             "live"
         ]
     );

@@ -4,18 +4,17 @@
 //! clocks.
 //!
 //! This crate is the second implementor of the
-//! [`byzclock-driver`](byzclock_driver) boundary. Where the sim driver
+//! [`Driver`](byzclock_core::Driver) contract. Where the sim driver
 //! executes protocol outputs against a modeled world (event queue, drifting
 //! piecewise-linear clocks, faulty network), this one executes them for
-//! real: sends become UDP datagrams carrying the shared length-prefixed
-//! wire frames, timers become deadline entries in a per-node thread, and
-//! clock reads hit the machine's monotonic clock (plus an injected initial
-//! offset and the protocol's own accumulated adjustment).
+//! real: sends become UDP datagrams carrying the length-prefixed frames of
+//! [`byzclock_core::wire`], timers become deadline entries in a per-node
+//! thread, and clock reads hit the machine's monotonic clock (plus an
+//! injected initial offset and the protocol's own accumulated adjustment).
 //!
 //! Because both hosts funnel every effect through
-//! [`byzclock_driver::drive`] / [`byzclock_driver::apply_outputs`], the
-//! protocol core cannot tell which world it lives in — the property the
-//! driver refactor exists to enforce. The deterministic guarantees (chaos
+//! [`apply_outputs`](byzclock_core::apply_outputs), the protocol core
+//! cannot tell which world it lives in. The deterministic guarantees (chaos
 //! campaigns, golden replays, loom schedules) attach to the sim driver
 //! only; this runtime is inherently nondeterministic and exists to
 //! demonstrate the very same state machine converging on real sockets

@@ -5,14 +5,14 @@
 //! receive-with-timeout loop:
 //!
 //! * **datagrams** — decoded with the shared length-prefixed framing
-//!   ([`byzclock_driver::frame`]) into [`Input::Message`]s;
+//!   ([`byzclock_core::wire`]) into [`Input::Message`]s;
 //! * **alarms** — a small in-thread deadline list over *local* clock
 //!   readings, fired as [`Input::TimerFired`] when the node's logical
 //!   clock passes the target (so a step adjustment moves pending alarms
 //!   exactly as the simulator's exact local→real conversion does).
 //!
-//! Every effect flows through [`byzclock_driver::drive`], i.e. the very
-//! same `Output` → capability mapping the deterministic sim driver uses —
+//! Every effect flows through [`apply_outputs`], i.e. the very same
+//! `Output` → [`Driver`] mapping the deterministic sim driver uses —
 //! that shared path is what makes the simulator's behavior a model of this
 //! runtime rather than a sibling implementation.
 //!
@@ -21,9 +21,11 @@
 //! to measure observed deviation — the live analogue of the simulator's
 //! `sample_now`.
 
-use byzclock_core::{Input, NetworkModel, RoundSummary, SyncNode, TheoremBounds, TimerKind};
-use byzclock_driver::frame::{self, binary, Envelope};
-use byzclock_driver::{drive, ClockSource, Driver, TimerControl, Transport};
+use byzclock_core::wire::{self, Envelope, MAX_PAYLOAD};
+use byzclock_core::{
+    apply_outputs, Driver, Input, NetworkModel, Output, RoundSummary, SyncNode, TheoremBounds,
+    TimerKind,
+};
 use byzclock_harness::table::{fmt_secs, Table};
 use byzclock_sim::{ProcId, SimDuration};
 use std::io;
@@ -85,20 +87,13 @@ impl LiveConfig {
     }
 }
 
-/// What one node reported over the event channel.
-enum LiveEvent {
-    Round { node: ProcId, summary: RoundSummary },
-    Adjustment { node: ProcId, delta: f64 },
-}
-
-/// Per-node statistics accumulated by the coordinator.
+/// Per-node statistics accumulated by the coordinator from the nodes'
+/// round records.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
-    /// Rounds completed.
+    /// Rounds completed (each applies exactly one adjustment).
     pub rounds: u64,
-    /// Clock adjustments applied.
-    pub adjustments: u64,
-    /// Sum of `|delta|` over all adjustments, seconds.
+    /// Sum of `|adjustment|` over all completed rounds, seconds.
     pub total_abs_adjustment: f64,
     /// The last round's adjustment, seconds.
     pub last_adjustment: f64,
@@ -109,6 +104,16 @@ pub struct NodeStats {
     /// Datagrams dropped because the claimed sender's address is not the
     /// one they came from.
     pub rejected_spoofed: u64,
+}
+
+impl NodeStats {
+    /// Folds one completed round into the statistics.
+    fn record(&mut self, summary: &RoundSummary) {
+        self.rounds += 1;
+        self.total_abs_adjustment += summary.adjustment.abs();
+        self.last_adjustment = summary.adjustment;
+        self.last_responders = summary.responders;
+    }
 }
 
 /// One deviation sample: max pairwise clock difference at a common instant.
@@ -161,7 +166,6 @@ impl LiveReport {
             &[
                 "node",
                 "rounds",
-                "adjustments",
                 "sum |adj|",
                 "last adj",
                 "last responders",
@@ -172,7 +176,6 @@ impl LiveReport {
             per_node.row_owned(vec![
                 format!("p{i}"),
                 s.rounds.to_string(),
-                s.adjustments.to_string(),
                 fmt_secs(s.total_abs_adjustment),
                 fmt_secs(s.last_adjustment),
                 s.last_responders.to_string(),
@@ -261,8 +264,8 @@ struct Alarm {
     kind: TimerKind,
 }
 
-/// One node's half of the driver boundary: real sockets, real clock,
-/// in-thread deadline list.
+/// One node's [`Driver`]: real sockets, real clock, in-thread deadline
+/// list.
 struct NodeIo {
     id: ProcId,
     socket: UdpSocket,
@@ -270,26 +273,26 @@ struct NodeIo {
     clock: Arc<LiveClock>,
     alarms: Vec<Alarm>,
     next_seq: u64,
-    events: mpsc::Sender<LiveEvent>,
+    /// Each completed round's record, tagged with the node, for the
+    /// coordinator.
+    rounds: mpsc::Sender<(ProcId, RoundSummary)>,
     /// Reused frame buffer: the steady-state send path encodes without
     /// allocating.
     wire_buf: Vec<u8>,
 }
 
-impl Transport for NodeIo {
+impl Driver for NodeIo {
     fn send(&mut self, from: ProcId, to: ProcId, msg: byzclock_core::WireMessage) {
         if to.index() >= self.peers.len() || to == self.id {
             return;
         }
         self.wire_buf.clear();
-        binary::encode_into(&Envelope { from, msg }, &mut self.wire_buf);
+        wire::encode_into(&Envelope { from, msg }, &mut self.wire_buf);
         // UDP send failures are indistinguishable from in-flight loss; the
         // protocol tolerates loss, so drop silently.
         let _ = self.socket.send_to(&self.wire_buf, self.peers[to.index()]);
     }
-}
 
-impl TimerControl for NodeIo {
     fn set_timer(&mut self, _node: ProcId, after: SimDuration, kind: TimerKind) {
         let target = self.clock.now() + after;
         let seq = self.next_seq;
@@ -297,31 +300,12 @@ impl TimerControl for NodeIo {
         self.alarms.push(Alarm { target, seq, kind });
     }
 
-    fn cancel_all(&mut self, _node: ProcId) {
-        self.alarms.clear();
-    }
-}
-
-impl ClockSource for NodeIo {
-    fn local_now(&mut self, _node: ProcId) -> byzclock_clock::LocalTime {
-        self.clock.now()
-    }
-
-    fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
+    fn adjust_clock(&mut self, _node: ProcId, delta: SimDuration) {
         self.clock.adjust(delta);
-        let _ = self.events.send(LiveEvent::Adjustment {
-            node,
-            delta: delta.as_secs(),
-        });
     }
-}
 
-impl Driver for NodeIo {
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
-        let _ = self.events.send(LiveEvent::Round {
-            node,
-            summary: *summary,
-        });
+        let _ = self.rounds.send((node, *summary));
     }
 }
 
@@ -346,6 +330,14 @@ impl NodeIo {
     }
 }
 
+/// Feeds one input to the node and executes its outputs through `io`;
+/// `scratch` is the thread's reused output buffer.
+fn drive(io: &mut NodeIo, node: &mut SyncNode, input: Input, scratch: &mut Vec<Output>) {
+    scratch.clear();
+    node.handle_into(input, scratch);
+    apply_outputs(io, node.id(), scratch);
+}
+
 /// Datagrams a node thread dropped, by reason.
 #[derive(Debug, Default)]
 struct Rejected {
@@ -360,7 +352,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
         local_now: io.clock.now(),
     };
     drive(&mut io, &mut node, start, &mut scratch);
-    let mut buf = [0u8; frame::MAX_PAYLOAD + 4];
+    let mut buf = [0u8; MAX_PAYLOAD + 4];
     let mut rejected = Rejected::default();
     while !stop.load(Ordering::Relaxed) {
         // fire alarms one at a time: a fired timer may arm or cancel others
@@ -385,7 +377,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
             // is an envelope whose claimed sender is not bound to the
             // address it came from: any local process can reach these
             // sockets, and `from` is read off the wire.
-            Ok((len, src)) => match binary::decode(&buf[..len]) {
+            Ok((len, src)) => match wire::decode(&buf[..len]) {
                 Ok((envelope, _)) if io.peers.get(envelope.from.index()) == Some(&src) => {
                     let input = Input::Message {
                         from: envelope.from,
@@ -466,8 +458,8 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
             clock: Arc::clone(&clocks[i]),
             alarms: Vec::new(),
             next_seq: 0,
-            events: tx.clone(),
-            wire_buf: Vec::with_capacity(frame::MAX_PAYLOAD + 4),
+            rounds: tx.clone(),
+            wire_buf: Vec::with_capacity(MAX_PAYLOAD + 4),
         };
         let node = SyncNode::new(ProcId(i as u32), derived.params).with_nonce_seed(
             config
@@ -492,17 +484,7 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
             break false;
         }
         match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(LiveEvent::Round { node, summary }) => {
-                let s = &mut stats[node.index()];
-                s.rounds += 1;
-                s.last_adjustment = summary.adjustment;
-                s.last_responders = summary.responders;
-            }
-            Ok(LiveEvent::Adjustment { node, delta }) => {
-                let s = &mut stats[node.index()];
-                s.adjustments += 1;
-                s.total_abs_adjustment += delta.abs();
-            }
+            Ok((node, summary)) => stats[node.index()].record(&summary),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break false,
         }
@@ -521,13 +503,8 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
         }
     }
     // drain events that raced the stop decision
-    for event in rx.try_iter() {
-        if let LiveEvent::Round { node, summary } = event {
-            let s = &mut stats[node.index()];
-            s.rounds += 1;
-            s.last_adjustment = summary.adjustment;
-            s.last_responders = summary.responders;
-        }
+    for (node, summary) in rx.try_iter() {
+        stats[node.index()].record(&summary);
     }
     let (at, final_deviation) = sample_deviation(&clocks);
     samples.push(DeviationSample {
@@ -552,7 +529,54 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
 mod tests {
     use super::*;
     use byzclock_clock::LocalTime;
-    use byzclock_core::WireMessage;
+    use byzclock_core::{ProtocolParams, WireMessage};
+
+    /// A started node sends one ping frame to each of its three peers over
+    /// UDP and arms its round timeout.
+    #[test]
+    fn drive_runs_start_through_the_driver() {
+        let sockets: Vec<UdpSocket> = (0..4)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
+            .collect();
+        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let mut sockets = sockets.into_iter();
+        let (rounds, _rx) = mpsc::channel();
+        let mut io = NodeIo {
+            id: ProcId(0),
+            socket: sockets.next().unwrap(),
+            peers: Arc::new(peers),
+            clock: Arc::new(LiveClock::new(Instant::now(), 0.0)),
+            alarms: Vec::new(),
+            next_seq: 0,
+            rounds,
+            wire_buf: Vec::new(),
+        };
+        let params = ProtocolParams::builder(4, 1)
+            .sync_int(SimDuration::from_secs(5.0))
+            .max_wait(SimDuration::from_secs(1.0))
+            .way_off(9.0)
+            .build()
+            .unwrap();
+        let mut node = SyncNode::new(ProcId(0), params);
+        let start = Input::Start {
+            local_now: io.clock.now(),
+        };
+        drive(&mut io, &mut node, start, &mut Vec::new());
+
+        assert!(io
+            .alarms
+            .iter()
+            .any(|a| matches!(a.kind, TimerKind::RoundTimeout { .. })));
+        let mut buf = [0u8; MAX_PAYLOAD + 4];
+        for peer in sockets {
+            peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let (len, src) = peer.recv_from(&mut buf).expect("a ping arrives");
+            assert_eq!(src, io.peers[0]);
+            let (envelope, used) = wire::decode(&buf[..len]).unwrap();
+            assert_eq!((envelope.from, used), (ProcId(0), len));
+            assert!(envelope.msg.is_ping());
+        }
+    }
 
     /// A foreign socket floods every node with pongs and pings forged in
     /// every node's name (and in names no node has), plus undecodable
@@ -586,7 +610,7 @@ mod tests {
                                 },
                             ] {
                                 frame.clear();
-                                binary::encode_into(
+                                wire::encode_into(
                                     &Envelope {
                                         from: ProcId(from),
                                         msg,

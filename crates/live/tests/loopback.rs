@@ -27,6 +27,12 @@ fn four_nodes_complete_rounds_and_converge_within_gamma() {
             "p{i} heard only {} responders in its last round",
             stats.last_responders
         );
+        // every node starts off-centre, so its rounds must move its clock
+        assert!(
+            stats.total_abs_adjustment.is_finite() && stats.total_abs_adjustment > 0.0,
+            "p{i} sum |adj| = {}",
+            stats.total_abs_adjustment
+        );
     }
     // Theorem 5(i): once everyone synced, deviation stays within gamma.
     // The initial spread (0.1 s edge-to-edge) is well above the loopback

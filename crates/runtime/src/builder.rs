@@ -16,8 +16,8 @@
 use byzclock_adversary::{Adversary, AdversaryAction};
 use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift};
 use byzclock_core::{
-    BoundsError as CoreBoundsError, CachedSync, ConvergenceFn, NetworkModel, PaperSync,
-    ProtocolParams, SyncNode, TheoremBounds,
+    params::ProtocolParamsBuilder, BoundsError as CoreBoundsError, CachedSync, ConvergenceFn,
+    Derived, NetworkModel, PaperSync, ParamError, ProtocolParams, SyncNode, TheoremBounds,
 };
 use byzclock_net::{DelayModel, DelaySpike, FaultProfile, Network, Topology, UniformDelay};
 use byzclock_sim::{Engine, ProcId, RealTime, RngHub, SimDuration};
@@ -393,15 +393,22 @@ impl WorldBuilder {
             big_delta: self.big_delta,
         };
 
+        type DeriveFn = fn(&NetworkModel, usize, usize, u32) -> Result<Derived, CoreBoundsError>;
+        type BuildFn = fn(ProtocolParamsBuilder) -> Result<ProtocolParams, ParamError>;
+        let (derive, build): (DeriveFn, BuildFn) = if self.allow_sub_resilience {
+            (
+                NetworkModel::derive_unchecked_resilience,
+                ProtocolParamsBuilder::build_unchecked_resilience,
+            )
+        } else {
+            (NetworkModel::derive, ProtocolParamsBuilder::build)
+        };
+
         let (mut params, bounds): (ProtocolParams, Option<TheoremBounds>) =
             if let Some(p) = self.params_override {
                 (p, model.bounds_for_t(derived_t(&p, self.rho)).ok())
             } else {
-                let derived = if self.allow_sub_resilience {
-                    model.derive_unchecked_resilience(self.n, self.f, self.k)?
-                } else {
-                    model.derive(self.n, self.f, self.k)?
-                };
+                let derived = derive(&model, self.n, self.f, self.k)?;
                 (derived.params, Some(derived.bounds))
             };
 
@@ -411,13 +418,7 @@ impl WorldBuilder {
                 .max_wait(params.max_wait())
                 .way_off(self.way_off_override.unwrap_or(params.way_off()))
                 .pings_per_peer(self.pings_per_peer.max(params.pings_per_peer()));
-            params = if self.allow_sub_resilience {
-                builder
-                    .build_unchecked_resilience()
-                    .map_err(CoreBoundsError::Param)?
-            } else {
-                builder.build().map_err(CoreBoundsError::Param)?
-            };
+            params = build(builder).map_err(CoreBoundsError::Param)?;
         }
 
         let topology = match self.topology {

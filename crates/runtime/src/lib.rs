@@ -11,6 +11,10 @@
 //!   corruptions), and
 //! * one sans-IO [`SyncNode`](byzclock_core::SyncNode) per processor.
 //!
+//! The [`World`] is the deterministic implementor of core's
+//! [`Driver`](byzclock_core::Driver) contract ([`sim_driver`]): every node
+//! output goes through [`apply_outputs`](byzclock_core::apply_outputs).
+//!
 //! Local-time alarms are converted to real-time events *exactly* using the
 //! piecewise-linear hardware clocks, and are recomputed whenever a drift
 //! model changes a clock's rate — so the simulation is faithful to the
@@ -44,7 +48,6 @@ pub mod sim_driver;
 pub mod world;
 
 pub use builder::{BuildError, Discipline, DriftSpec, InitialBias, LinkOutage, WorldBuilder};
-pub use byzclock_driver::{ClockSource, Driver, TimerControl, Transport};
 pub use events::SimEvent;
 pub use observer::{Observer, WorldSample};
 pub use world::World;

@@ -1,14 +1,13 @@
-//! The deterministic sim driver: [`World`]'s implementation of the
-//! [`byzclock-driver`](byzclock_driver) capabilities.
+//! The deterministic sim driver: [`World`]'s implementation of
+//! [`Driver`], the host contract of `byzclock-core`.
 //!
-//! This module is the simulator's half of the driver boundary. Transport
-//! routes sends through the modeled faulty [`Network`](byzclock_net::Network)
-//! and schedules `Deliver` events on the engine; timers convert *local*
-//! deadlines exactly to real-time engine events via the piecewise-linear
-//! logical clocks (and are recomputed when a drift change or slew alters a
-//! clock's slope); clock reads and adjustments go to the per-node
-//! [`LogicalClock`](byzclock_clock::LogicalClock)s, honoring the world's
-//! correction discipline.
+//! Sends route through the modeled faulty
+//! [`Network`](byzclock_net::Network) and schedule `Deliver` events on the
+//! engine; timers convert *local* deadlines exactly to real-time engine
+//! events via the piecewise-linear logical clocks (and are recomputed when
+//! a drift change or slew alters a clock's slope); adjustments go to the
+//! per-node [`LogicalClock`](byzclock_clock::LogicalClock)s, honoring the
+//! world's correction discipline.
 //!
 //! Everything here is a pure function of the world seed — chaos campaigns,
 //! loom/Miri runs and the golden driver-equivalence test all pin their
@@ -26,22 +25,21 @@
 //! replacing or dropping an alarm removes its entry and leaves the engine
 //! event queued. The stale event still pops, finds no entry and is
 //! dropped uncounted, so it neither fires nor shows in
-//! [`World::events_processed`]. [`TimerControl::cancel_all`] drops all of
+//! [`World::events_processed`]. `World::cancel_all` drops all of
 //! a node's alarms at once (corruption or crash destroyed the "thread"
 //! that would re-arm them — the paper's recovery discussion), and
 //! [`Input::Start`](byzclock_core::Input::Start) on release re-arms
 //! everything.
 
 use byzclock_clock::LocalTime;
-use byzclock_core::{RoundSummary, TimerKind, WireMessage};
-use byzclock_driver::{ClockSource, Driver, TimerControl, Transport};
+use byzclock_core::{Driver, RoundSummary, TimerKind, WireMessage};
 use byzclock_sim::{ProcId, RealTime, SimDuration};
 
 use crate::builder::Discipline;
 use crate::events::SimEvent;
 use crate::world::{PendingTimer, World};
 
-impl Transport for World {
+impl Driver for World {
     /// Sends through the modeled network: `send_times` yields zero (lost),
     /// one, or — when the duplication fault fires — at most two delivery
     /// instants, held inline, each scheduled as a `Deliver` event.
@@ -52,9 +50,7 @@ impl Transport for World {
                 .schedule_at(at, SimEvent::Deliver { to, from, msg });
         }
     }
-}
 
-impl TimerControl for World {
     fn set_timer(&mut self, node: ProcId, after: SimDuration, kind: TimerKind) {
         let tau = self.now();
         let idx = node.index();
@@ -66,18 +62,6 @@ impl TimerControl for World {
         self.nodes[idx]
             .pending
             .insert(engine_id, PendingTimer { kind, target_local });
-    }
-
-    /// Forgets every pending alarm of the node, so none of them fires:
-    /// their engine events pop stale.
-    fn cancel_all(&mut self, node: ProcId) {
-        self.nodes[node.index()].pending.clear();
-    }
-}
-
-impl ClockSource for World {
-    fn local_now(&mut self, node: ProcId) -> LocalTime {
-        self.nodes[node.index()].clock.read(self.now())
     }
 
     fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
@@ -96,9 +80,7 @@ impl ClockSource for World {
         let good = self.adversary.good_at(node, tau, self.big_delta);
         self.notify(|o| o.on_adjustment(node, delta.as_secs(), tau, good));
     }
-}
 
-impl Driver for World {
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
         let tau = self.now();
         self.notify(|o| o.on_round(node, summary, tau));
@@ -106,6 +88,12 @@ impl Driver for World {
 }
 
 impl World {
+    /// Forgets every pending alarm of the node, so none of them fires:
+    /// their engine events pop stale.
+    pub(crate) fn cancel_all(&mut self, node: ProcId) {
+        self.nodes[node.index()].pending.clear();
+    }
+
     /// Re-arms every pending alarm of `node` against its current clock
     /// trajectory (after a drift change or slew); the old engine events
     /// pop stale.

@@ -3,8 +3,8 @@
 //! The world owns one [`Engine`] on the real-time axis and, per processor,
 //! a [`LogicalClock`], a drift model and a [`SyncNode`] (wrapped in a
 //! [`CachedSync`] under cached estimation). Node effects are
-//! executed through the [`byzclock-driver`](byzclock_driver) boundary —
-//! the deterministic implementations of transport, timers and clocks live
+//! executed through the [`Driver`](byzclock_core::Driver) contract —
+//! the deterministic implementations of sends, timers and adjustments live
 //! in [`crate::sim_driver`] — while this module orchestrates: it pops and
 //! dispatches events, routes traffic addressed to corrupted processors
 //! through the [`Adversary`], applies corruption/release/restart/drift
@@ -15,8 +15,7 @@
 
 use byzclock_adversary::{Adversary, AttackReply, ClockSabotage};
 use byzclock_clock::{DriftModel, LocalTime, LogicalClock};
-use byzclock_core::{CachedSync, Input, Output, SyncNode, TimerKind, WireMessage};
-use byzclock_driver::TimerControl;
+use byzclock_core::{apply_outputs, CachedSync, Input, Output, SyncNode, TimerKind, WireMessage};
 use byzclock_net::Network;
 use byzclock_sim::queue::EventId;
 use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
@@ -273,18 +272,17 @@ impl World {
     }
 
     /// Feeds one input to `node` through the reusable scratch buffer and
-    /// executes the resulting outputs through the driver boundary.
+    /// executes the resulting outputs through [`apply_outputs`].
     ///
-    /// (The node lives *inside* the driver state, so this is the
-    /// split-borrow variant of [`byzclock_driver::drive`]: collect into
-    /// the world-owned scratch first, then apply.)
+    /// (The node lives *inside* the driver state, so the outputs are
+    /// collected into the world-owned scratch first, then applied.)
     fn handle_and_apply(&mut self, node: ProcId, input: Input) {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
         self.nodes[node.index()]
             .protocol
             .handle_into(input, &mut out);
-        byzclock_driver::apply_outputs(self, node, &out);
+        apply_outputs(self, node, &out);
         out.clear();
         self.scratch = out;
     }

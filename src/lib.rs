@@ -16,8 +16,7 @@
 //! | [`clock`] | hardware clocks with bounded drift, logical clocks, biases |
 //! | [`net`] | topologies, bounded-delay models, authenticated links |
 //! | [`adversary`] | f-limited mobile Byzantine adversary and attack strategies |
-//! | [`core`] | **the paper's protocol**: `SyncNode`, convergence functions, Theorem 5 bounds |
-//! | [`driver`] | the driver boundary: timer/transport/clock capabilities any host provides |
+//! | [`core`] | **the paper's protocol**: `SyncNode`, convergence functions, Theorem 5 bounds, the `Driver` host contract, the wire codec |
 //! | [`runtime`] | the `World` binding everything, with observer hooks (the sim driver) |
 //! | [`live`] | real-time UDP loopback runtime (the live driver); `byzclock live` CLI |
 //! | [`harness`] | metrics, experiment suite E1–E21, tables/series |
@@ -61,15 +60,11 @@ pub use byzclock_net as net;
 /// The mobile Byzantine adversary.
 pub use byzclock_adversary as adversary;
 
-/// The paper's protocol and analysis machinery.
+/// The paper's protocol, its host contract and its wire codec.
 pub use byzclock_core as core;
 
 /// The simulation world runtime.
 pub use byzclock_runtime as runtime;
-
-/// The driver boundary (timer/transport/clock capabilities) shared by the
-/// simulator and the real-time runtime.
-pub use byzclock_driver as driver;
 
 /// The real-time UDP loopback runtime.
 pub use byzclock_live as live;
