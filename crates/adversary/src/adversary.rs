@@ -60,11 +60,6 @@ impl Adversary {
         &self.schedule
     }
 
-    /// The strategy's display name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
     /// All break-in/release actions in time order (ties: corrupts before
     /// releases at different processors keep schedule order; the runtime's
     /// FIFO queue preserves insertion order at equal times).
@@ -137,6 +132,14 @@ impl Adversary {
 mod tests {
     use super::*;
     use crate::schedule::CorruptionInterval;
+
+    impl Adversary {
+        /// The strategy's display name.
+        pub(crate) fn strategy_name(&self) -> &'static str {
+            self.strategy.name()
+        }
+    }
+
     use crate::strategy::ConstantOffsetStrategy;
     use byzclock_sim::RngHub;
 

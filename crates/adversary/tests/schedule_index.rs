@@ -25,13 +25,6 @@ mod reference {
         ivs.iter().any(|iv| iv.proc == proc && iv.contains(tau))
     }
 
-    pub fn corrupt_set(ivs: &[CorruptionInterval], tau: RealTime) -> BTreeSet<ProcId> {
-        ivs.iter()
-            .filter(|iv| iv.contains(tau))
-            .map(|iv| iv.proc)
-            .collect()
-    }
-
     pub fn non_faulty_during(
         ivs: &[CorruptionInterval],
         proc: ProcId,
@@ -156,11 +149,6 @@ fn query_times() -> Vec<RealTime> {
 fn assert_queries_match(schedule: &CorruptionSchedule, ivs: &[CorruptionInterval], procs: u32) {
     let times = query_times();
     for &tau in &times {
-        assert_eq!(
-            schedule.corrupt_set(tau),
-            reference::corrupt_set(ivs, tau),
-            "corrupt_set({tau})"
-        );
         for p in (0..procs + 2).map(ProcId) {
             assert_eq!(
                 schedule.is_corrupt(p, tau),
@@ -208,7 +196,7 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// `non_faulty_during`, `is_corrupt` and `corrupt_set` equal the scans,
+    /// `non_faulty_during` and `is_corrupt` equal the scans,
     /// whether the schedule was built at once or episode by episode.
     #[test]
     fn indexed_queries_equal_linear_scans(
@@ -281,8 +269,11 @@ proptest! {
             }
             for i in 0..=600 {
                 let tau = t(f64::from(i));
-                prop_assert_eq!(schedule.corrupt_set(tau), reference::corrupt_set(ivs, tau));
                 for p in (0..n as u32).map(ProcId) {
+                    prop_assert_eq!(
+                        schedule.is_corrupt(p, tau),
+                        reference::is_corrupt(ivs, p, tau)
+                    );
                     prop_assert_eq!(
                         schedule.non_faulty_during(p, tau - big_delta, tau),
                         reference::non_faulty_during(ivs, p, tau - big_delta, tau)

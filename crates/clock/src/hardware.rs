@@ -8,7 +8,7 @@
 //! because local-time alarms ("call sync() every `SyncInt` local units")
 //! must be converted to real-time simulator events without cumulative error.
 
-use byzclock_sim::{RealTime, SimDuration};
+use byzclock_sim::RealTime;
 
 use crate::LocalTime;
 
@@ -102,26 +102,12 @@ impl HardwareClock {
         self.anchor_value = value_now;
         self.rate = new_rate;
     }
-
-    /// Exact real time at which `H` reaches `target`, given the current rate
-    /// holds from `real_now` onward. Returns `real_now` if the target has
-    /// already been reached (hardware clocks never run backwards).
-    ///
-    /// Callers that change rates must re-invoke this after each rate change;
-    /// the `byzclock-runtime` world does exactly that for local alarms.
-    pub fn real_time_reaching(&self, real_now: RealTime, target: LocalTime) -> RealTime {
-        let now_value = self.read(real_now).as_secs();
-        let remaining = target.as_secs() - now_value;
-        if remaining <= 0.0 {
-            return real_now;
-        }
-        real_now + SimDuration::from_secs(remaining / self.rate)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogicalClock;
 
     fn t(s: f64) -> RealTime {
         RealTime::from_secs(s)
@@ -162,16 +148,16 @@ mod tests {
     fn inverse_is_exact() {
         let mut hw = HardwareClock::new(1.25);
         hw.set_rate(t(2.0), 0.8);
-        let target = LocalTime::from_secs(10.0);
-        let when = hw.real_time_reaching(t(3.0), target);
-        let value = hw.read(when).as_secs();
+        let c = LogicalClock::new(hw);
+        let when = c.real_time_reaching_logical(t(3.0), LocalTime::from_secs(10.0));
+        let value = c.read(when).as_secs();
         assert!((value - 10.0).abs() < 1e-12, "value={value}");
     }
 
     #[test]
     fn inverse_of_past_target_is_now() {
-        let hw = HardwareClock::new(1.0);
-        let when = hw.real_time_reaching(t(5.0), LocalTime::from_secs(1.0));
+        let c = LogicalClock::new(HardwareClock::new(1.0));
+        let when = c.real_time_reaching_logical(t(5.0), LocalTime::from_secs(1.0));
         assert_eq!(when, t(5.0));
     }
 

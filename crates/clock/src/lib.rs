@@ -15,14 +15,14 @@
 //! * [`LocalTime`] — newtype for values read off a local clock (distinct
 //!   from the simulator's [`RealTime`](byzclock_sim::RealTime) so the two
 //!   axes cannot be confused).
-//! * [`HardwareClock`] — piecewise-linear `H_p` with exact forward
-//!   (`read`) and inverse (`real_time_reaching`) evaluation, so local-time
-//!   alarms can be converted to real-time events *exactly* even when the
+//! * [`HardwareClock`] — piecewise-linear `H_p`, read exactly even when the
 //!   rate changes over time.
 //! * [`DriftModel`] — pluggable generators of rate changes (constant or
 //!   bounded random walk), all guaranteed to respect the drift bound ρ.
 //! * [`LogicalClock`] — `H_p + adj_p`, plus the paper's *bias*
-//!   `B_p(τ) = C_p(τ) − τ` (Section 4.2) used throughout the analysis.
+//!   `B_p(τ) = C_p(τ) − τ` (Section 4.2) used throughout the analysis. Its
+//!   exact inverse (`real_time_reaching_logical`) converts local-time
+//!   alarms to real-time events without cumulative error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,11 +36,6 @@ impl Bias {
     pub fn as_secs(self) -> f64 {
         self.0
     }
-
-    /// Absolute value in seconds.
-    pub fn abs_secs(self) -> f64 {
-        self.0.abs()
-    }
 }
 
 impl Eq for Bias {}
@@ -206,11 +201,6 @@ impl LogicalClock {
         s.total - applied
     }
 
-    /// True iff a gradual correction is still in progress.
-    pub fn is_slewing(&self, real_now: RealTime) -> bool {
-        self.slew.is_some_and(|s| !s.done(real_now))
-    }
-
     /// Overwrites the adjustment so that the clock reads `target` at
     /// `real_now`. This models the **adversary** resetting a corrupted
     /// processor's clock to an arbitrary value. Cancels any in-progress
@@ -274,6 +264,13 @@ impl LogicalClock {
 mod tests {
     use super::*;
 
+    impl LogicalClock {
+        /// True iff a gradual correction is still in progress.
+        fn is_slewing(&self, real_now: RealTime) -> bool {
+            self.slew.is_some_and(|s| !s.done(real_now))
+        }
+    }
+
     fn t(s: f64) -> RealTime {
         RealTime::from_secs(s)
     }
@@ -321,7 +318,6 @@ mod tests {
         assert_eq!(b - a, 2.0);
         assert_eq!((a + 0.5).as_secs(), 1.5);
         assert_eq!((b - 0.5).as_secs(), 2.5);
-        assert_eq!(Bias::from_secs(-2.0).abs_secs(), 2.0);
     }
 
     #[test]

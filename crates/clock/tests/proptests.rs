@@ -30,20 +30,21 @@ proptest! {
         prop_assert!(later > prev_reading);
     }
 
-    /// Inversion: `real_time_reaching` followed by `read` lands exactly on
-    /// the target (within float tolerance), for any current rate.
+    /// Inversion: with no slew in progress, `real_time_reaching_logical`
+    /// followed by `read` lands exactly on the target (within float
+    /// tolerance), for any hardware rate.
     #[test]
     fn hardware_inversion_is_exact(
         rate in 0.01f64..100.0,
         start in 0.0f64..1e4,
         target_ahead in 0.0f64..1e4,
     ) {
-        let hw = HardwareClock::new(rate);
+        let clock = LogicalClock::new(HardwareClock::new(rate));
         let now = RealTime::from_secs(start);
-        let target = LocalTime::from_secs(hw.read(now).as_secs() + target_ahead);
-        let when = hw.real_time_reaching(now, target);
+        let target = LocalTime::from_secs(clock.read(now).as_secs() + target_ahead);
+        let when = clock.real_time_reaching_logical(now, target);
         prop_assert!(when >= now);
-        let value = hw.read(when).as_secs();
+        let value = clock.read(when).as_secs();
         prop_assert!((value - target.as_secs()).abs() < 1e-6,
             "inversion missed: {} vs {}", value, target.as_secs());
     }

@@ -360,7 +360,7 @@ mod tests {
         m3.lambda = 0.0;
         assert!(m3.validate().is_err());
         let mut m4 = model();
-        m4.big_delta = SimDuration::INFINITE;
+        m4.big_delta = SimDuration::from_secs(f64::INFINITY);
         assert!(m4.validate().is_err());
     }
 

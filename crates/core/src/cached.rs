@@ -193,7 +193,15 @@ mod tests {
         let out = start(&mut c, 0.0);
         let pings = out
             .iter()
-            .filter(|o| matches!(o, Output::Send { msg, .. } if msg.is_ping()))
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Send {
+                        msg: WireMessage::Ping { .. },
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(pings, 3);
         assert!(out.iter().any(|o| matches!(

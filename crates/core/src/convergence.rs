@@ -499,6 +499,10 @@ mod tests {
         let delta = adjust(&PaperSync, 1, 5.0, &e);
         // m = M = 5; limited: (min(5,0)+max(5,0))/2 = 2.5
         assert_eq!(delta, 2.5);
+        // mirror: m = -way_off exactly → m >= -WayOff holds → limited step
+        // (-2.5), not the jump to the midpoint (-5)
+        let e = exact(&[-5.0; 4]);
+        assert_eq!(adjust(&PaperSync, 1, 5.0, &e), -2.5);
     }
 
     #[test]

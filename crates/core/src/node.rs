@@ -250,11 +250,6 @@ impl SyncNode {
         self.round
     }
 
-    /// True iff an estimation round is in flight.
-    pub fn is_round_active(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Number of rounds completed since creation.
     pub fn rounds_completed(&self) -> u64 {
         self.rounds_completed
@@ -484,6 +479,13 @@ impl SyncNode {
 pub(crate) mod tests {
     use super::*;
 
+    impl SyncNode {
+        /// True iff an estimation round is in flight.
+        pub(crate) fn is_round_active(&self) -> bool {
+            self.active.is_some()
+        }
+    }
+
     pub(crate) fn params(n: usize, f: usize) -> ProtocolParams {
         ProtocolParams::builder(n, f)
             .sync_int(SimDuration::from_secs(10.0))
@@ -617,7 +619,10 @@ pub(crate) mod tests {
         let pings: Vec<ProcId> = out
             .iter()
             .filter_map(|o| match o {
-                Output::Send { to, msg } if msg.is_ping() => Some(*to),
+                Output::Send {
+                    to,
+                    msg: WireMessage::Ping { .. },
+                } => Some(*to),
                 _ => None,
             })
             .collect();
@@ -1012,7 +1017,15 @@ pub(crate) mod tests {
         let out = start(&mut node, 0.0);
         let pings = out
             .iter()
-            .filter(|o| matches!(o, Output::Send { msg, .. } if msg.is_ping()))
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Send {
+                        msg: WireMessage::Ping { .. },
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(pings, 9, "3 peers x 3 pings");
     }

@@ -62,11 +62,6 @@ pub enum WireMessage {
 }
 
 impl WireMessage {
-    /// True for pings.
-    pub fn is_ping(&self) -> bool {
-        matches!(self, WireMessage::Ping { .. })
-    }
-
     /// The round this message belongs to.
     pub fn round(&self) -> u64 {
         match self {
@@ -260,14 +255,12 @@ mod tests {
     #[test]
     fn accessors() {
         let ping = WireMessage::Ping { round: 3, nonce: 9 };
-        assert!(ping.is_ping());
         assert_eq!(ping.round(), 3);
         let pong = WireMessage::Pong {
             round: 3,
             nonce: 9,
             clock: LocalTime::from_secs(1.0),
         };
-        assert!(!pong.is_ping());
         assert_eq!(pong.round(), 3);
     }
 

@@ -117,7 +117,7 @@ proptest! {
                         // pings never target self; pongs answer whoever
                         // asked (a forged self-ping gets a self-pong, which
                         // the network layer drops)
-                        if msg.is_ping() {
+                        if matches!(msg, WireMessage::Ping { .. }) {
                             prop_assert!(*to != ProcId(0), "node pinged itself");
                         }
                         if let WireMessage::Pong { round, nonce, .. } = msg {
@@ -197,7 +197,7 @@ proptest! {
             Output::SetTimer { kind: TimerKind::SyncDue, .. }
         ));
         prop_assert!(sync_armed, "next sync must be armed");
-        prop_assert!(!node.is_round_active());
+        prop_assert_eq!(node.rounds_completed(), 1, "the round must be over");
         // the adjustment is bounded by the honest estimate hull (all honest)
         let delta = all_outputs
             .iter()

@@ -10,9 +10,8 @@
 //! Structure:
 //!
 //! * [`stats`] — summary statistics and linear regression.
-//! * [`table`] / [`series`] — paper-style table and ASCII-plot rendering
-//!   (plus CSV for machine consumption), and [`svg`] for publication-style
-//!   figures.
+//! * [`table`] / [`series`] — paper-style table and ASCII-plot rendering,
+//!   and [`svg`] for publication-style figures.
 //! * [`metrics`] — [`RunLog`], the one
 //!   [`Observer`](byzclock_runtime::Observer): it records a run's samples,
 //!   adjustments and releases, and deviation, recovery, discontinuity and

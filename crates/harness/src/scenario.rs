@@ -206,7 +206,7 @@ mod tests {
         assert_eq!(release_at, RealTime::from_secs(90.0));
         w.run_until(RealTime::from_secs(70.0));
         assert!(w.is_corrupt(victim));
-        assert!(w.bias_of(victim).abs_secs() > 1.0);
+        assert!(w.bias_of(victim).as_secs().abs() > 1.0);
     }
 
     #[test]

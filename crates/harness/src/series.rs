@@ -60,15 +60,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// CSV representation (`x,y` with a header row).
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("{},{}\n", self.x_label, self.y_label);
-        for (x, y) in &self.points {
-            out.push_str(&format!("{x},{y}\n"));
-        }
-        out
-    }
-
     /// Renders an ASCII scatter/line plot (width×height characters).
     pub fn render_ascii(&self, width: usize, height: usize) -> String {
         let width = width.max(16);
@@ -173,14 +164,6 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.points()[0], (0.0, 100.0));
         assert_eq!(s.name(), "decay");
-    }
-
-    #[test]
-    fn csv_shape() {
-        let s = demo();
-        let csv = s.to_csv();
-        assert!(csv.starts_with("t,dev\n"));
-        assert_eq!(csv.lines().count(), 11);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Paper-style text tables (plus CSV).
+//! Paper-style text tables.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -35,16 +35,6 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
     }
 
     /// Appends a row.
@@ -104,33 +94,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (headers first, RFC-4180-style quoting for cells
-    /// containing commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -157,6 +120,13 @@ pub fn fmt_secs(v: f64) -> String {
 mod tests {
     use super::*;
 
+    impl Table {
+        /// Number of data rows.
+        pub(crate) fn row_count(&self) -> usize {
+            self.rows.len()
+        }
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("T", &["name", "v"]);
@@ -181,16 +151,6 @@ mod tests {
     #[should_panic(expected = "column")]
     fn empty_headers_panic() {
         Table::new("T", &[]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("T", &["a", "b"]);
-        t.row(&["x,y", "quo\"te"]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "a,b");
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"quo\"\"te\""));
     }
 
     #[test]

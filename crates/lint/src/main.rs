@@ -1,9 +1,9 @@
-//! CLI for the byzclock determinism linter.
+//! CLI for the byzclock linter.
 //!
 //! ```text
-//! byzclock-lint --workspace [--root PATH]   lint the scanned crates
-//! byzclock-lint FILE...                     lint specific files
-//! byzclock-lint --rules                     print the rule table
+//! byzclock-lint --workspace [--root PATH]   lint the scanned crates (D1-D7)
+//! byzclock-lint FILE...                     lint specific files (D1-D6)
+//! byzclock-lint --rules                     print the rule table and the D7 allowlist
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
@@ -14,7 +14,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use byzclock_lint::{
-    find_workspace_root, lint_file, lint_workspace, Finding, RULES, SCANNED_CRATES,
+    find_workspace_root, lint_file, lint_workspace, Finding, CALLERLESS_ALLOWLIST, RULES,
+    SCANNED_CRATES,
 };
 
 fn main() -> ExitCode {
@@ -43,9 +44,16 @@ fn main() -> ExitCode {
         }
     }
     if print_rules {
-        println!("byzclock determinism rules (escape: // lint:allow(<slug>)):");
+        println!("byzclock lint rules (escape: // lint:allow(<slug>)):");
         for r in RULES {
             println!("  {:>3}  {:<22} {}", r.id, r.slug, r.summary);
+        }
+        println!(
+            "d7 allowlist (CALLERLESS_ALLOWLIST, crate/item: reason): {} entries",
+            CALLERLESS_ALLOWLIST.len()
+        );
+        for (krate, item, reason) in CALLERLESS_ALLOWLIST {
+            println!("  {krate}/{item}: {reason}");
         }
         return ExitCode::SUCCESS;
     }
@@ -65,7 +73,7 @@ fn main() -> ExitCode {
             Ok(f) => {
                 if f.is_empty() {
                     println!(
-                        "byzclock-lint: clean — {} crates ({}) pass D1-D6",
+                        "byzclock-lint: clean — {} crates ({}) pass D1-D7",
                         SCANNED_CRATES.len(),
                         SCANNED_CRATES.join(", ")
                     );

@@ -1,6 +1,6 @@
-//! The determinism rule set (D1–D6) and the token-stream analyzer.
+//! The rule set (D1–D7) and the per-file token-stream analyzer (D1–D6).
 //!
-//! Every rule guards the property the whole reproduction rests on:
+//! D1–D6 guard the property the whole reproduction rests on:
 //! bit-exact determinism of simulation runs, which the chaos-campaign
 //! replay artifacts and the seq-vs-par bit-identity guarantee of
 //! `byzclock_sim::pool` both assume. The paper's `Sync` convergence
@@ -11,10 +11,13 @@
 //! The analyzer walks the lexed token stream once, skipping test code
 //! (`#[cfg(test)]` / `#[test]` items) and honoring per-site
 //! `// lint:allow(<rule>)` escapes on the finding's line or the line above.
+//! D7 needs the whole file set, so it lives in [`crate::callers`].
+
+use std::ops::Range;
 
 use crate::tokenizer::{lex, Lexed, TokKind, Token};
 
-/// Stable rule metadata: id (`d1`…`d6`), slug, and rationale.
+/// Stable rule metadata: id (`d1`…`d7`), slug, and rationale.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     pub id: &'static str,
@@ -24,7 +27,7 @@ pub struct RuleInfo {
 
 /// The rule table, in rule order. The slug is what `lint:allow` takes
 /// (the short id is accepted too).
-pub const RULES: [RuleInfo; 6] = [
+pub const RULES: [RuleInfo; 7] = [
     RuleInfo {
         id: "d1",
         slug: "wall-clock",
@@ -66,7 +69,18 @@ pub const RULES: [RuleInfo; 6] = [
                   CachedSync / ConvergenceFn impls — the per-round path must reuse scratch \
                   buffers and select in O(n), not allocate-and-sort",
     },
+    RuleInfo {
+        id: "d7",
+        slug: "callerless-pub",
+        summary: "every pub/pub(crate) item of a scanned crate is named by non-test \
+                  code other than its definition (workspace mode only; tests/ do \
+                  not count; a name two items share counts for both; \
+                  CALLERLESS_ALLOWLIST holds the reasoned exceptions)",
+    },
 ];
+
+/// Index of D7 in [`RULES`].
+pub(crate) const D7: usize = 6;
 
 /// One lint finding at a source position.
 #[derive(Debug, Clone)]
@@ -75,7 +89,7 @@ pub struct Finding {
     pub file: String,
     pub line: u32,
     pub col: u32,
-    /// `d1`…`d6`.
+    /// `d1`…`d7`.
     pub rule: &'static str,
     /// `wall-clock`, … — the `lint:allow` name.
     pub slug: &'static str,
@@ -92,10 +106,34 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Lints one file's source text. `file` is used only for reporting.
+/// Lints one file's source text with D1–D6. `file` is used only for
+/// reporting.
 pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    Analyzer::new(file, &lexed).run()
+    analyze(file, &lex(src)).0
+}
+
+/// Runs D1–D6 over one lexed file. Also returns the token ranges of its
+/// `#[cfg(test)]`/`#[test]` items, in order, for D7.
+pub(crate) fn analyze(file: &str, lexed: &Lexed) -> (Vec<Finding>, Vec<Range<usize>>) {
+    let mut a = Analyzer::new(file, lexed);
+    while a.i < a.toks.len() {
+        a.step();
+    }
+    (a.findings, a.test_spans)
+}
+
+/// True when a `lint:allow` escape for `RULES[rule_idx]` sits on `line` or
+/// the line above.
+pub(crate) fn allowed(lexed: &Lexed, rule_idx: usize, line: u32) -> bool {
+    let info = &RULES[rule_idx];
+    let names = [info.id, info.slug];
+    [line, line.saturating_sub(1)].iter().any(|l| {
+        lexed.allows.get(l).is_some_and(|allows| {
+            allows
+                .iter()
+                .any(|a| names.contains(&a.as_str()) || a == &format!("{}-{}", info.id, info.slug))
+        })
+    })
 }
 
 /// A brace scope the analyzer is inside of.
@@ -121,6 +159,8 @@ struct Analyzer<'a> {
     pending_impl: Option<Vec<String>>,
     pending_fn: Option<String>,
     findings: Vec<Finding>,
+    /// Token ranges of the skipped test items.
+    test_spans: Vec<Range<usize>>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -135,14 +175,8 @@ impl<'a> Analyzer<'a> {
             pending_impl: None,
             pending_fn: None,
             findings: Vec::new(),
+            test_spans: Vec::new(),
         }
-    }
-
-    fn run(mut self) -> Vec<Finding> {
-        while self.i < self.toks.len() {
-            self.step();
-        }
-        self.findings
     }
 
     fn tok(&self, at: usize) -> Option<&Token> {
@@ -178,7 +212,9 @@ impl<'a> Analyzer<'a> {
             TokKind::Ident => {
                 if self.skip_next_item {
                     self.skip_next_item = false;
+                    let start = self.i;
                     self.skip_item();
+                    self.test_spans.push(start..self.i);
                     return;
                 }
                 match t.text.as_str() {
@@ -203,7 +239,8 @@ impl<'a> Analyzer<'a> {
         self.i += 1;
     }
 
-    /// Consumes `#[...]`; sets the skip flag when it names `test`.
+    /// Consumes `#[...]`; sets the skip flag when it names `test`, unless
+    /// as `not(test)`, which marks code that tests never compile.
     fn attribute(&mut self) {
         self.i += 2; // past `#[`
         let mut depth = 1usize;
@@ -215,7 +252,10 @@ impl<'a> Analyzer<'a> {
             } else if t.is_punct(']') {
                 depth -= 1;
             } else if t.is_ident("test") {
-                mentions_test = true;
+                let negated = self.i >= 2
+                    && self.toks[self.i - 1].is_punct('(')
+                    && self.toks[self.i - 2].is_ident("not");
+                mentions_test |= !negated;
             }
             self.i += 1;
         }
@@ -300,24 +340,9 @@ impl<'a> Analyzer<'a> {
         self.scopes.iter().rev().find_map(|s| s.fn_name.as_deref())
     }
 
-    fn allowed(&self, rule_idx: usize, line: u32) -> bool {
-        let info = &RULES[rule_idx];
-        let names = [info.id, info.slug];
-        for l in [line, line.saturating_sub(1)] {
-            if let Some(allows) = self.lexed.allows.get(&l) {
-                if allows.iter().any(|a| {
-                    names.contains(&a.as_str()) || a == &format!("{}-{}", info.id, info.slug)
-                }) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
     fn report(&mut self, rule_idx: usize, tok_at: usize, message: String) {
         let t = &self.toks[tok_at];
-        if self.allowed(rule_idx, t.line) {
+        if allowed(self.lexed, rule_idx, t.line) {
             return;
         }
         let info = &RULES[rule_idx];
@@ -621,6 +646,15 @@ mod tests {
             }
         "#;
         assert!(lint_source("x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cfg_not_test_items_are_linted() {
+        let src = r#"
+            #[cfg(not(test))]
+            fn production_only() { let _t = std::time::Instant::now(); }
+        "#;
+        assert_eq!(slugs(&lint_source("x.rs", src)), ["wall-clock"]);
     }
 
     #[test]

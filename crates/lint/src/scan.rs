@@ -1,10 +1,12 @@
-//! Workspace scanning: which files the determinism rules apply to.
+//! Workspace scanning: which files the rules apply to.
 //!
 //! Scope: every non-test `.rs` file under `src/` of the
 //! [`SCANNED_CRATES`]; `crates/lint` audits itself only via its own tests,
-//! not the workspace pass. Test code is excluded twice over: `tests/`
-//! trees are never walked, and `#[cfg(test)]`/`#[test]` items inside
-//! `src/` are skipped by the analyzer.
+//! not the workspace pass. D7 also reads the facade's `src/`, `examples/`
+//! and `perfbench/src/` as consumers of the scanned crates' public items.
+//! Test code is excluded twice over: `tests/` trees are never walked, and
+//! `#[cfg(test)]`/`#[test]` items inside `src/` are skipped by the
+//! analyzer.
 //!
 //! Some crates are *partially* exempt via the [`CRATE_EXEMPTIONS`] table:
 //! the real-time `crates/live` runtime legitimately reads the machine
@@ -16,7 +18,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_source, Finding};
+use crate::callers::{role, Callers, Role, CALLERLESS_ALLOWLIST};
+use crate::rules::{analyze, lint_source, Finding};
+use crate::tokenizer::{lex, Lexed};
 
 /// Crates whose `src/` trees the workspace pass audits.
 pub const SCANNED_CRATES: [&str; 9] = [
@@ -73,10 +77,12 @@ pub fn lint_file(path: &Path) -> io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
-/// Lints every scanned crate under `root` (the workspace root). Returned
-/// findings use root-relative paths and are sorted by (file, line, col).
+/// Lints every scanned crate under `root` (the workspace root) with
+/// D1–D7; D7's consumers also include the facade's `src/`, `examples/`
+/// and `perfbench/src/`. Returned findings use root-relative paths and are
+/// sorted by (file, line, col).
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+    let mut dirs = Vec::new();
     for krate in SCANNED_CRATES {
         let src_dir = root.join("crates").join(krate).join("src");
         if !src_dir.is_dir() {
@@ -85,20 +91,50 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
                 format!("expected crate source tree at {}", src_dir.display()),
             ));
         }
-        for file in rust_files(&src_dir)? {
+        dirs.push(src_dir);
+    }
+    dirs.extend(
+        ["src", "examples", "perfbench/src"]
+            .iter()
+            .map(|d| root.join(d))
+            .filter(|d| d.is_dir()),
+    );
+    let mut files = Vec::new();
+    for dir in dirs {
+        for file in rust_files(&dir)? {
             let src = fs::read_to_string(&file)?;
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .display()
-                .to_string();
-            findings.extend(lint_source(&rel, &src));
+            let rel = file.strip_prefix(root).unwrap_or(&file);
+            files.push((rel.display().to_string(), src));
         }
     }
+    Ok(lint_sources(&files, CALLERLESS_ALLOWLIST))
+}
+
+/// Lints an in-memory file set of `(root-relative path, source)`: D1–D6
+/// over the scanned crates' `src/` files, then D7 over the whole set (see
+/// [`crate::callers`] for which paths count), with `allowlist` in the role
+/// of [`CALLERLESS_ALLOWLIST`]. Findings honor the [`CRATE_EXEMPTIONS`] and
+/// are sorted by (file, line, col).
+pub fn lint_sources(files: &[(String, String)], allowlist: &[(&str, &str, &str)]) -> Vec<Finding> {
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    let mut findings = Vec::new();
+    let mut callers = Callers::new(allowlist);
+    for ((path, _), lexed) in files.iter().zip(&lexed) {
+        let role = role(path);
+        if role == Role::Ignored {
+            continue;
+        }
+        let (file_findings, test_spans) = analyze(path, lexed);
+        if role == Role::Defines {
+            findings.extend(file_findings);
+        }
+        callers.add(path, role, lexed, &test_spans);
+    }
+    findings.extend(callers.findings());
     findings.retain(|f| !rule_exempt(&f.file, f.rule));
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
-    Ok(findings)
+    findings
 }
 
 /// All `.rs` files under `dir`, recursively, in deterministic path order.

@@ -1,6 +1,6 @@
 //! A small hand-rolled Rust lexer.
 //!
-//! The offline vendor set has no `syn`, and the D1–D5 determinism rules are
+//! The offline vendor set has no `syn`, and the D1–D7 rules are
 //! token-pattern rules — "`Instant` named anywhere", "`.partial_cmp` method
 //! call" — so full parsing is unnecessary. What *is* necessary is getting
 //! lexical structure right, or strings and comments produce false

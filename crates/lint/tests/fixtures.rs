@@ -1,11 +1,12 @@
 //! Fixture-driven tests: one file per rule that must trigger exactly that
-//! rule, one annotated file that must pass clean, and CLI exit-code checks
-//! driven through the built `byzclock-lint` binary.
+//! rule, one annotated file that must pass clean, D7 over an in-memory file
+//! set, and CLI exit-code checks driven through the built `byzclock-lint`
+//! binary.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use byzclock_lint::{lint_file, Finding};
+use byzclock_lint::{lint_file, lint_sources, Finding};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -69,6 +70,108 @@ fn d6_fixture_flags_sync_node_and_convergence_impls() {
     assert!(findings
         .iter()
         .any(|f| f.message.contains("adjustment_scratch")));
+}
+
+/// Lints the D7 fixture as `crates/core/src/lib.rs` beside `consumers`
+/// with `allowlist`; returns the names D7 flags, in source order.
+fn d7_flagged(consumers: &[(&str, &str)], allowlist: &[(&str, &str, &str)]) -> Vec<String> {
+    let fixture = std::fs::read_to_string(fixture("d7_callerless_pub.rs")).expect("readable");
+    let mut files = vec![("crates/core/src/lib.rs".to_string(), fixture)];
+    files.extend(
+        consumers
+            .iter()
+            .map(|&(p, s)| (p.to_string(), s.to_string())),
+    );
+    let findings = lint_sources(&files, allowlist);
+    assert!(findings.iter().all(|f| f.rule == "d7"), "{findings:#?}");
+    findings
+        .iter()
+        .map(|f| {
+            assert_eq!(f.file, "crates/core/src/lib.rs");
+            let name = f.message.split('`').nth(1).expect("message names the item");
+            name.to_string()
+        })
+        .collect()
+}
+
+const D7_CONSUMERS: [(&str, &str); 4] = [
+    (
+        "crates/net/src/lib.rs",
+        r#"
+        use byzclock_core::{used_by_sibling_crate, Mode};
+        // MENTIONED is named only here, in a comment
+        fn run(m: Mode, v: &[u8]) -> usize {
+            used_by_sibling_crate();
+            let _ = "MENTIONED callerless";
+            match m {
+                Mode::Used => v.len(),
+                _ => 0,
+            }
+        }
+        "#,
+    ),
+    (
+        "perfbench/src/lib.rs",
+        "struct P; impl byzclock_core::UsedByPerfbench for P {} pub fn never_called() {}",
+    ),
+    (
+        "examples/demo.rs",
+        "fn main() { let _x: byzclock_core::UsedByExample = 0; }",
+    ),
+    (
+        "crates/core/tests/it.rs",
+        "#[test] fn t() { let _ = byzclock_core::UsedInTestsDir; byzclock_core::callerless(); }",
+    ),
+];
+
+#[test]
+fn d7_flags_items_that_no_non_test_code_names() {
+    let allowlist = [("core", "allowlisted", "fixture entry")];
+    assert_eq!(
+        d7_flagged(&D7_CONSUMERS, &allowlist),
+        [
+            "callerless",
+            "used_in_unit_tests",
+            "UsedInTestsDir",
+            "MENTIONED",
+            "Unused"
+        ]
+    );
+}
+
+#[test]
+fn d7_covers_every_item_kind_and_honors_escapes_and_the_allowlist() {
+    // with no consumers every public item of the fixture is callerless:
+    // fn, pub(crate) fn, struct, const, trait, type alias, enum and its
+    // variants; the escaped static never is, the allowlisted fn only with
+    // its entry
+    let all = [
+        "callerless",
+        "used_in_unit_tests",
+        "UsedInTestsDir",
+        "MENTIONED",
+        "used_by_sibling_crate",
+        "UsedByPerfbench",
+        "UsedByExample",
+        "len",
+        "Mode",
+        "Used",
+        "Unused",
+        "allowlisted",
+    ];
+    assert_eq!(d7_flagged(&[], &[]), all);
+    let allowlist = [("core", "allowlisted", "fixture entry")];
+    assert_eq!(d7_flagged(&[], &allowlist), all[..all.len() - 1]);
+    // an entry for another crate does not apply
+    let elsewhere = [("net", "allowlisted", "fixture entry")];
+    assert_eq!(d7_flagged(&[], &elsewhere), all);
+}
+
+#[test]
+fn d7_runs_only_over_a_file_set() {
+    // a single file cannot show its consumers, so file mode skips D7
+    let findings = lint_file(&fixture("d7_callerless_pub.rs")).expect("fixture readable");
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]
@@ -150,7 +253,7 @@ fn cli_exits_zero_on_allowed_fixture_and_two_on_bad_usage() {
 }
 
 #[test]
-fn cli_rules_listing_names_all_six() {
+fn cli_rules_listing_names_all_seven() {
     let out = run_cli(&["--rules"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
@@ -161,7 +264,12 @@ fn cli_rules_listing_names_all_six() {
         "float-ord",
         "hot-path-unwrap",
         "hot-path-alloc",
+        "callerless-pub",
     ] {
         assert!(text.contains(slug), "--rules output missing {slug}");
     }
+    assert!(
+        text.contains("d7 allowlist"),
+        "--rules output missing the allowlist"
+    );
 }

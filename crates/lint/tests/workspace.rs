@@ -45,6 +45,20 @@ fn scan_covers_the_agreed_crate_set() {
 }
 
 #[test]
+fn every_d7_allowlist_entry_has_a_one_line_reason() {
+    for (krate, item, reason) in byzclock_lint::CALLERLESS_ALLOWLIST {
+        assert!(
+            SCANNED_CRATES.contains(krate),
+            "{krate}/{item}: not a scanned crate"
+        );
+        assert!(
+            !reason.trim().is_empty() && !reason.contains('\n'),
+            "{krate}/{item}: the reason must be one non-empty line"
+        );
+    }
+}
+
+#[test]
 fn live_crate_is_scanned_but_d1_exempt() {
     // the live runtime reads Instant by design; if the exemption table
     // regressed, the workspace-clean test above would light up with d1

@@ -40,6 +40,11 @@ use crate::clock::LiveClock;
 /// stop flag and its alarm list.
 const POLL_CAP: Duration = Duration::from_millis(25);
 
+/// Largest cluster [`run`] starts. Each node is an OS thread with its own
+/// socket, and every round is all-to-all, so a loopback cluster stays
+/// small.
+const MAX_NODES: usize = 64;
+
 /// Configuration of a loopback cluster run.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveConfig {
@@ -231,6 +236,9 @@ pub enum LiveError {
     Bounds(byzclock_core::BoundsError),
     /// Config asks for fewer than two nodes.
     TooFewNodes(usize),
+    /// Config asks for more nodes than the cap of one thread per node
+    /// allows.
+    TooManyNodes(usize),
 }
 
 impl std::fmt::Display for LiveError {
@@ -239,6 +247,9 @@ impl std::fmt::Display for LiveError {
             LiveError::Io(e) => write!(f, "socket setup failed: {e}"),
             LiveError::Bounds(e) => write!(f, "cannot derive parameters: {e}"),
             LiveError::TooFewNodes(n) => write!(f, "need at least 2 nodes, got {n}"),
+            LiveError::TooManyNodes(n) => {
+                write!(f, "at most {MAX_NODES} nodes (one thread each), got {n}")
+            }
         }
     }
 }
@@ -409,6 +420,9 @@ pub fn run(config: LiveConfig) -> Result<LiveReport, LiveError> {
     if config.nodes < 2 {
         return Err(LiveError::TooFewNodes(config.nodes));
     }
+    if config.nodes > MAX_NODES {
+        return Err(LiveError::TooManyNodes(config.nodes));
+    }
     let sockets = (0..config.nodes)
         .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
         .collect::<io::Result<Vec<_>>>()?;
@@ -531,6 +545,23 @@ mod tests {
     use byzclock_clock::LocalTime;
     use byzclock_core::{ProtocolParams, WireMessage};
 
+    /// Both node-count bounds return before any socket is bound or any
+    /// thread starts.
+    #[test]
+    fn node_count_outside_the_bounds_is_rejected() {
+        assert!(matches!(
+            run(LiveConfig::quick(1, 0)),
+            Err(LiveError::TooFewNodes(1))
+        ));
+        let over = MAX_NODES + 1;
+        match run(LiveConfig::quick(over, 1)) {
+            Err(e @ LiveError::TooManyNodes(n)) if n == over => {
+                assert!(e.to_string().contains(&MAX_NODES.to_string()), "{e}");
+            }
+            other => panic!("expected TooManyNodes({over}), got {other:?}"),
+        }
+    }
+
     /// A started node sends one ping frame to each of its three peers over
     /// UDP and arms its round timeout.
     #[test]
@@ -574,7 +605,7 @@ mod tests {
             assert_eq!(src, io.peers[0]);
             let (envelope, used) = wire::decode(&buf[..len]).unwrap();
             assert_eq!((envelope.from, used), (ProcId(0), len));
-            assert!(envelope.msg.is_ping());
+            assert!(matches!(envelope.msg, WireMessage::Ping { .. }));
         }
     }
 

@@ -155,7 +155,7 @@ mod tests {
             let mut m = UniformDelay::new(ms(0.0), ms(5.0));
             let mut r = RngHub::new(seed).stream("d", 0);
             (0..32)
-                .map(|_| m.sample(ProcId(0), ProcId(1), &mut r).as_millis())
+                .map(|_| m.sample(ProcId(0), ProcId(1), &mut r).as_secs())
                 .collect()
         };
         assert_eq!(sample(7), sample(7));

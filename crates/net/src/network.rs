@@ -272,16 +272,6 @@ impl Network {
         self.loss_probability = p;
     }
 
-    /// The message delivery bound δ.
-    pub fn delta(&self) -> SimDuration {
-        self.delta
-    }
-
-    /// The communication graph.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Administrative link control.
     pub fn links_mut(&mut self) -> &mut LinkFilter {
         &mut self.links

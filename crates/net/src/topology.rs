@@ -12,8 +12,9 @@ use byzclock_sim::{DetRng, ProcId};
 
 /// An undirected communication graph over processors `0..n`.
 ///
-/// Stored as a symmetric adjacency matrix (bit-packed per row); `n` is small
-/// in all experiments so O(n²) storage is irrelevant and lookups are O(1).
+/// Stored as one symmetric `n×n` adjacency matrix of `bool`s, flattened row
+/// by row (`{a, b}` is at `adj[a·n + b]`); `n` is small in all experiments
+/// so O(n²) storage is irrelevant and lookups are O(1).
 ///
 /// ```
 /// use byzclock_net::Topology;
@@ -27,7 +28,7 @@ use byzclock_sim::{DetRng, ProcId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
-    adj: Vec<Vec<bool>>,
+    adj: Vec<bool>,
 }
 
 impl Topology {
@@ -40,7 +41,7 @@ impl Topology {
         assert!(n > 0, "topology needs at least one node");
         Topology {
             n,
-            adj: vec![vec![false; n]; n],
+            adj: vec![false; n * n],
         }
     }
 
@@ -50,7 +51,7 @@ impl Topology {
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    t.adj[i][j] = true;
+                    t.adj[i * n + j] = true;
                 }
             }
         }
@@ -138,19 +139,6 @@ impl Topology {
         t
     }
 
-    /// Builds a graph from an explicit undirected edge list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range or an edge is a self-loop.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut t = Topology::empty(n);
-        for &(a, b) in edges {
-            t.add_edge(ProcId(a), ProcId(b));
-        }
-        t
-    }
-
     /// Adds the undirected edge `{a, b}`.
     ///
     /// # Panics
@@ -162,8 +150,8 @@ impl Topology {
             a.index() < self.n && b.index() < self.n,
             "edge endpoint out of range"
         );
-        self.adj[a.index()][b.index()] = true;
-        self.adj[b.index()][a.index()] = true;
+        self.adj[a.index() * self.n + b.index()] = true;
+        self.adj[b.index() * self.n + a.index()] = true;
     }
 
     /// Number of nodes.
@@ -178,21 +166,17 @@ impl Topology {
 
     /// True iff `{a, b}` is an edge. Self-pairs are never connected.
     pub fn are_connected(&self, a: ProcId, b: ProcId) -> bool {
-        a.index() < self.n && b.index() < self.n && self.adj[a.index()][b.index()]
+        a.index() < self.n && b.index() < self.n && self.adj[a.index() * self.n + b.index()]
     }
 
-    /// Neighbors of `p`, in increasing id order.
-    pub fn neighbors(&self, p: ProcId) -> impl Iterator<Item = ProcId> + '_ {
-        let row = &self.adj[p.index()];
-        row.iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(j, _)| ProcId(j as u32))
+    /// Row `i` of the adjacency matrix.
+    fn row(&self, i: usize) -> &[bool] {
+        &self.adj[i * self.n..(i + 1) * self.n]
     }
 
     /// Degree of `p`.
     pub fn degree(&self, p: ProcId) -> usize {
-        self.adj[p.index()].iter().filter(|&&c| c).count()
+        self.row(p.index()).iter().filter(|&&c| c).count()
     }
 
     /// Minimum degree over all nodes.
@@ -210,7 +194,7 @@ impl Topology {
         seen[0] = true;
         let mut count = 1;
         while let Some(i) = queue.pop_front() {
-            for (j, &connected) in self.adj[i].iter().enumerate() {
+            for (j, &connected) in self.row(i).iter().enumerate() {
                 if connected && !seen[j] {
                     seen[j] = true;
                     count += 1;
@@ -220,41 +204,49 @@ impl Topology {
         }
         count == self.n
     }
-
-    /// True iff the graph remains connected after removing `removed` nodes.
-    /// Vacuously true if all nodes are removed.
-    pub fn is_connected_without(&self, removed: &[ProcId]) -> bool {
-        let gone: Vec<bool> = {
-            let mut g = vec![false; self.n];
-            for p in removed {
-                g[p.index()] = true;
-            }
-            g
-        };
-        let Some(start) = (0..self.n).find(|&i| !gone[i]) else {
-            return true;
-        };
-        let mut seen = vec![false; self.n];
-        let mut queue = VecDeque::from([start]);
-        seen[start] = true;
-        let mut count = 1;
-        while let Some(i) = queue.pop_front() {
-            for j in 0..self.n {
-                if self.adj[i][j] && !seen[j] && !gone[j] {
-                    seen[j] = true;
-                    count += 1;
-                    queue.push_back(j);
-                }
-            }
-        }
-        count == (0..self.n).filter(|&i| !gone[i]).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use byzclock_sim::RngHub;
+
+    impl Topology {
+        /// Builds a graph from an explicit undirected edge list.
+        pub(crate) fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+            let mut t = Topology::empty(n);
+            for &(a, b) in edges {
+                t.add_edge(ProcId(a), ProcId(b));
+            }
+            t
+        }
+
+        /// True iff the graph remains connected after removing `removed`
+        /// nodes. Vacuously true if all nodes are removed.
+        fn is_connected_without(&self, removed: &[ProcId]) -> bool {
+            let mut gone = vec![false; self.n];
+            for p in removed {
+                gone[p.index()] = true;
+            }
+            let Some(start) = (0..self.n).find(|&i| !gone[i]) else {
+                return true;
+            };
+            let mut seen = vec![false; self.n];
+            let mut queue = VecDeque::from([start]);
+            seen[start] = true;
+            let mut count = 1;
+            while let Some(i) = queue.pop_front() {
+                for j in 0..self.n {
+                    if self.row(i)[j] && !seen[j] && !gone[j] {
+                        seen[j] = true;
+                        count += 1;
+                        queue.push_back(j);
+                    }
+                }
+            }
+            count == gone.iter().filter(|&&g| !g).count()
+        }
+    }
 
     #[test]
     fn full_mesh_connects_all_pairs() {
@@ -345,8 +337,9 @@ mod tests {
     #[test]
     fn from_edges_and_neighbors() {
         let t = Topology::from_edges(4, &[(0, 1), (1, 2)]);
-        let n1: Vec<ProcId> = t.neighbors(ProcId(1)).collect();
-        assert_eq!(n1, vec![ProcId(0), ProcId(2)]);
+        assert!(t.are_connected(ProcId(1), ProcId(0)));
+        assert!(t.are_connected(ProcId(1), ProcId(2)));
+        assert_eq!(t.degree(ProcId(1)), 2);
         assert_eq!(t.degree(ProcId(3)), 0);
         assert!(!t.is_connected());
     }

@@ -102,8 +102,12 @@ proptest! {
         prop_assert_eq!(t.len(), 2 * half);
         prop_assert_eq!(t.min_degree(), 3 * f + 1);
         prop_assert!(t.is_connected());
-        let clique_a: Vec<ProcId> = (0..half as u32).map(ProcId).collect();
-        prop_assert!(t.is_connected_without(&clique_a));
+        // removing clique A leaves clique B, itself complete
+        for i in half as u32..(2 * half) as u32 {
+            for j in half as u32..(2 * half) as u32 {
+                prop_assert_eq!(t.are_connected(ProcId(i), ProcId(j)), i != j);
+            }
+        }
         // cross edges are exactly the matching
         let mut cross = 0;
         for i in 0..half as u32 {

@@ -349,8 +349,10 @@ impl WorldBuilder {
     }
 
     /// Schedules benign crash+reboot events: at each `(at, node)` the node
-    /// loses volatile protocol state and restarts from its persistent
-    /// clock. See [`World::schedule_restart`].
+    /// loses volatile protocol state (active round, alarms) and restarts
+    /// from its persistent clock. A restart is a no-op if the node is then
+    /// under adversary control: the corruption already wiped more, and its
+    /// release restarts the node.
     pub fn restarts(mut self, restarts: Vec<(RealTime, ProcId)>) -> Self {
         self.restarts = restarts;
         self

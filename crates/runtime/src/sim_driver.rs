@@ -77,8 +77,10 @@ impl Driver for World {
                 self.reschedule_pending_timers(tau, node);
             }
         }
-        let good = self.adversary.good_at(node, tau, self.big_delta);
-        self.notify(|o| o.on_adjustment(node, delta.as_secs(), tau, good));
+        if !self.observers.is_empty() {
+            let good = self.adversary.good_at(node, tau, self.big_delta);
+            self.notify(|o| o.on_adjustment(node, delta.as_secs(), tau, good));
+        }
     }
 
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {

@@ -154,7 +154,7 @@ mod tests {
     /// ∞ − ∞: how a NaN instant arises without tripping `from_secs`'s
     /// debug assertion.
     fn nan_instant() -> RealTime {
-        RealTime::from_secs(f64::INFINITY) - SimDuration::INFINITE
+        RealTime::from_secs(f64::INFINITY) - d(f64::INFINITY)
     }
 
     #[test]
@@ -212,13 +212,13 @@ mod tests {
     #[should_panic(expected = "NaN delay")]
     fn schedule_after_nan_panics() {
         let mut e: Engine<u8> = Engine::new();
-        e.schedule_after(SimDuration::INFINITE - SimDuration::INFINITE, 1);
+        e.schedule_after(d(f64::INFINITY) - d(f64::INFINITY), 1);
     }
 
     #[test]
     fn infinite_instants_still_schedule_and_pop_last() {
         let mut e: Engine<u8> = Engine::new();
-        e.schedule_after(SimDuration::INFINITE, 2);
+        e.schedule_after(d(f64::INFINITY), 2);
         e.schedule_at(RealTime::from_secs(f64::INFINITY), 3);
         e.schedule_at(t(1.0), 1);
         let order: Vec<u8> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();

@@ -50,13 +50,6 @@ const NIL: usize = usize::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// Raw numeric value (useful for logging).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 #[derive(Debug)]
 struct Entry<T> {
     /// `(order_bits(time) << 64) | id`: unsigned order is `(time, id)` order.
@@ -273,12 +266,6 @@ impl<T: Copy> EventQueue<T> {
         self.len == 0
     }
 
-    /// Time of the next event, if any.
-    pub fn peek_time(&mut self) -> Option<RealTime> {
-        let (_, key) = self.min_tier()?;
-        Some(time_of((key >> 64) as u64))
-    }
-
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(RealTime, T)> {
         let (tier, _) = self.min_tier()?;
@@ -412,6 +399,14 @@ impl<T: Copy> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Copy> EventQueue<T> {
+        /// Time of the next event, if any.
+        fn peek_time(&mut self) -> Option<RealTime> {
+            let (_, key) = self.min_tier()?;
+            Some(time_of((key >> 64) as u64))
+        }
+    }
 
     fn t(s: f64) -> RealTime {
         RealTime::from_secs(s)

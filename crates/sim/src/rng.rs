@@ -37,11 +37,6 @@ impl RngHub {
         RngHub { root: root_seed }
     }
 
-    /// The root seed this hub was created from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// Returns the deterministic stream for `(label, index)`.
     ///
     /// The same `(label, index)` always yields an identical stream; distinct

@@ -8,9 +8,8 @@
 //! `byzclock-clock` crate.
 //!
 //! All comparisons use `f64::total_cmp`, so the types are [`Ord`] and can be
-//! used directly as priority-queue keys. Values are expected to be finite;
-//! constructors debug-assert this, and [`SimDuration::INFINITE`] is provided
-//! explicitly for "no timeout" semantics where needed.
+//! used directly as priority-queue keys. Constructors debug-assert that a
+//! value is not NaN; infinities are allowed.
 
 use std::fmt;
 use std::iter::Sum;
@@ -82,19 +81,11 @@ impl RealTime {
             other
         }
     }
-
-    /// Duration since an earlier instant; negative if `earlier` is later.
-    #[inline]
-    pub fn since(self, earlier: RealTime) -> SimDuration {
-        SimDuration(self.0 - earlier.0)
-    }
 }
 
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0.0);
-    /// An infinite duration — "never" for timeouts.
-    pub const INFINITE: SimDuration = SimDuration(f64::INFINITY);
 
     /// Creates a duration from seconds.
     ///
@@ -125,19 +116,13 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration as milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Absolute value of the duration.
     #[inline]
     pub fn abs(self) -> SimDuration {
         SimDuration(self.0.abs())
     }
 
-    /// True iff the duration is finite (not [`SimDuration::INFINITE`]).
+    /// True iff the duration is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
         self.0.is_finite()
@@ -351,7 +336,7 @@ mod tests {
 
     #[test]
     fn realtime_since_negative() {
-        let d = RealTime::from_secs(1.0).since(RealTime::from_secs(3.0));
+        let d = RealTime::from_secs(1.0) - RealTime::from_secs(3.0);
         assert!(d.is_negative());
         assert_eq!(d.as_secs(), -2.0);
     }
@@ -360,7 +345,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_millis(1500.0).as_secs(), 1.5);
         assert_eq!(SimDuration::from_micros(2_000_000.0).as_secs(), 2.0);
-        assert_eq!(SimDuration::from_secs(0.25).as_millis(), 250.0);
     }
 
     #[test]
@@ -413,9 +397,10 @@ mod tests {
 
     #[test]
     fn infinite_duration_behaves() {
-        assert!(!SimDuration::INFINITE.is_finite());
-        assert!(SimDuration::from_secs(1e300) < SimDuration::INFINITE);
-        let t = RealTime::ZERO + SimDuration::INFINITE;
+        let infinite = SimDuration::from_secs(f64::INFINITY);
+        assert!(!infinite.is_finite());
+        assert!(SimDuration::from_secs(1e300) < infinite);
+        let t = RealTime::ZERO + infinite;
         assert!(t > RealTime::from_secs(f64::MAX / 2.0));
     }
 
@@ -443,7 +428,7 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_secs(1.5)), "1.500000s");
         assert_eq!(format!("{}", SimDuration::from_millis(2.0)), "2.000ms");
         assert_eq!(format!("{}", SimDuration::from_micros(3.0)), "3.000us");
-        assert_eq!(format!("{}", SimDuration::INFINITE), "inf");
+        assert_eq!(format!("{}", SimDuration::from_secs(f64::INFINITY)), "inf");
         assert_eq!(format!("{}", RealTime::from_secs(1.0)), "1.000000s");
     }
 

@@ -104,7 +104,7 @@ fn flood_attack_cannot_move_good_clocks_much() {
     let sample = world.sample_now();
     for p in 0..7 {
         assert!(
-            sample.biases[p].abs_secs() < 0.1,
+            sample.biases[p].as_secs().abs() < 0.1,
             "flood dragged p{p} to {}",
             sample.biases[p]
         );
@@ -138,7 +138,7 @@ fn recovering_node_does_not_disturb_good_nodes() {
         - honest.iter().cloned().fold(f64::INFINITY, f64::min);
     assert!(spread <= gamma, "honest spread {spread} > gamma {gamma}");
     // and the victim rejoined them
-    assert!(sample.biases[6].abs_secs() < gamma);
+    assert!(sample.biases[6].as_secs().abs() < gamma);
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn overlapping_corruption_episodes_are_handled() {
     world.run_until(RealTime::from_secs(BIG_DELTA * 4.0));
     assert!(!world.is_corrupt(ProcId(3)));
     assert!(
-        world.bias_of(ProcId(3)).abs_secs() < 0.1,
+        world.bias_of(ProcId(3)).as_secs().abs() < 0.1,
         "must recover after the union of episodes"
     );
 }
