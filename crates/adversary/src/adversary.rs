@@ -75,11 +75,6 @@ impl Adversary {
         actions
     }
 
-    /// True iff `proc` is controlled at `tau`.
-    pub fn is_corrupt(&self, proc: ProcId, tau: RealTime) -> bool {
-        self.schedule.is_corrupt(proc, tau)
-    }
-
     /// True iff `proc` was non-faulty during the whole window
     /// `[tau − big_delta, tau]` (Definition 3's "good at τ").
     ///
@@ -154,7 +149,7 @@ mod tests {
     fn default_adversary_is_harmless() {
         let adv = Adversary::default();
         assert!(adv.timeline().is_empty());
-        assert!(!adv.is_corrupt(ProcId(0), t(5.0)));
+        assert!(adv.schedule().non_faulty_during(ProcId(0), t(5.0), t(5.0)));
         assert_eq!(adv.strategy_name(), "crash");
     }
 

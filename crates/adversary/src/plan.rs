@@ -90,19 +90,6 @@ pub enum StrategySpec {
 }
 
 impl StrategySpec {
-    /// The strategy's short name (matches `ByzantineStrategy::name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            StrategySpec::Crash => "crash",
-            StrategySpec::Random { .. } => "random",
-            StrategySpec::ConstantOffset { .. } => "const-offset",
-            StrategySpec::SplitBrain { .. } => "split-brain",
-            StrategySpec::Stealth { .. } => "stealth",
-            StrategySpec::Colluder { .. } => "colluder",
-            StrategySpec::Flood => "flood",
-        }
-    }
-
     /// Checks the parameter constraints the constructors would panic on.
     ///
     /// # Errors
@@ -345,9 +332,18 @@ mod tests {
             },
             StrategySpec::Flood,
         ];
-        for spec in specs {
+        let names = [
+            "crash",
+            "random",
+            "const-offset",
+            "split-brain",
+            "stealth",
+            "colluder",
+            "flood",
+        ];
+        for (spec, name) in specs.into_iter().zip(names) {
             spec.validate().unwrap();
-            assert_eq!(spec.build().name(), spec.name());
+            assert_eq!(spec.build().name(), name);
         }
     }
 

@@ -36,11 +36,6 @@ impl CorruptionInterval {
         CorruptionInterval { proc, from, until }
     }
 
-    /// True iff the interval covers time `tau`.
-    pub fn contains(&self, tau: RealTime) -> bool {
-        self.from <= tau && tau < self.until
-    }
-
     /// True iff the interval intersects the window `[start, end]`
     /// (window endpoints inclusive, matching Definition 2's closed window).
     pub fn intersects_window(&self, start: RealTime, end: RealTime) -> bool {
@@ -112,12 +107,12 @@ impl IndexEntry {
 /// Besides the episodes in insertion order, a schedule keeps one index,
 /// built in O(k log k) for k episodes: the episodes sorted by
 /// `(proc, from)`, each row carrying the running maximum of `until` within
-/// its processor. Goodness queries ([`non_faulty_during`],
-/// [`is_corrupt`]) are then O(log k) binary searches, and
-/// [`verify_f_limited`] is an O(k log k) sweep.
+/// its processor. Goodness queries ([`non_faulty_during`]; a window of
+/// one instant asks whether a processor is controlled then) are then
+/// O(log k) binary searches, and [`verify_f_limited`] is an O(k log k)
+/// sweep.
 ///
 /// [`non_faulty_during`]: CorruptionSchedule::non_faulty_during
-/// [`is_corrupt`]: CorruptionSchedule::is_corrupt
 /// [`verify_f_limited`]: CorruptionSchedule::verify_f_limited
 ///
 /// ```
@@ -168,31 +163,6 @@ impl CorruptionSchedule {
         CorruptionSchedule { intervals, index }
     }
 
-    /// Adds one corruption episode, keeping the index sorted (O(k)).
-    pub fn push(&mut self, interval: CorruptionInterval) {
-        let key = index_key(interval.proc, interval.from);
-        let at = self.index.partition_point(|e| e.key <= key);
-        let reach = match at.checked_sub(1).map(|i| self.index[i]) {
-            Some(prev) if prev.proc() == interval.proc => prev.reach.max(interval.until),
-            _ => interval.until,
-        };
-        self.index.insert(
-            at,
-            IndexEntry {
-                key,
-                reach,
-                episode: u32::try_from(self.intervals.len()).expect("more than u32::MAX episodes"),
-            },
-        );
-        for e in self.index[at + 1..]
-            .iter_mut()
-            .take_while(|e| e.proc() == interval.proc)
-        {
-            e.reach = e.reach.max(interval.until);
-        }
-        self.intervals.push(interval);
-    }
-
     /// True iff some episode of `proc` intersects the closed window
     /// `[start, end]`: of its episodes with `from ≤ end`, the latest
     /// release must come after `start`. One binary search over the index
@@ -224,11 +194,6 @@ impl CorruptionSchedule {
     /// the point of the mobile-adversary model).
     pub fn episode_count(&self) -> usize {
         self.intervals.len()
-    }
-
-    /// True iff `proc` is controlled at time `tau`. O(log k).
-    pub fn is_corrupt(&self, proc: ProcId, tau: RealTime) -> bool {
-        self.touches(proc, tau, tau)
     }
 
     /// True iff `proc` was non-faulty during the whole closed window
@@ -477,10 +442,12 @@ mod tests {
     #[test]
     fn interval_contains_and_intersects() {
         let iv = CorruptionInterval::new(ProcId(0), t(1.0), t(3.0));
-        assert!(!iv.contains(t(0.5)));
-        assert!(iv.contains(t(1.0)));
-        assert!(iv.contains(t(2.9)));
-        assert!(!iv.contains(t(3.0))); // half-open
+        // containing a point = meeting the one-point window
+        let contains = |tau| iv.intersects_window(t(tau), t(tau));
+        assert!(!contains(0.5));
+        assert!(contains(1.0));
+        assert!(contains(2.9));
+        assert!(!contains(3.0)); // half-open
         assert!(iv.intersects_window(t(0.0), t(1.0)));
         assert!(iv.intersects_window(t(2.9), t(10.0)));
         assert!(!iv.intersects_window(t(3.0), t(4.0)));
@@ -532,9 +499,13 @@ mod tests {
             CorruptionInterval::new(ProcId(0), t(0.0), t(2.0)),
             CorruptionInterval::new(ProcId(1), t(1.0), t(3.0)),
         ]);
-        assert!(s.is_corrupt(ProcId(0), t(0.5)));
-        assert!(!s.is_corrupt(ProcId(0), t(2.5)));
-        let corrupt_count = |tau| (0..2).filter(|&p| s.is_corrupt(ProcId(p), t(tau))).count();
+        assert!(!s.non_faulty_during(ProcId(0), t(0.5), t(0.5)));
+        assert!(s.non_faulty_during(ProcId(0), t(2.5), t(2.5)));
+        let corrupt_count = |tau| {
+            (0..2)
+                .filter(|&p| !s.non_faulty_during(ProcId(p), t(tau), t(tau)))
+                .count()
+        };
         assert_eq!(corrupt_count(1.5), 2);
         assert_eq!(corrupt_count(2.5), 1);
         assert_eq!(corrupt_count(5.0), 0);
@@ -655,9 +626,9 @@ mod tests {
     #[test]
     fn permanent_set_is_always_corrupt() {
         let s = CorruptionSchedule::permanent(&[ProcId(0), ProcId(3)], t(100.0));
-        assert!(s.is_corrupt(ProcId(0), t(0.0)));
-        assert!(s.is_corrupt(ProcId(3), t(99.9)));
-        assert!(!s.is_corrupt(ProcId(1), t(50.0)));
+        assert!(!s.non_faulty_during(ProcId(0), t(0.0), t(0.0)));
+        assert!(!s.non_faulty_during(ProcId(3), t(99.9), t(99.9)));
+        assert!(s.non_faulty_during(ProcId(1), t(50.0), t(50.0)));
         s.verify_f_limited(2, d(10.0), t(100.0)).unwrap();
         assert!(s.verify_f_limited(1, d(10.0), t(100.0)).is_err());
     }

@@ -22,7 +22,8 @@ mod reference {
     use super::*;
 
     pub fn is_corrupt(ivs: &[CorruptionInterval], proc: ProcId, tau: RealTime) -> bool {
-        ivs.iter().any(|iv| iv.proc == proc && iv.contains(tau))
+        ivs.iter()
+            .any(|iv| iv.proc == proc && iv.from <= tau && tau < iv.until)
     }
 
     pub fn non_faulty_during(
@@ -151,9 +152,9 @@ fn assert_queries_match(schedule: &CorruptionSchedule, ivs: &[CorruptionInterval
     for &tau in &times {
         for p in (0..procs + 2).map(ProcId) {
             assert_eq!(
-                schedule.is_corrupt(p, tau),
+                !schedule.non_faulty_during(p, tau, tau),
                 reference::is_corrupt(ivs, p, tau),
-                "is_corrupt({p:?}, {tau})"
+                "corrupt at an instant ({p:?}, {tau})"
             );
             for &start in &times {
                 assert_eq!(
@@ -196,26 +197,17 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// `non_faulty_during` and `is_corrupt` equal the scans,
-    /// whether the schedule was built at once or episode by episode.
+    /// `non_faulty_during`, over windows and single instants, equals the
+    /// scans.
     #[test]
     fn indexed_queries_equal_linear_scans(
         raw in proptest::collection::vec(episode_strategy(), 0..14),
         procs in 1u32..6,
-        split in 0usize..14,
     ) {
         let ivs = episodes(&raw, procs);
         let schedule = CorruptionSchedule::from_intervals(ivs.clone());
+        prop_assert_eq!(schedule.intervals(), &ivs[..]);
         assert_queries_match(&schedule, &ivs, procs);
-
-        // the same episodes, the first `split` indexed at once, the rest pushed
-        let split = split.min(ivs.len());
-        let mut pushed = CorruptionSchedule::from_intervals(ivs[..split].to_vec());
-        for &iv in &ivs[split..] {
-            pushed.push(iv);
-        }
-        prop_assert_eq!(pushed.intervals(), &ivs[..]);
-        assert_queries_match(&pushed, &ivs, procs);
     }
 
     /// The Definition 2 sweep returns the scan's verdict and, on a
@@ -271,7 +263,7 @@ proptest! {
                 let tau = t(f64::from(i));
                 for p in (0..n as u32).map(ProcId) {
                     prop_assert_eq!(
-                        schedule.is_corrupt(p, tau),
+                        !schedule.non_faulty_during(p, tau, tau),
                         reference::is_corrupt(ivs, p, tau)
                     );
                     prop_assert_eq!(
@@ -303,7 +295,7 @@ fn overlapping_episodes_of_one_processor() {
         CorruptionInterval::new(ProcId(1), t(3.0), t(5.0)),
     ];
     let schedule = CorruptionSchedule::from_intervals(ivs.clone());
-    assert!(schedule.is_corrupt(ProcId(0), t(5.0)));
+    assert!(!schedule.non_faulty_during(ProcId(0), t(5.0), t(5.0)));
     assert!(!schedule.non_faulty_during(ProcId(0), t(8.5), t(20.0)));
     assert!(schedule.non_faulty_during(ProcId(0), t(9.0), t(20.0)));
     assert_queries_match(&schedule, &ivs, 2);
@@ -369,7 +361,7 @@ fn permanent_faults_and_plans() {
         ],
     };
     let schedule = plan.schedule();
-    assert!(schedule.is_corrupt(ProcId(2), t(3.0)));
-    assert!(!schedule.is_corrupt(ProcId(2), t(6.0)));
+    assert!(!schedule.non_faulty_during(ProcId(2), t(3.0), t(3.0)));
+    assert!(schedule.non_faulty_during(ProcId(2), t(6.0), t(6.0)));
     assert_queries_match(&schedule, schedule.intervals(), 3);
 }

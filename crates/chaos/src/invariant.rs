@@ -70,11 +70,6 @@ impl ViolationLog {
         self.inner.borrow().clone()
     }
 
-    /// True iff nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().is_empty()
-    }
-
     /// True iff a violation of `invariant` was recorded.
     pub(crate) fn contains(&self, invariant: &str) -> bool {
         self.inner.borrow().iter().any(|v| v.invariant == invariant)
@@ -273,7 +268,7 @@ mod tests {
         let (mut s, log) = suite(true, false);
         // Large deviation before Δ = 40 s: warm-up, no violation.
         s.on_sample(&sample(10.0, &[0.5, -0.5, 0.0, 0.0], &[false; 4]));
-        assert!(log.is_empty());
+        assert!(log.snapshot().is_empty());
         // Same deviation after warm-up: violation.
         s.on_sample(&sample(50.0, &[0.5, -0.5, 0.0, 0.0], &[false; 4]));
         let v = log.snapshot();
@@ -307,7 +302,7 @@ mod tests {
         s.on_adjustment(ProcId(0), big, RealTime::from_secs(10.0), true); // warm-up
         s.on_adjustment(ProcId(0), big, RealTime::from_secs(50.0), false); // not good
         s.on_adjustment(ProcId(0), 0.001, RealTime::from_secs(50.0), true); // small
-        assert!(log.is_empty());
+        assert!(log.snapshot().is_empty());
         s.on_adjustment(ProcId(0), -big, RealTime::from_secs(60.0), true);
         let v = log.snapshot();
         assert_eq!(v.len(), 1);
@@ -321,7 +316,7 @@ mod tests {
         // p1 jumps back 0.5 s but had a restart in between: skipped.
         s.on_restart(ProcId(1), RealTime::from_secs(1.5));
         s.on_sample(&sample(2.0, &[0.0, -0.5, 0.0, 0.0], &[false; 4]));
-        assert!(log.is_empty());
+        assert!(log.snapshot().is_empty());
         // Next interval p1 is clean again; another backwards jump counts.
         s.on_sample(&sample(3.0, &[0.0, -2.0, 0.0, 0.0], &[false; 4]));
         let v = log.snapshot();
@@ -343,7 +338,7 @@ mod tests {
         s.on_sample(&sample(1.0, &[0.0; 4], &[false; 4]));
         // Step discipline may legally step backwards (that is what ψ bounds).
         s.on_sample(&sample(2.0, &[-0.005, 0.0, 0.0, 0.0], &[false; 4]));
-        assert!(log.is_empty());
+        assert!(log.snapshot().is_empty());
     }
 
     #[test]

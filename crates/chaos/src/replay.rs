@@ -31,11 +31,6 @@ pub struct ReplayArtifact {
 }
 
 impl ReplayArtifact {
-    /// Serializes to pretty JSON (the on-disk artifact format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("artifacts always serialize")
-    }
-
     /// Parses an artifact back from JSON.
     ///
     /// # Errors
@@ -112,7 +107,7 @@ mod tests {
     #[test]
     fn artifact_round_trips_and_reproduces() {
         let a = artifact();
-        let json = a.to_json();
+        let json = serde_json::to_string_pretty(&a).unwrap();
         let back = ReplayArtifact::from_json(&json).unwrap();
         assert_eq!(back, a);
         assert_eq!(replay(&back), ReplayOutcome::Reproduced);

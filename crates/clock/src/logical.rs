@@ -112,7 +112,7 @@ impl SlewState {
 /// use byzclock_clock::{HardwareClock, LogicalClock};
 /// use byzclock_sim::{RealTime, SimDuration};
 ///
-/// let mut clock = LogicalClock::new(HardwareClock::new(1.0));
+/// let mut clock = LogicalClock::with_adjustment(HardwareClock::new(1.0), SimDuration::ZERO);
 /// let tau = RealTime::from_secs(100.0);
 /// assert_eq!(clock.read(tau).as_secs(), 100.0);
 /// clock.adjust(SimDuration::from_secs(-3.0));
@@ -127,15 +127,6 @@ pub struct LogicalClock {
 }
 
 impl LogicalClock {
-    /// Wraps a hardware clock with adjustment 0.
-    pub fn new(hardware: HardwareClock) -> Self {
-        LogicalClock {
-            hardware,
-            adj: 0.0,
-            slew: None,
-        }
-    }
-
     /// Wraps a hardware clock with an initial adjustment (e.g. to start the
     /// system with dispersed clocks).
     pub fn with_adjustment(hardware: HardwareClock, adj: SimDuration) -> Self {
@@ -249,11 +240,6 @@ impl LogicalClock {
         real_now + SimDuration::from_secs((target.as_secs() - now_value) / hw_rate)
     }
 
-    /// Current adjustment value in seconds.
-    pub fn adjustment(&self) -> f64 {
-        self.adj
-    }
-
     /// Mutable access to the underlying hardware clock (drift changes).
     pub fn hardware_mut(&mut self) -> &mut HardwareClock {
         &mut self.hardware
@@ -265,6 +251,11 @@ mod tests {
     use super::*;
 
     impl LogicalClock {
+        /// Wraps a hardware clock with adjustment 0.
+        pub(crate) fn new(hardware: HardwareClock) -> Self {
+            LogicalClock::with_adjustment(hardware, SimDuration::ZERO)
+        }
+
         /// True iff a gradual correction is still in progress.
         fn is_slewing(&self, real_now: RealTime) -> bool {
             self.slew.is_some_and(|s| !s.done(real_now))
@@ -300,7 +291,7 @@ mod tests {
         let mut c = LogicalClock::new(HardwareClock::new(1.0));
         c.adjust(SimDuration::from_secs(3.0));
         c.adjust(SimDuration::from_secs(-1.0));
-        assert_eq!(c.adjustment(), 2.0);
+        assert_eq!(c.bias(t(0.0)).as_secs(), 2.0);
     }
 
     #[test]

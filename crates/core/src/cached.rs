@@ -12,14 +12,14 @@
 //!
 //! It wraps a [`SyncNode`] rather than extending it, so the node keeps only
 //! Figure 1's state. The wrapped node answers pings, numbers the volleys,
-//! draws their nonces and runs the convergence step; the wrapper only owns
-//! the cache.
+//! draws their nonces and runs the convergence step in the host's
+//! [`RoundScratch`]; the wrapper only owns the cache.
 
 use byzclock_clock::LocalTime;
 use byzclock_sim::{ProcId, SimDuration};
 
 use crate::estimate::OffsetSample;
-use crate::node::{Input, Output, SyncNode, TimerKind};
+use crate::node::{Input, Output, RoundScratch, SyncNode, TimerKind};
 use crate::wire::WireMessage;
 
 /// A [`SyncNode`] whose sync rounds consume a background cache of peer
@@ -70,8 +70,10 @@ impl CachedSync {
     }
 
     /// Feeds one input, appending the effects to execute (in order) to
-    /// `out`, like [`SyncNode::handle_into`].
-    pub fn handle_into(&mut self, input: Input, out: &mut Vec<Output>) {
+    /// `out`, like [`SyncNode::handle_into`]. The cache is the wrapper's
+    /// own; the estimates a sync converges over are built in the host's
+    /// `scratch`.
+    pub fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         match input {
             Input::Start { local_now } => {
                 self.cache.fill(OffsetSample::TIMEOUT);
@@ -104,14 +106,14 @@ impl CachedSync {
                         OffsetSample::from_ping_pong(self.sent_at, local_now, clock);
                 }
             }
-            Input::Message { .. } => self.node.handle_into(input, out),
+            Input::Message { .. } => self.node.handle_into(input, scratch, out),
             Input::TimerFired {
                 timer: TimerKind::SyncDue,
                 ..
             } => {
                 let round = self.node.round();
                 let cache = &self.cache;
-                self.node.converge(round, |q| cache[q], out);
+                self.node.converge(round, |q| cache[q], scratch, out);
             }
             Input::TimerFired {
                 timer: TimerKind::RoundTimeout { round },
@@ -160,7 +162,7 @@ mod tests {
 
     fn handle(c: &mut CachedSync, input: Input) -> Vec<Output> {
         let mut out = Vec::new();
-        c.handle_into(input, &mut out);
+        c.handle_into(input, &mut RoundScratch::default(), &mut out);
         out
     }
 

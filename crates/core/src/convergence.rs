@@ -38,11 +38,13 @@ pub struct PeerEstimate {
 /// Reusable scratch buffers for convergence computations.
 ///
 /// The steady-state sync round runs every `SyncInt` on every node; a pair
-/// of buffers owned by the caller (in practice by
-/// [`SyncNode`](crate::SyncNode)) makes the whole round allocation-free
-/// after the first. The buffers carry no state between calls — every user
-/// clears before filling — so sharing one scratch across convergence
-/// functions is always sound.
+/// of buffers owned by the caller makes the whole round allocation-free
+/// after the first. The caller is the host, not the node: the scratch sits
+/// in the host's [`RoundScratch`](crate::RoundScratch), which a simulated
+/// world shares among all its nodes and a live node thread owns alone. The
+/// buffers carry no state between calls — every user clears before
+/// filling — so sharing one scratch across nodes and convergence functions
+/// is always sound. [`Default`] gives empty buffers that grow on first use.
 #[derive(Debug, Default, Clone)]
 pub struct ConvergenceScratch {
     /// Overestimates (or offsets, for the averaging functions).
@@ -52,11 +54,6 @@ pub struct ConvergenceScratch {
 }
 
 impl ConvergenceScratch {
-    /// Fresh, empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Pre-sizes both buffers for `n` estimates.
     pub fn with_capacity(n: usize) -> Self {
         ConvergenceScratch {
@@ -75,7 +72,7 @@ pub trait ConvergenceFn: fmt::Debug + Send {
     /// The adjustment, in seconds, computed without allocating: any
     /// intermediate storage comes from `scratch`. This is the hot-path
     /// entry point — [`SyncNode`](crate::SyncNode) calls it once per round
-    /// with its own reusable scratch.
+    /// with the scratch its host lends it.
     ///
     /// `estimates` holds one entry per processor (length `n`), `f` is the
     /// fault bound, `way_off` the plausibility bound.
@@ -154,7 +151,8 @@ pub fn select_low_high_into(
 ///         sample: OffsetSample { offset: if i == 0 { 0.0 } else { 2.0 }, error: 0.0 },
 ///     })
 ///     .collect();
-/// let delta = PaperSync.adjustment_scratch(1, 10.0, &estimates, &mut ConvergenceScratch::new());
+/// let mut scratch = ConvergenceScratch::default();
+/// let delta = PaperSync.adjustment_scratch(1, 10.0, &estimates, &mut scratch);
 /// assert_eq!(delta, 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -416,12 +414,12 @@ mod tests {
 
     /// `cf`'s adjustment computed with a fresh scratch.
     fn adjust(cf: &dyn ConvergenceFn, f: usize, way_off: f64, e: &[PeerEstimate]) -> f64 {
-        cf.adjustment_scratch(f, way_off, e, &mut ConvergenceScratch::new())
+        cf.adjustment_scratch(f, way_off, e, &mut ConvergenceScratch::default())
     }
 
     /// Figure 1's `(m, M)` selected with a fresh scratch.
     fn low_high(f: usize, e: &[PeerEstimate]) -> (f64, f64) {
-        select_low_high_into(f, e, &mut ConvergenceScratch::new())
+        select_low_high_into(f, e, &mut ConvergenceScratch::default())
     }
 
     #[test]
@@ -784,7 +782,7 @@ mod tests {
                 overs.sort_by(f64::total_cmp);
                 unders.sort_by(f64::total_cmp);
                 let expect = (overs[f], unders[unders.len() - 1 - f]);
-                let mut scratch = ConvergenceScratch::new();
+                let mut scratch = ConvergenceScratch::default();
                 let got = select_low_high_into(f, &e, &mut scratch);
                 prop_assert_eq!(got.0.to_bits(), expect.0.to_bits());
                 prop_assert_eq!(got.1.to_bits(), expect.1.to_bits());
@@ -797,7 +795,7 @@ mod tests {
                 first in proptest::collection::vec(-100.0f64..100.0, 5..12),
                 second in proptest::collection::vec(-100.0f64..100.0, 5..12),
             ) {
-                let mut scratch = ConvergenceScratch::new();
+                let mut scratch = ConvergenceScratch::default();
                 for values in [&first, &second] {
                     let e = exact(values);
                     for cf in all_fns() {

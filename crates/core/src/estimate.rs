@@ -13,9 +13,10 @@
 //! offset `C_q(τ'') − C_p(τ'')` lay in `[d − a, d + a]` — proven in the
 //! paper by noting `q` held value `C` somewhere inside the round trip.
 //!
-//! The min-round-trip filter ([`OffsetSample::best_of`]) is the classic
+//! The min-round-trip filter ([`OffsetSample::min_rtt`]) is the classic
 //! NTP refinement (also mentioned by the paper): among `k` samples, the one
-//! with the smallest round trip has the smallest error bound.
+//! with the smallest round trip has the smallest error bound. It folds one
+//! sample at a time, so a node keeps only the best sample per peer.
 
 use byzclock_clock::LocalTime;
 
@@ -87,21 +88,36 @@ impl OffsetSample {
         self.error.is_infinite()
     }
 
-    /// NTP-style filter: the sample with the smallest error bound (i.e.
-    /// smallest round trip) among `samples`. Returns [`OffsetSample::TIMEOUT`]
-    /// if the slice is empty.
-    pub fn best_of(samples: &[OffsetSample]) -> OffsetSample {
-        samples
-            .iter()
-            .copied()
-            .min_by(|a, b| a.error.total_cmp(&b.error))
-            .unwrap_or(OffsetSample::TIMEOUT)
+    /// NTP-style filter step: `later` if its error bound (half its round
+    /// trip) is strictly smaller than `self`'s under `total_cmp`, else
+    /// `self`. Folding a peer's samples in arrival order keeps the one with
+    /// the smallest round trip, and the earliest of equal ones.
+    pub fn min_rtt(self, later: OffsetSample) -> OffsetSample {
+        if later.error.total_cmp(&self.error).is_lt() {
+            later
+        } else {
+            self
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OffsetSample {
+        /// The whole-slice min-RTT filter: the sample with the smallest
+        /// error bound, the first of equal ones, or
+        /// [`OffsetSample::TIMEOUT`] for an empty slice. The reference that
+        /// [`OffsetSample::min_rtt`] folds must match.
+        pub(crate) fn best_of(samples: &[OffsetSample]) -> OffsetSample {
+            samples
+                .iter()
+                .copied()
+                .min_by(|a, b| a.error.total_cmp(&b.error))
+                .unwrap_or(OffsetSample::TIMEOUT)
+        }
+    }
 
     fn lt(s: f64) -> LocalTime {
         LocalTime::from_secs(s)
@@ -197,5 +213,24 @@ mod tests {
             },
         ];
         assert_eq!(OffsetSample::best_of(&samples).offset, 3.0);
+    }
+
+    #[test]
+    fn min_rtt_fold_matches_best_of_and_keeps_the_first_tie() {
+        let s = |offset: f64, error: f64| OffsetSample { offset, error };
+        let cases: [&[OffsetSample]; 4] = [
+            &[s(1.0, 0.5), s(1.2, 0.1), s(0.8, 0.9)],
+            &[s(1.0, 0.2), s(2.0, 0.2), s(3.0, 0.2)],
+            &[s(1.0, 0.0), s(2.0, -0.0)],
+            &[OffsetSample::TIMEOUT, s(3.0, 0.2)],
+        ];
+        for samples in cases {
+            let folded = samples.iter().copied().reduce(OffsetSample::min_rtt);
+            assert_eq!(folded, Some(OffsetSample::best_of(samples)));
+        }
+        // equal round trips: the earliest sample stays
+        assert_eq!(s(1.0, 0.2).min_rtt(s(2.0, 0.2)).offset, 1.0);
+        // -0.0 sorts below +0.0 under total_cmp, as in best_of
+        assert_eq!(s(1.0, 0.0).min_rtt(s(2.0, -0.0)).offset, 2.0);
     }
 }

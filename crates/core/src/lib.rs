@@ -30,7 +30,7 @@
 //! # Quick taste (pure state machine)
 //!
 //! ```
-//! use byzclock_core::node::{Input, Output, SyncNode};
+//! use byzclock_core::node::{Input, Output, RoundScratch, SyncNode};
 //! use byzclock_core::params::ProtocolParams;
 //! use byzclock_clock::LocalTime;
 //! use byzclock_sim::{ProcId, SimDuration};
@@ -42,8 +42,10 @@
 //!     .build()
 //!     .unwrap();
 //! let mut node = SyncNode::new(ProcId(0), params);
+//! // The host owns the output buffer and the round-completion scratch.
+//! let mut scratch = RoundScratch::with_capacity(4);
 //! let mut outputs = Vec::new();
-//! node.handle_into(Input::Start { local_now: LocalTime::ZERO }, &mut outputs);
+//! node.handle_into(Input::Start { local_now: LocalTime::ZERO }, &mut scratch, &mut outputs);
 //! // The node immediately begins a sync round: 3 pings + a round timeout.
 //! let pings = outputs.iter().filter(|o| matches!(o, Output::Send { .. })).count();
 //! assert_eq!(pings, 3);
@@ -67,6 +69,8 @@ pub use convergence::{
     PaperSync, PeerEstimate, TrimmedMean, UnguardedMean,
 };
 pub use estimate::OffsetSample;
-pub use node::{apply_outputs, Driver, Input, Output, RoundSummary, SyncNode, TimerKind};
+pub use node::{
+    apply_outputs, Driver, Input, Output, RoundScratch, RoundSummary, SyncNode, TimerKind,
+};
 pub use params::{ParamError, ProtocolParams};
 pub use wire::WireMessage;

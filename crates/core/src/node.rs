@@ -148,6 +148,32 @@ pub fn apply_outputs<D: Driver + ?Sized>(driver: &mut D, node: ProcId, outputs: 
     }
 }
 
+/// The scratch a host lends its nodes for round completion: the `n`
+/// estimates Figure 1 converges over and the convergence function's
+/// selection buffers ([`ConvergenceScratch`]).
+///
+/// A node carries only its per-peer round state between inputs; these
+/// buffers live only while a round completes and carry nothing from one
+/// call to the next. So one value serves every node a host drives, one at
+/// a time: a simulated `World` owns one for all its nodes, and a live node
+/// thread owns one for its node. Built with capacity `n`, it makes rounds
+/// allocation-free from the first.
+#[derive(Debug, Default)]
+pub struct RoundScratch {
+    estimates: Vec<PeerEstimate>,
+    convergence: ConvergenceScratch,
+}
+
+impl RoundScratch {
+    /// Pre-sizes every buffer for `n` processors.
+    pub fn with_capacity(n: usize) -> Self {
+        RoundScratch {
+            estimates: Vec::with_capacity(n),
+            convergence: ConvergenceScratch::with_capacity(n),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct ActiveRound {
     round: u64,
@@ -168,11 +194,12 @@ pub struct SyncNode {
     /// so nonces are unpredictable to peers yet the whole run stays a pure
     /// function of the world seed.
     nonces: DetRng,
-    /// Collected pong samples of the active round, flat: peer `q`'s
-    /// samples are `samples[q·k .. q·k + filled[q]]` for `k =
-    /// pings_per_peer`, in arrival order. The self slot stays empty and is
-    /// replaced by the exact `(0, 0)` sample at completion. Allocated once
-    /// at construction, so rounds never allocate.
+    /// Best pong sample of the active round per peer: Section 3.1's
+    /// min-RTT filter ([`OffsetSample::min_rtt`]) folds each accepted pong
+    /// in as it arrives, so `k` pings per peer still need one slot. Valid
+    /// only where `filled[q] > 0`; the self slot is never read (the exact
+    /// `(0, 0)` stands in at completion). Allocated once at construction,
+    /// so rounds never allocate.
     samples: Vec<OffsetSample>,
     /// Pongs accepted from each peer in the active round (at most `k`,
     /// which is at most 64).
@@ -180,10 +207,6 @@ pub struct SyncNode {
     /// Peers (excluding self) still short of `k` pongs in the active
     /// round; the round completes early when this reaches zero.
     missing: usize,
-    /// Reusable estimates buffer for round completion.
-    estimates: Vec<PeerEstimate>,
-    /// Reusable scratch for the convergence function's selection buffers.
-    scratch: ConvergenceScratch,
 }
 
 impl SyncNode {
@@ -204,7 +227,6 @@ impl SyncNode {
     ) -> Self {
         assert!(id.index() < params.n(), "node id out of range");
         let n = params.n();
-        let k = params.pings_per_peer();
         SyncNode {
             id,
             params,
@@ -216,11 +238,9 @@ impl SyncNode {
             // still get distinct streams. Hosts override via
             // `with_nonce_seed` with a fork of their root seed.
             nonces: DetRng::seeded(0x6E6F_6E63_6500_0000 ^ (id.index() as u64 + 1)),
-            samples: vec![OffsetSample::TIMEOUT; n * k],
+            samples: vec![OffsetSample::TIMEOUT; n],
             filled: vec![0; n],
             missing: 0,
-            estimates: Vec::with_capacity(n),
-            scratch: ConvergenceScratch::with_capacity(n),
         }
     }
 
@@ -257,8 +277,10 @@ impl SyncNode {
 
     /// Feeds one input, appending the effects to execute (in order) to
     /// `out`. The buffer is not cleared — the caller owns its lifecycle —
-    /// so a host can reuse one allocation across every call.
-    pub fn handle_into(&mut self, input: Input, out: &mut Vec<Output>) {
+    /// so a host can reuse one allocation across every call. `scratch` is
+    /// the host's round-completion scratch, borrowed only for the call, so
+    /// one [`RoundScratch`] can serve every node of a host.
+    pub fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         match input {
             Input::Start { local_now } => {
                 // Recovery: abandon any in-flight round and start fresh.
@@ -290,7 +312,11 @@ impl SyncNode {
                     round,
                     nonce,
                     clock,
-                } => self.on_pong(from, round, nonce, clock, local_now, out),
+                } => {
+                    if self.on_pong(from, round, nonce, clock, local_now) {
+                        self.complete_round(scratch, out);
+                    }
+                }
             },
             Input::TimerFired { timer, local_now } => match timer {
                 TimerKind::SyncDue => {
@@ -301,7 +327,7 @@ impl SyncNode {
                     // after a host-driven restart): ignore, the round's
                     // completion will re-arm the alarm.
                 }
-                TimerKind::RoundTimeout { round } => self.on_round_timeout(round, out),
+                TimerKind::RoundTimeout { round } => self.on_round_timeout(round, scratch, out),
             },
         }
     }
@@ -321,13 +347,13 @@ impl SyncNode {
             nonce,
             sent_at: local_now,
         });
-        // Reuse the node-owned flat sample storage: only the fill counts
+        // Reuse the node-owned per-peer storage: only the fill counts
         // reset, so rounds allocate nothing.
         self.filled.fill(0);
         self.missing = n - 1;
         // Section 3.1's min-RTT refinement: k pings per peer; the replies
-        // are filtered by smallest round trip at completion. Pre-size the
-        // fan-out so a reused scratch buffer grows at most once.
+        // are filtered by smallest round trip as they arrive. Pre-size the
+        // fan-out so a reused output buffer grows at most once.
         out.reserve((n - 1) * k + 1);
         for q in ProcId::all(n).filter(|q| *q != self.id) {
             for _ in 0..k {
@@ -343,6 +369,8 @@ impl SyncNode {
         });
     }
 
+    /// Folds an accepted pong into its peer's best sample; true iff it was
+    /// the last one the round waited for.
     fn on_pong(
         &mut self,
         from: ProcId,
@@ -350,69 +378,77 @@ impl SyncNode {
         nonce: u64,
         clock: LocalTime,
         local_now: LocalTime,
-        out: &mut Vec<Output>,
-    ) {
+    ) -> bool {
         let k = self.params.pings_per_peer();
         if !clock.as_secs().is_finite() {
             // A Byzantine peer reporting ±∞ (or NaN) would flow straight
             // into the convergence function's (m+M)/2 and poison the
             // adjustment; drop it so the slot resolves via TIMEOUT instead.
-            return;
+            return false;
         }
         let Some(active) = self.active.as_ref() else {
-            return; // stale pong after round completion
+            return false; // stale pong after round completion
         };
         if active.round != round || active.nonce != nonce {
-            return; // wrong round or replay
+            return false; // wrong round or replay
         }
         let q = from.index();
         if q >= self.filled.len() || from == self.id {
-            return; // nonsensical sender
+            return false; // nonsensical sender
         }
         let filled = usize::from(self.filled[q]);
         if filled >= k {
-            return; // more pongs than pings: duplicate/forged
+            return false; // more pongs than pings: duplicate/forged
         }
         if local_now < active.sent_at {
             // The local clock cannot run backwards between S and R without
             // an adjustment, and we never adjust mid-round; defensive skip.
-            return;
+            return false;
         }
-        self.samples[q * k + filled] =
-            OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
+        let sample = OffsetSample::from_ping_pong(active.sent_at, local_now, clock);
+        self.samples[q] = if filled == 0 {
+            sample
+        } else {
+            self.samples[q].min_rtt(sample)
+        };
         self.filled[q] += 1;
-        if filled + 1 == k {
-            self.missing -= 1;
-            if self.missing == 0 {
-                self.complete_round(out);
-            }
+        if filled + 1 < k {
+            return false;
         }
+        self.missing -= 1;
+        self.missing == 0
     }
 
-    fn on_round_timeout(&mut self, round: u64, out: &mut Vec<Output>) {
+    fn on_round_timeout(&mut self, round: u64, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         let Some(active) = self.active.as_ref() else {
             return; // stale timeout (round completed early)
         };
         if active.round != round {
             return;
         }
-        self.complete_round(out);
+        self.complete_round(scratch, out);
     }
 
-    fn complete_round(&mut self, out: &mut Vec<Output>) {
+    fn complete_round(&mut self, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         // Both callers check `active` first, but a panic here would take the
         // whole world down mid-event — degrade to a no-op instead (D5).
         let Some(active) = self.active.take() else {
             return;
         };
-        let k = self.params.pings_per_peer();
         // Moved out (no allocation) so `converge` can borrow the node.
         let samples = std::mem::take(&mut self.samples);
         let filled = std::mem::take(&mut self.filled);
         self.converge(
             active.round,
-            // min-RTT filter; TIMEOUT if no pong arrived at all
-            |q| OffsetSample::best_of(&samples[q * k..q * k + usize::from(filled[q])]),
+            // the best pong; TIMEOUT if none arrived at all
+            |q| {
+                if filled[q] == 0 {
+                    OffsetSample::TIMEOUT
+                } else {
+                    samples[q]
+                }
+            },
+            scratch,
             out,
         );
         self.samples = samples;
@@ -423,16 +459,19 @@ impl SyncNode {
     /// the `n` estimates — the exact `(0, 0)` for self ("for each
     /// q ∈ {1..n}" includes p) and `sample_of(q)` for each peer `q` — runs
     /// the convergence function, and emits `AdjustClock`, `RoundCompleted`
-    /// for `round`, and the next `SyncDue` alarm.
+    /// for `round`, and the next `SyncDue` alarm. The estimates and the
+    /// selection buffers live in the host's `scratch`.
     pub(crate) fn converge(
         &mut self,
         round: u64,
         sample_of: impl Fn(usize) -> OffsetSample,
+        scratch: &mut RoundScratch,
         out: &mut Vec<Output>,
     ) {
-        self.estimates.clear();
+        let estimates = &mut scratch.estimates;
+        estimates.clear();
         for i in 0..self.params.n() {
-            self.estimates.push(PeerEstimate {
+            estimates.push(PeerEstimate {
                 peer: ProcId(i as u32),
                 sample: if i == self.id.index() {
                     OffsetSample {
@@ -444,17 +483,13 @@ impl SyncNode {
                 },
             });
         }
-        let timeouts = self
-            .estimates
-            .iter()
-            .filter(|e| e.sample.is_timeout())
-            .count();
-        let responders = self.estimates.len() - timeouts - 1; // minus self
+        let timeouts = estimates.iter().filter(|e| e.sample.is_timeout()).count();
+        let responders = estimates.len() - timeouts - 1; // minus self
         let delta = self.convergence.adjustment_scratch(
             self.params.f(),
             self.params.way_off(),
-            &self.estimates,
-            &mut self.scratch,
+            estimates,
+            &mut scratch.convergence,
         );
         self.rounds_completed += 1;
         out.extend([
@@ -499,10 +534,11 @@ pub(crate) mod tests {
         LocalTime::from_secs(s)
     }
 
-    /// Feeds one input through `handle_into` into a fresh buffer.
+    /// Feeds one input through `handle_into` into a fresh buffer, with a
+    /// fresh scratch (it carries nothing between calls).
     fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
         let mut out = Vec::new();
-        node.handle_into(input, &mut out);
+        node.handle_into(input, &mut RoundScratch::default(), &mut out);
         out
     }
 
@@ -607,7 +643,7 @@ pub(crate) mod tests {
         })];
         let input = Input::Start { local_now: lt(3.0) };
         let fresh = handle(&mut a, input);
-        b.handle_into(input, &mut buf);
+        b.handle_into(input, &mut RoundScratch::default(), &mut buf);
         assert_eq!(&buf[1..], &fresh[..], "appended after existing item");
         assert!(matches!(buf[0], Output::RoundCompleted(_)));
     }
@@ -1084,9 +1120,11 @@ pub(crate) mod tests {
         assert!(handle(&mut node, pong(1, round, nonce, 99.0, 0.2)).is_empty());
     }
 
-    /// The round storage `SyncNode` used before the flat layout: one `Vec`
-    /// per peer, and a scan of every peer after each accepted pong. Kept
-    /// as the reference the flat storage must match output for output.
+    /// The round storage `SyncNode` used before it kept one best sample per
+    /// peer: every sample in one `Vec` per peer, filtered by
+    /// [`OffsetSample::best_of`] at completion, and a scan of every peer
+    /// after each accepted pong. Kept as the reference the running min-RTT
+    /// filter must match output for output.
     struct NestedRounds {
         params: ProtocolParams,
         me: ProcId,
@@ -1104,7 +1142,7 @@ pub(crate) mod tests {
                 active: None,
                 samples: vec![Vec::new(); params.n()],
                 estimates: Vec::new(),
-                scratch: ConvergenceScratch::new(),
+                scratch: ConvergenceScratch::default(),
             }
         }
 

@@ -61,15 +61,6 @@ pub enum WireMessage {
     },
 }
 
-impl WireMessage {
-    /// The round this message belongs to.
-    pub fn round(&self) -> u64 {
-        match self {
-            WireMessage::Ping { round, .. } | WireMessage::Pong { round, .. } => *round,
-        }
-    }
-}
-
 /// Upper bound on the payload length accepted by [`decode`]; protocol
 /// messages are tiny, so anything larger is garbage or an attack.
 pub const MAX_PAYLOAD: usize = 4096;
@@ -246,6 +237,15 @@ mod tests {
     use super::*;
 
     /// Encodes one envelope into a fresh buffer.
+    impl WireMessage {
+        /// The round this message belongs to.
+        pub(crate) fn round(&self) -> u64 {
+            match self {
+                WireMessage::Ping { round, .. } | WireMessage::Pong { round, .. } => *round,
+            }
+        }
+    }
+
     fn encoded(envelope: &Envelope) -> Vec<u8> {
         let mut out = Vec::new();
         encode_into(envelope, &mut out);

@@ -3,7 +3,9 @@
 //! the round bookkeeping consistent.
 
 use byzclock_clock::LocalTime;
-use byzclock_core::{Input, Output, ProtocolParams, SyncNode, TimerKind, WireMessage};
+use byzclock_core::{
+    Input, Output, ProtocolParams, RoundScratch, SyncNode, TimerKind, WireMessage,
+};
 use byzclock_sim::{ProcId, SimDuration};
 use proptest::prelude::*;
 
@@ -17,10 +19,10 @@ fn params(n: usize, f: usize, k: usize) -> ProtocolParams {
         .unwrap()
 }
 
-/// Feeds one input through `handle_into` into a fresh buffer.
+/// Feeds one input through `handle_into` into a fresh buffer and scratch.
 fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
     let mut out = Vec::new();
-    node.handle_into(input, &mut out);
+    node.handle_into(input, &mut RoundScratch::default(), &mut out);
     out
 }
 

@@ -1,30 +1,40 @@
-//! A sync round allocates nothing once the node is built.
+//! A sync round allocates nothing once the node and its host's scratch are
+//! built, and a node holds only its per-peer round state.
 //!
-//! `SyncNode` keeps its per-round pong samples in one flat buffer sized at
-//! construction, so neither the ping fan-out, nor the pongs, nor the round's
-//! completion touch the heap. A counting global allocator checks a whole
-//! first round at n = 64, and that building a node makes the same number of
-//! allocations whatever n is.
+//! `SyncNode` keeps one best pong sample and one pong count per peer, sized
+//! at construction; the estimates and selection buffers of round completion
+//! live in the host's `RoundScratch`. So neither the ping fan-out, nor the
+//! pongs, nor the round's completion touch the heap. A counting global
+//! allocator checks a whole first round at n = 64, that building a node
+//! makes the same number of allocations whatever n is, and that its bytes
+//! are 17 per peer whatever `pings_per_peer` is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use byzclock_clock::LocalTime;
-use byzclock_core::{Input, Output, ProtocolParams, SyncNode, WireMessage};
+use byzclock_core::{Input, Output, ProtocolParams, RoundScratch, SyncNode, WireMessage};
 use byzclock_sim::{ProcId, SimDuration};
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes` on this thread.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|b| b.set(b.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter, which is const-initialized and so never allocates itself.
+// upholds the `GlobalAlloc` contract; the only addition is thread-local
+// counters, which are const-initialized and so never allocate themselves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -33,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,6 +56,14 @@ fn allocations(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Heap bytes requested by `f` on this thread (a reallocation counts its
+/// growth).
+fn bytes(f: impl FnOnce()) -> usize {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 fn params(n: usize, k: usize) -> ProtocolParams {
@@ -66,11 +84,13 @@ fn lt(s: f64) -> LocalTime {
 fn first_round_allocates_nothing_after_construction() {
     let (n, k) = (64, 2);
     let mut node = SyncNode::new(ProcId(0), params(n, k)).with_nonce_seed(3);
-    // The host's reused output buffer, sized for the ping fan-out.
+    // The host's reused output buffer, sized for the ping fan-out, and its
+    // round-completion scratch, sized for n: both built before measuring.
     let mut out = Vec::with_capacity((n - 1) * k + 1);
+    let mut scratch = RoundScratch::with_capacity(n);
     let mut completed = None;
     let count = allocations(|| {
-        node.handle_into(Input::Start { local_now: lt(0.0) }, &mut out);
+        node.handle_into(Input::Start { local_now: lt(0.0) }, &mut scratch, &mut out);
         let Some((round, nonce)) = out.iter().find_map(|o| match o {
             Output::Send {
                 msg: WireMessage::Ping { round, nonce },
@@ -93,7 +113,7 @@ fn first_round_allocates_nothing_after_construction() {
                     msg: pong,
                     local_now: lt(0.1),
                 };
-                node.handle_into(input, &mut out);
+                node.handle_into(input, &mut scratch, &mut out);
             }
         }
         completed = out.iter().find_map(|o| match o {
@@ -121,5 +141,32 @@ fn construction_allocations_do_not_depend_on_n() {
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "allocations by n = 4, 16, 64, 256: {counts:?}"
+    );
+}
+
+/// The heap bytes of a freshly built node with `n` processors and `k`
+/// pings per peer.
+fn node_bytes(n: usize, k: usize) -> usize {
+    let params = params(n, k);
+    let mut node = None;
+    let b = bytes(|| node = Some(SyncNode::new(ProcId(0), params)));
+    assert!(node.is_some());
+    b
+}
+
+#[test]
+fn node_bytes_do_not_depend_on_k_and_grow_17_per_peer() {
+    for n in [16, 256, 1024] {
+        assert_eq!(
+            node_bytes(n, 1),
+            node_bytes(n, 8),
+            "k = 8 pings per peer must not cost more than k = 1 at n = {n}"
+        );
+    }
+    // one best sample (16 bytes) and one pong count (1 byte) per peer
+    let (small, large) = (node_bytes(16, 1), node_bytes(1024, 1));
+    assert!(
+        large - small <= 17 * (1024 - 16),
+        "{small} bytes at n = 16, {large} at n = 1024: over 17 per peer"
     );
 }

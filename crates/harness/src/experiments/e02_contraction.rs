@@ -235,6 +235,6 @@ mod tests {
     fn e2_quick_passes() {
         let report = run(Mode::Quick);
         assert!(report.pass, "\n{}", report.render());
-        assert!(!report.series[0].is_empty());
+        assert!(!report.series[0].points().is_empty());
     }
 }

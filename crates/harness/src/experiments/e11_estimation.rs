@@ -53,7 +53,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         let mut bounds_a = Vec::with_capacity(trials);
         let mut contained = 0usize;
         for _ in 0..trials {
-            let samples: Vec<OffsetSample> = (0..k)
+            let best = (0..k)
                 .map(|_| {
                     let d1 = delays.sample(ProcId(0), ProcId(1), &mut rng).as_secs();
                     let d2 = delays.sample(ProcId(1), ProcId(0), &mut rng).as_secs();
@@ -64,8 +64,8 @@ pub fn run(mode: Mode) -> ExperimentReport {
                         LocalTime::from_secs(d1 + true_offset),
                     )
                 })
-                .collect();
-            let best = OffsetSample::best_of(&samples);
+                .reduce(OffsetSample::min_rtt)
+                .unwrap_or(OffsetSample::TIMEOUT);
             let err = (best.offset - true_offset).abs();
             errors.push(err);
             bounds_a.push(best.error);

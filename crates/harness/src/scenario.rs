@@ -205,7 +205,7 @@ mod tests {
         assert_eq!(victim, ProcId(3));
         assert_eq!(release_at, RealTime::from_secs(90.0));
         w.run_until(RealTime::from_secs(70.0));
-        assert!(w.is_corrupt(victim));
+        assert!(w.sample_now().corrupt[victim.index()]);
         assert!(w.bias_of(victim).as_secs().abs() > 1.0);
     }
 

@@ -50,16 +50,6 @@ impl Series {
         &self.points
     }
 
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True iff no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Renders an ASCII scatter/line plot (width×height characters).
     pub fn render_ascii(&self, width: usize, height: usize) -> String {
         let width = width.max(16);
@@ -160,8 +150,7 @@ mod tests {
     #[test]
     fn push_and_len() {
         let s = demo();
-        assert_eq!(s.len(), 10);
-        assert!(!s.is_empty());
+        assert_eq!(s.points().len(), 10);
         assert_eq!(s.points()[0], (0.0, 100.0));
         assert_eq!(s.name(), "decay");
     }

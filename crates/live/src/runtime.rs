@@ -23,8 +23,8 @@
 
 use byzclock_core::wire::{self, Envelope, MAX_PAYLOAD};
 use byzclock_core::{
-    apply_outputs, Driver, Input, NetworkModel, Output, RoundSummary, SyncNode, TheoremBounds,
-    TimerKind,
+    apply_outputs, Driver, Input, NetworkModel, Output, RoundScratch, RoundSummary, SyncNode,
+    TheoremBounds, TimerKind,
 };
 use byzclock_harness::table::{fmt_secs, Table};
 use byzclock_sim::{ProcId, SimDuration};
@@ -342,11 +342,18 @@ impl NodeIo {
 }
 
 /// Feeds one input to the node and executes its outputs through `io`;
-/// `scratch` is the thread's reused output buffer.
-fn drive(io: &mut NodeIo, node: &mut SyncNode, input: Input, scratch: &mut Vec<Output>) {
-    scratch.clear();
-    node.handle_into(input, scratch);
-    apply_outputs(io, node.id(), scratch);
+/// `scratch` and `out` are the thread's own round-completion scratch and
+/// reused output buffer.
+fn drive(
+    io: &mut NodeIo,
+    node: &mut SyncNode,
+    input: Input,
+    scratch: &mut RoundScratch,
+    out: &mut Vec<Output>,
+) {
+    out.clear();
+    node.handle_into(input, scratch, out);
+    apply_outputs(io, node.id(), out);
 }
 
 /// Datagrams a node thread dropped, by reason.
@@ -358,11 +365,12 @@ struct Rejected {
 
 /// The body of one node thread; returns what it dropped.
 fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Rejected {
-    let mut scratch = Vec::new();
+    let mut scratch = RoundScratch::with_capacity(node.params().n());
+    let mut out = Vec::new();
     let start = Input::Start {
         local_now: io.clock.now(),
     };
-    drive(&mut io, &mut node, start, &mut scratch);
+    drive(&mut io, &mut node, start, &mut scratch, &mut out);
     let mut buf = [0u8; MAX_PAYLOAD + 4];
     let mut rejected = Rejected::default();
     while !stop.load(Ordering::Relaxed) {
@@ -373,7 +381,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
                 timer: kind,
                 local_now: io.clock.now(),
             };
-            drive(&mut io, &mut node, input, &mut scratch);
+            drive(&mut io, &mut node, input, &mut scratch, &mut out);
             continue;
         }
         let wait = io
@@ -395,7 +403,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
                         msg: envelope.msg,
                         local_now: io.clock.now(),
                     };
-                    drive(&mut io, &mut node, input, &mut scratch);
+                    drive(&mut io, &mut node, input, &mut scratch, &mut out);
                 }
                 Ok(_) => rejected.spoofed += 1,
                 Err(_) => rejected.garbage += 1,
@@ -592,7 +600,13 @@ mod tests {
         let start = Input::Start {
             local_now: io.clock.now(),
         };
-        drive(&mut io, &mut node, start, &mut Vec::new());
+        drive(
+            &mut io,
+            &mut node,
+            start,
+            &mut RoundScratch::default(),
+            &mut Vec::new(),
+        );
 
         assert!(io
             .alarms

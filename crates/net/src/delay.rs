@@ -21,49 +21,18 @@ pub trait DelayModel: std::fmt::Debug + Send {
     fn min_delay(&self) -> SimDuration;
 }
 
-/// Every message takes exactly `delay`.
+/// Uniform delay in `[min, max]`. With `min == max` every message takes
+/// exactly that delay, and sampling draws nothing from the stream.
 ///
 /// ```
-/// use byzclock_net::{ConstantDelay, DelayModel};
+/// use byzclock_net::{DelayModel, UniformDelay};
 /// use byzclock_sim::{ProcId, RngHub, SimDuration};
 ///
-/// let mut m = ConstantDelay::new(SimDuration::from_millis(5.0));
+/// let five = SimDuration::from_millis(5.0);
+/// let mut m = UniformDelay::new(five, five);
 /// let mut rng = RngHub::new(0).stream("d", 0);
-/// assert_eq!(m.sample(ProcId(0), ProcId(1), &mut rng), SimDuration::from_millis(5.0));
+/// assert_eq!(m.sample(ProcId(0), ProcId(1), &mut rng), five);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ConstantDelay {
-    delay: SimDuration,
-}
-
-impl ConstantDelay {
-    /// Fixed delay; must be non-negative and finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics otherwise.
-    pub fn new(delay: SimDuration) -> Self {
-        assert!(
-            !delay.is_negative() && delay.is_finite(),
-            "delay must be finite and non-negative"
-        );
-        ConstantDelay { delay }
-    }
-}
-
-impl DelayModel for ConstantDelay {
-    fn sample(&mut self, _from: ProcId, _to: ProcId, _rng: &mut DetRng) -> SimDuration {
-        self.delay
-    }
-    fn max_delay(&self) -> SimDuration {
-        self.delay
-    }
-    fn min_delay(&self) -> SimDuration {
-        self.delay
-    }
-}
-
-/// Uniform delay in `[min, max]`.
 #[derive(Debug, Clone)]
 pub struct UniformDelay {
     min: SimDuration,
@@ -112,7 +81,7 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut m = ConstantDelay::new(ms(2.0));
+        let mut m = UniformDelay::new(ms(2.0), ms(2.0));
         let mut r = rng();
         for _ in 0..10 {
             assert_eq!(m.sample(ProcId(0), ProcId(1), &mut r), ms(2.0));
@@ -124,7 +93,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn constant_negative_panics() {
-        ConstantDelay::new(ms(-1.0));
+        UniformDelay::new(ms(-1.0), ms(-1.0));
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod delay;
 pub mod network;
 pub mod topology;
 
-pub use delay::{ConstantDelay, DelayModel, UniformDelay};
+pub use delay::{DelayModel, UniformDelay};
 pub use network::{DelaySpike, Deliveries, FaultProfile, LinkFilter, Network, NetworkStats};
 pub use topology::Topology;

@@ -167,13 +167,14 @@ pub struct DelaySpike {
 /// the adversary (the runtime restricts it to currently-corrupted senders).
 ///
 /// ```
-/// use byzclock_net::{ConstantDelay, Network, Topology};
+/// use byzclock_net::{Network, Topology, UniformDelay};
 /// use byzclock_sim::{ProcId, RealTime, RngHub, SimDuration};
 ///
 /// let delta = SimDuration::from_millis(10.0);
+/// let four = SimDuration::from_millis(4.0);
 /// let mut net = Network::new(
 ///     Topology::full_mesh(3),
-///     Box::new(ConstantDelay::new(SimDuration::from_millis(4.0))),
+///     Box::new(UniformDelay::new(four, four)),
 ///     delta,
 /// );
 /// let mut rng = RngHub::new(1).stream("net", 0);
@@ -394,7 +395,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::{ConstantDelay, UniformDelay};
+    use crate::delay::UniformDelay;
     use byzclock_sim::RngHub;
 
     fn ms(x: f64) -> SimDuration {
@@ -408,7 +409,7 @@ mod tests {
     fn mesh_net(n: usize) -> Network {
         Network::new(
             Topology::full_mesh(n),
-            Box::new(ConstantDelay::new(ms(2.0))),
+            Box::new(UniformDelay::new(ms(2.0), ms(2.0))),
             ms(10.0),
         )
     }
@@ -433,7 +434,7 @@ mod tests {
     fn non_adjacent_is_dropped() {
         let mut net = Network::new(
             Topology::from_edges(3, &[(0, 1)]),
-            Box::new(ConstantDelay::new(ms(1.0))),
+            Box::new(UniformDelay::new(ms(1.0), ms(1.0))),
             ms(10.0),
         );
         let times = net.send_times(ProcId(0), ProcId(2), RealTime::ZERO, &mut rng());
@@ -545,7 +546,7 @@ mod tests {
         let delta = ms(10.0);
         let mut net = Network::new(
             Topology::full_mesh(2),
-            Box::new(ConstantDelay::new(ms(1.0))),
+            Box::new(UniformDelay::new(ms(1.0), ms(1.0))),
             delta,
         );
         net.set_fault_profile(FaultProfile {
@@ -723,7 +724,7 @@ mod tests {
     fn delay_model_above_delta_rejected() {
         Network::new(
             Topology::full_mesh(2),
-            Box::new(ConstantDelay::new(ms(20.0))),
+            Box::new(UniformDelay::new(ms(20.0), ms(20.0))),
             ms(10.0),
         );
     }
@@ -733,7 +734,7 @@ mod tests {
     fn zero_delta_rejected() {
         Network::new(
             Topology::full_mesh(2),
-            Box::new(ConstantDelay::new(SimDuration::ZERO)),
+            Box::new(UniformDelay::new(SimDuration::ZERO, SimDuration::ZERO)),
             SimDuration::ZERO,
         );
     }

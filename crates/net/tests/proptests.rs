@@ -1,6 +1,6 @@
 //! Property-based tests for the network substrate.
 
-use byzclock_net::{ConstantDelay, FaultProfile, Network, Topology, UniformDelay};
+use byzclock_net::{FaultProfile, Network, Topology, UniformDelay};
 use byzclock_sim::{ProcId, RealTime, RngHub, SimDuration};
 use proptest::prelude::*;
 
@@ -131,7 +131,7 @@ proptest! {
         let delta = SimDuration::from_millis(5.0);
         let mut net = Network::new(
             Topology::full_mesh(n),
-            Box::new(ConstantDelay::new(delta)),
+            Box::new(UniformDelay::new(delta, delta)),
             delta,
         );
         let mut rng = RngHub::new(seed).stream("prop-link", 0);

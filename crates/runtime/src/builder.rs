@@ -17,13 +17,15 @@ use byzclock_adversary::{Adversary, AdversaryAction};
 use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift};
 use byzclock_core::{
     params::ProtocolParamsBuilder, BoundsError as CoreBoundsError, CachedSync, ConvergenceFn,
-    Derived, NetworkModel, PaperSync, ParamError, ProtocolParams, SyncNode, TheoremBounds,
+    Derived, NetworkModel, PaperSync, ParamError, ProtocolParams, RoundScratch, SyncNode,
+    TheoremBounds,
 };
 use byzclock_net::{DelayModel, DelaySpike, FaultProfile, Network, Topology, UniformDelay};
 use byzclock_sim::{Engine, ProcId, RealTime, RngHub, SimDuration};
 use std::fmt;
 
 use crate::events::SimEvent;
+use crate::observer::WorldSample;
 use crate::world::{NodeSlot, Protocol, World};
 
 // Re-exported publicly through the crate root; the bounds error comes from
@@ -236,12 +238,6 @@ impl WorldBuilder {
     /// Number of sync intervals per Δ (`K ≥ 5`); `T = Δ/K`.
     pub fn k(mut self, k: u32) -> Self {
         self.k = k;
-        self
-    }
-
-    /// Overrides the derived protocol parameters entirely.
-    pub fn params(mut self, params: ProtocolParams) -> Self {
-        self.params_override = Some(params);
         self
     }
 
@@ -585,6 +581,8 @@ impl WorldBuilder {
             params,
             bounds,
             scratch: Vec::new(),
+            round_scratch: RoundScratch::with_capacity(self.n),
+            sample: WorldSample::empty(),
         })
     }
 }
@@ -599,6 +597,14 @@ fn derived_t(params: &ProtocolParams, rho: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WorldBuilder {
+        /// Overrides the derived protocol parameters entirely.
+        fn params(mut self, params: ProtocolParams) -> Self {
+            self.params_override = Some(params);
+            self
+        }
+    }
 
     #[test]
     fn default_build_succeeds() {

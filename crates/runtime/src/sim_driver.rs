@@ -20,8 +20,8 @@
 //! `local_now + after` using the current hardware rate, and whenever a
 //! drift model changes the rate (or a slew changes the logical slope) the
 //! world recomputes every pending alarm of that node. Each pending alarm
-//! is one engine event, indexed by its engine id in the node's pending
-//! map, and that map is the only record of which alarms are live:
+//! is one engine event, keyed by its engine id in the node's id-ordered
+//! pending list, and that list is the only record of which alarms are live:
 //! replacing or dropping an alarm removes its entry and leaves the engine
 //! event queued. The stale event still pops, finds no entry and is
 //! dropped uncounted, so it neither fires nor shows in
@@ -59,9 +59,10 @@ impl Driver for World {
         let engine_id = self
             .engine
             .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer { node, id });
+        // Engine ids only grow, so the push keeps `pending` id-ordered.
         self.nodes[idx]
             .pending
-            .insert(engine_id, PendingTimer { kind, target_local });
+            .push((engine_id, PendingTimer { kind, target_local }));
     }
 
     fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
@@ -101,15 +102,15 @@ impl World {
     /// pop stale.
     pub(crate) fn reschedule_pending_timers(&mut self, tau: RealTime, node: ProcId) {
         let idx = node.index();
-        // BTreeMap iteration is id-ordered, so the re-armed events are
-        // assigned fresh ids in a deterministic order (replay safety).
-        let pending = std::mem::take(&mut self.nodes[idx].pending);
-        for timer in pending.into_values() {
-            let real_at = self.real_time_for_local_target(node, tau, timer.target_local);
-            let engine_id = self
+        // The alarms are re-armed in id order and get fresh, growing ids in
+        // place, so the order is deterministic (replay safety) and stays
+        // id-sorted.
+        for i in 0..self.nodes[idx].pending.len() {
+            let target = self.nodes[idx].pending[i].1.target_local;
+            let real_at = self.real_time_for_local_target(node, tau, target);
+            self.nodes[idx].pending[i].0 = self
                 .engine
                 .schedule_at_with(real_at.max(tau), |id| SimEvent::NodeTimer { node, id });
-            self.nodes[idx].pending.insert(engine_id, timer);
         }
     }
 

@@ -15,7 +15,9 @@
 
 use byzclock_adversary::{Adversary, AttackReply, ClockSabotage};
 use byzclock_clock::{DriftModel, LocalTime, LogicalClock};
-use byzclock_core::{apply_outputs, CachedSync, Input, Output, SyncNode, TimerKind, WireMessage};
+use byzclock_core::{
+    apply_outputs, CachedSync, Input, Output, RoundScratch, SyncNode, TimerKind, WireMessage,
+};
 use byzclock_net::Network;
 use byzclock_sim::queue::EventId;
 use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
@@ -39,10 +41,10 @@ pub(crate) enum Protocol {
 }
 
 impl Protocol {
-    fn handle_into(&mut self, input: Input, out: &mut Vec<Output>) {
+    fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         match self {
-            Protocol::PerRound(node) => node.handle_into(input, out),
-            Protocol::Cached(cached) => cached.handle_into(input, out),
+            Protocol::PerRound(node) => node.handle_into(input, scratch, out),
+            Protocol::Cached(cached) => cached.handle_into(input, scratch, out),
         }
     }
 
@@ -60,17 +62,16 @@ pub(crate) struct NodeSlot {
     pub(crate) drift: Box<dyn DriftModel>,
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
-    /// Pending alarms indexed by their engine [`EventId`]: the only record
-    /// of which alarms are live. Replacing or dropping an alarm removes its
+    /// Pending alarms keyed by their engine [`EventId`]: the only record of
+    /// which alarms are live. Replacing or dropping an alarm removes its
     /// entry here and nothing else, so its engine event still pops and
-    /// [`World`] drops it. O(log n) exact lookup instead of a linear scan,
-    /// and — unlike a `(kind, target)` match — unambiguous when two alarms
-    /// coincide.
-    /// A `BTreeMap` (not `HashMap`) so iteration during rescheduling is
-    /// id-ordered: std hash maps iterate in per-process random order, which
-    /// would leak into event scheduling order and break cross-process
-    /// replay determinism.
-    pub(crate) pending: std::collections::BTreeMap<EventId, PendingTimer>,
+    /// [`World`] drops it. Matching by id is exact — unlike a `(kind,
+    /// target)` match — even when two alarms coincide.
+    /// Kept in ascending id order: engine ids only grow, so arming pushes
+    /// at the end, and rescheduling rewrites the ids in place, in order.
+    /// Iteration is therefore id-ordered, as replay determinism needs. A
+    /// node holds at most a few alarms, so a linear search finds one.
+    pub(crate) pending: Vec<(EventId, PendingTimer)>,
 }
 
 impl NodeSlot {
@@ -86,7 +87,7 @@ impl NodeSlot {
             drift,
             drift_rng,
             corruption_depth: 0,
-            pending: std::collections::BTreeMap::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -116,6 +117,13 @@ pub struct World {
     /// Reusable output buffer for the nodes' `handle_into`: one allocation
     /// for the whole run instead of one per handled input.
     pub(crate) scratch: Vec<Output>,
+    /// The round-completion scratch every node borrows in turn: the world
+    /// dispatches one node at a time, and the buffers carry nothing
+    /// between calls, so one value serves all `n` nodes.
+    pub(crate) round_scratch: RoundScratch,
+    /// The sample every observer tick refills in place, so a tick with
+    /// observers allocates nothing once warm.
+    pub(crate) sample: WorldSample,
 }
 
 impl std::fmt::Debug for World {
@@ -173,11 +181,6 @@ impl World {
         self.events
     }
 
-    /// True iff `p` is currently controlled by the adversary.
-    pub fn is_corrupt(&self, p: ProcId) -> bool {
-        self.nodes[p.index()].corrupted()
-    }
-
     /// Total corruption episodes in the adversary's schedule (the mobile
     /// adversary's cumulative fault count, typically ≫ n).
     pub fn corruption_episodes(&self) -> usize {
@@ -196,21 +199,9 @@ impl World {
 
     /// Snapshot of all biases, corruption and goodness flags.
     pub fn sample_now(&self) -> WorldSample {
-        let tau = self.now();
-        let biases = self.nodes.iter().map(|s| s.clock.bias(tau)).collect();
-        let corrupt = self.nodes.iter().map(|s| s.corrupted()).collect();
-        let good = (0..self.nodes.len())
-            .map(|i| {
-                self.adversary
-                    .good_at(ProcId(i as u32), tau, self.big_delta)
-            })
-            .collect();
-        WorldSample {
-            tau,
-            biases,
-            corrupt,
-            good,
-        }
+        let mut sample = WorldSample::empty();
+        sample.fill(self.now(), &self.nodes, &self.adversary, self.big_delta);
+        sample
     }
 
     /// Runs the event loop until simulated time `deadline`.
@@ -263,7 +254,7 @@ impl World {
         self.handle_and_apply(node, Input::Start { local_now });
     }
 
-    /// Feeds one input to `node` through the reusable scratch buffer and
+    /// Feeds one input to `node` through the reusable scratch buffers and
     /// executes the resulting outputs through [`apply_outputs`].
     ///
     /// (The node lives *inside* the driver state, so the outputs are
@@ -273,7 +264,7 @@ impl World {
         out.clear();
         self.nodes[node.index()]
             .protocol
-            .handle_into(input, &mut out);
+            .handle_into(input, &mut self.round_scratch, &mut out);
         apply_outputs(self, node, &out);
         out.clear();
         self.scratch = out;
@@ -374,9 +365,10 @@ impl World {
         // must not fire. A corrupted node's index is empty, so none of its
         // alarms fires.
         let slot = &mut self.nodes[node.index()];
-        let Some(PendingTimer { kind, .. }) = slot.pending.remove(&id) else {
+        let Some(at) = slot.pending.iter().position(|(pending, _)| *pending == id) else {
             return false;
         };
+        let (_, PendingTimer { kind, .. }) = slot.pending.remove(at);
         debug_assert!(!slot.corrupted(), "a corrupted node holds an alarm");
         let local_now = self.local_now(node);
         self.handle_and_apply(
@@ -443,8 +435,12 @@ impl World {
     fn sample_tick(&mut self) {
         // The sample is for observers only; the tick still pops and counts.
         if !self.observers.is_empty() {
-            let sample = self.sample_now();
-            self.notify(|o| o.on_sample(&sample));
+            let tau = self.now();
+            self.sample
+                .fill(tau, &self.nodes, &self.adversary, self.big_delta);
+            for o in &mut self.observers {
+                o.on_sample(&self.sample);
+            }
         }
         self.engine
             .schedule_after(self.sample_interval, SimEvent::Sample);
@@ -457,6 +453,37 @@ impl World {
         }
         debug_assert!(self.observers.is_empty(), "observer added during notify");
         self.observers = observers;
+    }
+}
+
+impl WorldSample {
+    /// A sample with no processors, for [`WorldSample::fill`] to fill.
+    pub(crate) fn empty() -> Self {
+        WorldSample {
+            tau: RealTime::ZERO,
+            biases: Vec::new(),
+            corrupt: Vec::new(),
+            good: Vec::new(),
+        }
+    }
+
+    /// Overwrites the sample with the state of `nodes` at `tau`, reusing
+    /// its buffers.
+    fn fill(
+        &mut self,
+        tau: RealTime,
+        nodes: &[NodeSlot],
+        adversary: &Adversary,
+        big_delta: SimDuration,
+    ) {
+        self.tau = tau;
+        self.biases.clear();
+        self.biases.extend(nodes.iter().map(|s| s.clock.bias(tau)));
+        self.corrupt.clear();
+        self.corrupt.extend(nodes.iter().map(NodeSlot::corrupted));
+        self.good.clear();
+        self.good
+            .extend((0..nodes.len()).map(|i| adversary.good_at(ProcId(i as u32), tau, big_delta)));
     }
 }
 
@@ -684,7 +711,7 @@ mod tests {
             .build()
             .unwrap();
         w.run_until(t(6.0));
-        assert!(w.is_corrupt(ProcId(1)));
+        assert!(w.sample_now().corrupt[1]);
         let bias = w.bias_of(ProcId(1)).as_secs();
         assert!((bias - 3.0).abs() < 1e-3, "sabotaged bias {bias}");
     }
@@ -838,32 +865,30 @@ mod tests {
         let late = w
             .engine
             .schedule_at_with(t(5.0), |id| SimEvent::NodeTimer { node, id });
-        w.nodes[idx].pending.insert(
+        w.nodes[idx].pending.push((
             late,
             PendingTimer {
                 kind,
                 target_local: target,
             },
-        );
+        ));
         let early = w
             .engine
             .schedule_at_with(t(1.0), |id| SimEvent::NodeTimer { node, id });
-        w.nodes[idx].pending.insert(
+        w.nodes[idx].pending.push((
             early,
             PendingTimer {
                 kind,
                 target_local: target,
             },
-        );
+        ));
+        let armed = |w: &crate::World, id| w.nodes[idx].pending.iter().any(|(p, _)| *p == id);
         w.run_until(t(2.0)); // only the early twin has fired
         assert!(
-            !w.nodes[idx].pending.contains_key(&early),
+            !armed(&w, early),
             "the fired alarm must clear its own entry"
         );
-        assert!(
-            w.nodes[idx].pending.contains_key(&late),
-            "the not-yet-fired twin must stay armed"
-        );
+        assert!(armed(&w, late), "the not-yet-fired twin must stay armed");
     }
 
     #[test]
@@ -896,7 +921,7 @@ mod tests {
         let pending = |w: &crate::World| -> BTreeSet<EventId> {
             w.nodes
                 .iter()
-                .flat_map(|s| s.pending.keys().copied())
+                .flat_map(|s| s.pending.iter().map(|(id, _)| *id))
                 .collect()
         };
 
@@ -958,9 +983,9 @@ mod tests {
         // reads drifting clocks at the deadline, not at a stale instant.
         let mut w = quiet_world(6);
         w.run_until(t(2.0));
-        // Simulate an event horizon: drop every pending event so the
+        // Simulate an event horizon: swap in an empty engine so the
         // run_until loop drains immediately.
-        while w.engine.pop().is_some() {}
+        w.engine = byzclock_sim::Engine::new();
         let stuck_at = w.now();
         w.run_until(t(50.0));
         assert_eq!(w.now(), t(50.0));
@@ -980,6 +1005,6 @@ mod tests {
             .unwrap();
         w.run_until(t(15.0));
         assert!(w.network_stats().forged > 0);
-        assert!(w.is_corrupt(ProcId(0)));
+        assert!(w.sample_now().corrupt[0]);
     }
 }

@@ -15,11 +15,11 @@ use crate::time::{RealTime, SimDuration};
 /// as it would silently reorder causality.
 ///
 /// ```
-/// use byzclock_sim::{Engine, SimDuration};
+/// use byzclock_sim::{Engine, RealTime, SimDuration};
 ///
 /// let mut engine: Engine<u32> = Engine::new();
 /// engine.schedule_after(SimDuration::from_secs(1.0), 7);
-/// let (t, v) = engine.pop().unwrap();
+/// let (t, v) = engine.pop_until(RealTime::from_secs(5.0)).unwrap();
 /// assert_eq!(v, 7);
 /// assert_eq!(engine.now(), t);
 /// ```
@@ -110,12 +110,6 @@ impl<T: Copy> Engine<T> {
         self.queue.schedule(self.now + after, payload)
     }
 
-    /// Pops the next event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(RealTime, T)> {
-        let popped = self.queue.pop()?;
-        Some(self.advance(popped))
-    }
-
     /// Pops the next event only if it is scheduled at or before `deadline`;
     /// otherwise advances `now` to `deadline` and returns `None`.
     ///
@@ -151,6 +145,15 @@ mod tests {
     fn d(s: f64) -> SimDuration {
         SimDuration::from_secs(s)
     }
+
+    impl<T: Copy> Engine<T> {
+        /// Pops the next event, advancing `now` to its timestamp.
+        fn pop(&mut self) -> Option<(RealTime, T)> {
+            let popped = self.queue.pop()?;
+            Some(self.advance(popped))
+        }
+    }
+
     /// ∞ − ∞: how a NaN instant arises without tripping `from_secs`'s
     /// debug assertion.
     fn nan_instant() -> RealTime {

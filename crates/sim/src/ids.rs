@@ -15,11 +15,6 @@ use std::fmt;
 pub struct ProcId(pub u32);
 
 impl ProcId {
-    /// Creates an id from a raw index.
-    pub fn new(index: u32) -> Self {
-        ProcId(index)
-    }
-
     /// The raw index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -55,7 +50,7 @@ mod tests {
 
     #[test]
     fn display_and_index() {
-        let p = ProcId::new(7);
+        let p = ProcId(7);
         assert_eq!(format!("{p}"), "p7");
         assert_eq!(p.index(), 7);
     }
@@ -69,7 +64,7 @@ mod tests {
 
     #[test]
     fn ordering_matches_index() {
-        assert!(ProcId::new(1) < ProcId::new(2));
-        assert_eq!(ProcId::from(3u32), ProcId::new(3));
+        assert!(ProcId(1) < ProcId(2));
+        assert_eq!(ProcId::from(3u32), ProcId(3));
     }
 }

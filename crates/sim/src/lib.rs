@@ -32,11 +32,15 @@
 //! let mut engine: Engine<&'static str> = Engine::new();
 //! engine.schedule_after(SimDuration::from_secs(2.0), "world");
 //! engine.schedule_after(SimDuration::from_secs(1.0), "hello");
-//! let (t1, e1) = engine.pop().unwrap();
-//! let (t2, e2) = engine.pop().unwrap();
+//! let deadline = RealTime::from_secs(10.0);
+//! let (t1, e1) = engine.pop_until(deadline).unwrap();
+//! let (t2, e2) = engine.pop_until(deadline).unwrap();
 //! assert_eq!((e1, e2), ("hello", "world"));
 //! assert_eq!(t1, RealTime::from_secs(1.0));
 //! assert_eq!(t2, RealTime::from_secs(2.0));
+//! // nothing left before the deadline: time advances to it
+//! assert!(engine.pop_until(deadline).is_none());
+//! assert_eq!(engine.now(), deadline);
 //! ```
 
 #![forbid(unsafe_code)]

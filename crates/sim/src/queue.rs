@@ -149,10 +149,12 @@ enum Tier {
 /// use byzclock_sim::{EventQueue, RealTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule(RealTime::from_secs(2.0), "late");
-/// q.schedule(RealTime::from_secs(1.0), "early");
-/// assert_eq!(q.pop(), Some((RealTime::from_secs(1.0), "early")));
-/// assert_eq!(q.pop(), Some((RealTime::from_secs(2.0), "late")));
+/// let t = RealTime::from_secs;
+/// q.schedule(t(2.0), "late");
+/// q.schedule(t(1.0), "early");
+/// assert_eq!(q.pop_at_or_before(t(1.5)), Some((t(1.0), "early")));
+/// assert_eq!(q.pop_at_or_before(t(1.5)), None);
+/// assert_eq!(q.pop_at_or_before(t(2.0)), Some((t(2.0), "late")));
 /// assert!(q.is_empty());
 /// ```
 #[derive(Debug)]
@@ -261,15 +263,10 @@ impl<T: Copy> EventQueue<T> {
         self.len
     }
 
-    /// True iff no events are queued.
+    /// True iff no events are queued (clippy's `len_without_is_empty`
+    /// asks for it beside `len`).
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<(RealTime, T)> {
-        let (tier, _) = self.min_tier()?;
-        self.take(tier)
     }
 
     /// Pops the earliest event only if it is scheduled at or before
@@ -401,6 +398,12 @@ mod tests {
     use super::*;
 
     impl<T: Copy> EventQueue<T> {
+        /// Pops the earliest event.
+        pub(crate) fn pop(&mut self) -> Option<(RealTime, T)> {
+            let (tier, _) = self.min_tier()?;
+            self.take(tier)
+        }
+
         /// Time of the next event, if any.
         fn peek_time(&mut self) -> Option<RealTime> {
             let (_, key) = self.min_tier()?;

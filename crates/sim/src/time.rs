@@ -116,12 +116,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Absolute value of the duration.
-    #[inline]
-    pub fn abs(self) -> SimDuration {
-        SimDuration(self.0.abs())
-    }
-
     /// True iff the duration is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -132,37 +126,6 @@ impl SimDuration {
     #[inline]
     pub fn is_negative(self) -> bool {
         self.0 < 0.0
-    }
-
-    /// Returns the larger of `self` and `other`.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of `self` and `other`.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Clamps into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    #[inline]
-    pub fn clamp(self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        assert!(lo <= hi, "clamp: lo > hi");
-        self.max(lo).min(hi)
     }
 }
 
@@ -321,6 +284,24 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimDuration {
+        /// Absolute value of the duration.
+        fn abs(self) -> SimDuration {
+            SimDuration(self.0.abs())
+        }
+
+        /// Clamps into `[lo, hi]`; unlike `Ord::clamp`, says so when it
+        /// panics.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `lo > hi`.
+        fn clamp(self, lo: SimDuration, hi: SimDuration) -> SimDuration {
+            assert!(lo <= hi, "clamp: lo > hi");
+            self.max(lo).min(hi)
+        }
+    }
 
     #[test]
     fn realtime_add_duration() {

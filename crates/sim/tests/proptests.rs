@@ -3,6 +3,11 @@
 use byzclock_sim::{Engine, EventQueue, RealTime, RngHub, SimDuration};
 use proptest::prelude::*;
 
+/// Pops the earliest event, however late it is.
+fn pop<T: Copy>(q: &mut EventQueue<T>) -> Option<(RealTime, T)> {
+    q.pop_at_or_before(RealTime::from_secs(f64::INFINITY))
+}
+
 /// Operations we drive the queue with.
 #[derive(Debug, Clone)]
 enum Op {
@@ -44,10 +49,10 @@ fn negative_zero_pops_before_positive_zero() {
     let mut q = EventQueue::new();
     q.schedule(RealTime::from_secs(0.0), "positive");
     q.schedule(RealTime::from_secs(-0.0), "negative");
-    let (t, first) = q.pop().unwrap();
+    let (t, first) = pop(&mut q).unwrap();
     assert_eq!(first, "negative");
     assert_eq!(t.as_secs().to_bits(), (-0.0f64).to_bits());
-    let (t, second) = q.pop().unwrap();
+    let (t, second) = pop(&mut q).unwrap();
     assert_eq!(second, "positive");
     assert_eq!(t.as_secs().to_bits(), 0.0f64.to_bits());
 }
@@ -75,7 +80,7 @@ proptest! {
                 .then(ids[*a].cmp(&ids[*b]))
         });
         let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
+        while let Some((t, i)) = pop(&mut q) {
             prop_assert_eq!(t.as_secs().to_bits(), times[i].to_bits());
             popped.push(i);
         }
@@ -101,7 +106,7 @@ proptest! {
                     counter += 1;
                 }
                 Op::Pop => {
-                    if let Some((t, payload)) = q.pop() {
+                    if let Some((t, payload)) = pop(&mut q) {
                         // the pop must be the earliest currently-live event
                         let min_live = live
                             .values()
@@ -120,7 +125,7 @@ proptest! {
         }
         // drain: everything still live must come out, in order
         let mut remaining: Vec<f64> = Vec::new();
-        while let Some((t, payload)) = q.pop() {
+        while let Some((t, payload)) = pop(&mut q) {
             prop_assert!(live.remove(&payload).is_some());
             remaining.push(t.as_secs());
         }
@@ -136,7 +141,7 @@ proptest! {
             e.schedule_after(SimDuration::from_secs(*d), i as u32);
         }
         let mut last = e.now();
-        while let Some((t, _)) = e.pop() {
+        while let Some((t, _)) = e.pop_until(RealTime::from_secs(f64::INFINITY)) {
             prop_assert!(t >= last);
             last = t;
             prop_assert_eq!(e.now(), t);

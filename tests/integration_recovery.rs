@@ -167,11 +167,11 @@ fn overlapping_corruption_episodes_are_handled() {
         .unwrap();
     world.run_until(RealTime::from_secs(50.0));
     assert!(
-        world.is_corrupt(ProcId(3)),
+        world.sample_now().corrupt[3],
         "still inside the second episode"
     );
     world.run_until(RealTime::from_secs(BIG_DELTA * 4.0));
-    assert!(!world.is_corrupt(ProcId(3)));
+    assert!(!world.sample_now().corrupt[3]);
     assert!(
         world.bias_of(ProcId(3)).as_secs().abs() < 0.1,
         "must recover after the union of episodes"
