@@ -10,7 +10,8 @@
 //! any worker count), prints a verdict line per plan, and (with `--out`)
 //! writes the full report — including one replay artifact per violating
 //! plan — as JSON. `replay` re-executes a single artifact and exits 0 iff
-//! the recorded violations reproduce bit-identically; with `--workers W`
+//! the recorded violations reproduce bit-identically (an artifact whose
+//! plan fails validation is refused with exit code 1); with `--workers W`
 //! it runs W independent replicas in parallel and requires every one of
 //! them to reproduce (racing replicas are the strictest determinism
 //! check).
@@ -160,6 +161,10 @@ fn replay_cmd(opts: ReplayOpts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = artifact.plan.validate() {
+        eprintln!("error: {path} holds an invalid plan: {e}");
+        return ExitCode::FAILURE;
+    }
     println!(
         "replaying plan {} of campaign seed {} ({} recorded violations, invariant {}, {} replica{})",
         artifact.plan_index,

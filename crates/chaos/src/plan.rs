@@ -15,6 +15,7 @@
 //! round-trips losslessly through JSON (the replay-artifact format).
 
 use byzclock_adversary::{AdversaryPlan, CorruptionSchedule, CorruptionWindowSpec, StrategySpec};
+use byzclock_core::NetworkModel;
 use byzclock_net::{DelaySpike, FaultProfile};
 use byzclock_runtime::builder::LinkOutage;
 use byzclock_runtime::{Discipline, World, WorldBuilder};
@@ -27,6 +28,9 @@ pub const DELTA_SECS: f64 = 0.010;
 pub const RHO: f64 = 1e-5;
 /// Sync intervals per Δ.
 pub const K: u32 = 8;
+/// The largest `n` a plan may ask for: the top of the n range the project
+/// measures, and far below a topology that would not fit in memory.
+const MAX_N: u32 = 1024;
 
 /// Serializable mirror of [`Discipline`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -270,8 +274,10 @@ impl FaultPlan {
 
     /// Validates every field, including the exact Definition 2 check that
     /// the adversary windows never control more than `f` distinct
-    /// processors per Δ window. Runs *before* execution so Definition-2-
-    /// violating plans are rejected up front.
+    /// processors per Δ window, and derives the protocol parameters as
+    /// [`build_world`](Self::build_world) will (without building a world).
+    /// Runs *before* execution so Definition-2-violating plans, and plans
+    /// whose world could not be built, are rejected up front.
     ///
     /// # Errors
     ///
@@ -283,12 +289,24 @@ impl FaultPlan {
         if self.n < 3 * self.f + 1 {
             return Err(format!("n = {} < 3f+1 = {}", self.n, 3 * self.f + 1));
         }
+        if self.n > MAX_N {
+            return Err(format!("n = {} exceeds {MAX_N}", self.n));
+        }
         if !(self.big_delta_secs.is_finite() && self.big_delta_secs > 0.0) {
             return Err(format!(
                 "big_delta {} must be positive",
                 self.big_delta_secs
             ));
         }
+        let delta = SimDuration::from_secs(DELTA_SECS);
+        NetworkModel {
+            delta,
+            rho: RHO,
+            lambda: NetworkModel::natural_lambda(delta, RHO),
+            big_delta: SimDuration::from_secs(self.big_delta_secs),
+        }
+        .derive(self.n as usize, self.f as usize, K)
+        .map_err(|e| e.to_string())?;
         if !(self.horizon_secs.is_finite() && self.horizon_secs >= 2.0 * self.big_delta_secs) {
             return Err(format!(
                 "horizon {} must cover at least two periods (2Δ = {})",
@@ -543,6 +561,21 @@ mod tests {
         let mut p = base;
         p.horizon_secs = 50.0;
         assert!(p.validate().is_err(), "horizon below 2 deltas");
+    }
+
+    #[test]
+    fn plans_whose_world_cannot_be_built_are_rejected() {
+        let mut p = FaultPlan::quiet(4, 1, 1);
+        p.big_delta_secs = 0.01;
+        let err = p.validate().unwrap_err();
+        assert!(
+            err.contains("big_delta too short"),
+            "unexpected error: {err}"
+        );
+        let p = FaultPlan::quiet(1025, 1, 1);
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("exceeds 1024"), "unexpected error: {err}");
+        assert!(FaultPlan::quiet(1024, 1, 1).validate().is_ok());
     }
 
     #[test]

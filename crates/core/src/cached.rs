@@ -12,8 +12,9 @@
 //!
 //! It wraps a [`SyncNode`] rather than extending it, so the node keeps only
 //! Figure 1's state. The wrapped node answers pings, numbers the volleys,
-//! draws their nonces and runs the convergence step in the host's
-//! [`RoundScratch`]; the wrapper only owns the cache.
+//! draws their nonces, holds the cache in its own per-peer sample slots and
+//! runs the convergence step over them in the host's [`RoundScratch`]; the
+//! wrapper only tracks the current volley.
 
 use byzclock_clock::LocalTime;
 use byzclock_sim::{ProcId, SimDuration};
@@ -28,15 +29,13 @@ use crate::wire::WireMessage;
 /// Every `refresh` local-time units a volley pings each peer once; each
 /// volley is a round of the wrapped node, closed by a
 /// [`TimerKind::RoundTimeout`] that starts the next volley. A peer's
-/// latest in-volley pong overwrites its cache slot. Every `SyncInt` the
-/// `SyncDue` alarm converges at once over whatever the cache holds.
+/// latest in-volley pong overwrites its slot in the wrapped node, which
+/// reads as a timeout until the peer first answers. Every `SyncInt` the
+/// `SyncDue` alarm converges at once over whatever the slots hold.
 #[derive(Debug)]
 pub struct CachedSync {
     node: SyncNode,
     refresh: SimDuration,
-    /// Latest sample per peer; [`OffsetSample::TIMEOUT`] until the peer
-    /// first answers (the self slot is never read).
-    cache: Vec<OffsetSample>,
     /// Send time of the current volley.
     sent_at: LocalTime,
     /// Nonce of the current volley.
@@ -56,7 +55,6 @@ impl CachedSync {
             "cache refresh interval must be positive"
         );
         CachedSync {
-            cache: vec![OffsetSample::TIMEOUT; node.params().n()],
             node,
             refresh,
             sent_at: LocalTime::ZERO,
@@ -70,13 +68,13 @@ impl CachedSync {
     }
 
     /// Feeds one input, appending the effects to execute (in order) to
-    /// `out`, like [`SyncNode::handle_into`]. The cache is the wrapper's
-    /// own; the estimates a sync converges over are built in the host's
-    /// `scratch`.
+    /// `out`, like [`SyncNode::handle_into`]. The cache is the wrapped
+    /// node's per-peer slots; the estimates a sync converges over are
+    /// built in the host's `scratch`.
     pub fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
         match input {
             Input::Start { local_now } => {
-                self.cache.fill(OffsetSample::TIMEOUT);
+                self.node.clear_samples();
                 self.volley(local_now, out);
                 out.push(Output::SetTimer {
                     after: self.node.params().sync_int(),
@@ -99,22 +97,20 @@ impl CachedSync {
                     && round == self.node.round()
                     && nonce == self.nonce
                     && from != self.node.id()
-                    && from.index() < self.cache.len()
+                    && from.index() < self.node.params().n()
                     && local_now >= self.sent_at
                 {
-                    self.cache[from.index()] =
-                        OffsetSample::from_ping_pong(self.sent_at, local_now, clock);
+                    self.node.store_sample(
+                        from.index(),
+                        OffsetSample::from_ping_pong(self.sent_at, local_now, clock),
+                    );
                 }
             }
             Input::Message { .. } => self.node.handle_into(input, scratch, out),
             Input::TimerFired {
                 timer: TimerKind::SyncDue,
                 ..
-            } => {
-                let round = self.node.round();
-                let cache = &self.cache;
-                self.node.converge(round, |q| cache[q], scratch, out);
-            }
+            } => self.node.converge(self.node.round(), scratch, out),
             Input::TimerFired {
                 timer: TimerKind::RoundTimeout { round },
                 local_now,

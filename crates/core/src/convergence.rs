@@ -1,4 +1,4 @@
-//! Convergence functions: from peer estimates to a clock adjustment.
+//! The convergence step: from peer estimates to a clock adjustment.
 //!
 //! The heart of the paper is Figure 1's convergence function. Given one
 //! [`OffsetSample`] per processor (including the self-estimate `(0,0)` and
@@ -18,8 +18,9 @@
 //! The "otherwise" branch is the paper's key departure from
 //! Fetzer–Cristian \[9\]: minimal-correction designs can leave a recovered
 //! clock stranded forever; this one halves its distance every interval
-//! (Lemma 7(iii)). [`MinimalCorrection`] implements the FC-style behaviour
-//! so experiment E7 can demonstrate exactly that failure.
+//! (Lemma 7(iii)). [`PaperSync`] is that function; [`ConvergenceFn`] is the
+//! seam through which experiment E7 plugs in its controls (an FC-style
+//! minimal correction among them) to demonstrate exactly that failure.
 
 use byzclock_sim::ProcId;
 use std::fmt;
@@ -45,6 +46,11 @@ pub struct PeerEstimate {
 /// buffers carry no state between calls — every user clears before
 /// filling — so sharing one scratch across nodes and convergence functions
 /// is always sound. [`Default`] gives empty buffers that grow on first use.
+///
+/// Any [`ConvergenceFn`] may borrow both buffers through
+/// [`buffers`](Self::buffers), including implementors outside this crate;
+/// it must clear whatever it fills and keep nothing in them after it
+/// returns.
 #[derive(Debug, Default, Clone)]
 pub struct ConvergenceScratch {
     /// Overestimates (or offsets, for the averaging functions).
@@ -60,6 +66,12 @@ impl ConvergenceScratch {
             lows: Vec::with_capacity(n),
             highs: Vec::with_capacity(n),
         }
+    }
+
+    /// Lends both buffers, `(lows, highs)`, to a convergence function for
+    /// one call. Their contents on entry are unspecified.
+    pub fn buffers(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>) {
+        (&mut self.lows, &mut self.highs)
     }
 }
 
@@ -176,213 +188,6 @@ impl ConvergenceFn for PaperSync {
         } else {
             (m + big_m) / 2.0
         }
-    }
-
-    fn box_clone(&self) -> Box<dyn ConvergenceFn> {
-        Box::new(*self)
-    }
-}
-
-/// Fetzer–Cristian-style minimal correction: same sound `(m, M)` selection,
-/// always the own-clock-respecting midpoint, and the final step clamped to
-/// `±max_step`. Optimal for maximum-correction metrics — and, as the paper
-/// argues (Section 1.1), unable to recover a way-off clock: with a clock
-/// `ε ≫ max_step` away, each round moves at most `max_step`, and if the
-/// honest nodes' estimates time out entirely it may never move at all.
-#[derive(Debug, Clone, Copy)]
-pub struct MinimalCorrection {
-    /// Maximum adjustment magnitude per round, seconds.
-    pub max_step: f64,
-}
-
-impl MinimalCorrection {
-    /// Clamp each round's correction to `±max_step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_step` is not positive and finite.
-    pub fn new(max_step: f64) -> Self {
-        assert!(
-            max_step.is_finite() && max_step > 0.0,
-            "max_step must be positive finite"
-        );
-        MinimalCorrection { max_step }
-    }
-}
-
-impl ConvergenceFn for MinimalCorrection {
-    fn name(&self) -> &'static str {
-        "fc-minimal"
-    }
-
-    fn adjustment_scratch(
-        &self,
-        f: usize,
-        _way_off: f64,
-        estimates: &[PeerEstimate],
-        scratch: &mut ConvergenceScratch,
-    ) -> f64 {
-        let (m, big_m) = select_low_high_into(f, estimates, scratch);
-        let step = (m.min(0.0) + big_m.max(0.0)) / 2.0;
-        step.clamp(-self.max_step, self.max_step)
-    }
-
-    fn box_clone(&self) -> Box<dyn ConvergenceFn> {
-        Box::new(*self)
-    }
-}
-
-/// Welch–Lynch-style fault-tolerant averaging: drop the `f` smallest and
-/// `f` largest offsets (timeouts count as offset 0, as in the paper's own
-/// timeout convention) and average the rest.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrimmedMean;
-
-impl ConvergenceFn for TrimmedMean {
-    fn name(&self) -> &'static str {
-        "trimmed-mean"
-    }
-
-    fn adjustment_scratch(
-        &self,
-        f: usize,
-        _way_off: f64,
-        estimates: &[PeerEstimate],
-        scratch: &mut ConvergenceScratch,
-    ) -> f64 {
-        assert!(
-            estimates.len() > 2 * f,
-            "trimmed mean needs more than 2f estimates"
-        );
-        scratch.lows.clear();
-        scratch.lows.extend(estimates.iter().map(|e| {
-            if e.sample.is_timeout() {
-                0.0
-            } else {
-                e.sample.offset
-            }
-        }));
-        // The kept elements must be summed in ascending order (float
-        // addition is order-sensitive); a full in-scratch sort keeps the
-        // historical summation order bit-for-bit. Quickselecting the two
-        // trim points would be O(n) but permute the middle.
-        scratch.lows.sort_unstable_by(f64::total_cmp); // lint:allow(hot-path-alloc)
-        let kept = &scratch.lows[f..scratch.lows.len() - f];
-        kept.iter().sum::<f64>() / kept.len() as f64
-    }
-
-    fn box_clone(&self) -> Box<dyn ConvergenceFn> {
-        Box::new(*self)
-    }
-}
-
-/// No Byzantine protection at all: the mean of every finite estimate. A
-/// single liar moves the result arbitrarily — the control that shows why
-/// trimming is necessary (experiment E7).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnguardedMean;
-
-impl ConvergenceFn for UnguardedMean {
-    fn name(&self) -> &'static str {
-        "unguarded-mean"
-    }
-
-    fn adjustment_scratch(
-        &self,
-        _f: usize,
-        _way_off: f64,
-        estimates: &[PeerEstimate],
-        _scratch: &mut ConvergenceScratch,
-    ) -> f64 {
-        // Single pass, summing in slice order — the same order the old
-        // collect-then-sum path used, so the result is bit-identical.
-        let mut sum = 0.0;
-        let mut kept = 0u32;
-        for e in estimates.iter().filter(|e| !e.sample.is_timeout()) {
-            sum += e.sample.offset;
-            kept += 1;
-        }
-        if kept == 0 {
-            0.0
-        } else {
-            sum / f64::from(kept)
-        }
-    }
-
-    fn box_clone(&self) -> Box<dyn ConvergenceFn> {
-        Box::new(*self)
-    }
-}
-
-/// The coordinate-wise median of all offsets (timeouts count as 0): the
-/// other classical fault-tolerant aggregate. Byzantine-safe for `f < n/2`
-/// (the median of n values with ≤ f liars lies within the honest hull),
-/// and it recovers far-off clocks — but it lacks the paper's own-clock
-/// damping, so its steady-state wander is larger.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MedianConvergence;
-
-impl ConvergenceFn for MedianConvergence {
-    fn name(&self) -> &'static str {
-        "median"
-    }
-
-    fn adjustment_scratch(
-        &self,
-        _f: usize,
-        _way_off: f64,
-        estimates: &[PeerEstimate],
-        scratch: &mut ConvergenceScratch,
-    ) -> f64 {
-        assert!(!estimates.is_empty(), "median of no estimates");
-        scratch.lows.clear();
-        scratch.lows.extend(estimates.iter().map(|e| {
-            if e.sample.is_timeout() {
-                0.0
-            } else {
-                e.sample.offset
-            }
-        }));
-        let len = scratch.lows.len();
-        let mid = len / 2;
-        let (below, pivot, _) = scratch.lows.select_nth_unstable_by(mid, f64::total_cmp);
-        if len % 2 == 1 {
-            *pivot
-        } else {
-            // Rank mid-1 is the total_cmp maximum of the left partition;
-            // ranks are bit-determined under the total order, so this
-            // matches the old full sort exactly.
-            let lower = below
-                .iter()
-                .copied()
-                .max_by(f64::total_cmp)
-                .expect("even length >= 2 has a lower half");
-            (lower + *pivot) / 2.0
-        }
-    }
-
-    fn box_clone(&self) -> Box<dyn ConvergenceFn> {
-        Box::new(*self)
-    }
-}
-
-/// Never adjusts — the free-running control measuring raw hardware drift.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoOpConvergence;
-
-impl ConvergenceFn for NoOpConvergence {
-    fn name(&self) -> &'static str {
-        "no-sync"
-    }
-
-    fn adjustment_scratch(
-        &self,
-        _f: usize,
-        _way_off: f64,
-        _estimates: &[PeerEstimate],
-        _scratch: &mut ConvergenceScratch,
-    ) -> f64 {
-        0.0
     }
 
     fn box_clone(&self) -> Box<dyn ConvergenceFn> {
@@ -527,156 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn minimal_correction_clamps() {
-        let e = exact(&[10.0; 5]);
-        let fc = MinimalCorrection::new(0.05);
-        let delta = adjust(&fc, 1, 5.0, &e);
-        assert_eq!(delta, 0.05, "step must be clamped");
-        let e_neg = exact(&[-10.0; 5]);
-        assert_eq!(adjust(&fc, 1, 5.0, &e_neg), -0.05);
-    }
-
-    #[test]
-    fn minimal_correction_small_offsets_uncapped() {
-        let e = exact(&[-0.01; 5]);
-        let fc = MinimalCorrection::new(0.05);
-        assert!((adjust(&fc, 1, 5.0, &e) + 0.005).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn minimal_correction_rejects_zero_step() {
-        MinimalCorrection::new(0.0);
-    }
-
-    #[test]
-    fn trimmed_mean_drops_outliers() {
-        let e = exact(&[-1e9, 1.0, 2.0, 3.0, 1e9]);
-        let delta = adjust(&TrimmedMean, 1, 1.0, &e);
-        assert_eq!(delta, 2.0);
-    }
-
-    #[test]
-    fn trimmed_mean_treats_timeouts_as_zero() {
-        let mut e = exact(&[4.0, 4.0, 4.0, 4.0]);
-        e.push(PeerEstimate {
-            peer: ProcId(9),
-            sample: OffsetSample::TIMEOUT,
-        });
-        // offsets [0,4,4,4,4], f=1 → keep [4,4,4] → 4.0
-        assert_eq!(adjust(&TrimmedMean, 1, 1.0, &e), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "2f")]
-    fn trimmed_mean_needs_enough_estimates() {
-        adjust(&TrimmedMean, 2, 1.0, &exact(&[1.0, 2.0, 3.0, 4.0]));
-    }
-
-    #[test]
-    fn unguarded_mean_is_vulnerable() {
-        // One liar at 1e6 drags the mean far out — the vulnerability E7
-        // demonstrates end-to-end.
-        let mut e = exact(&[0.0, 0.0, 0.0, 0.0]);
-        e.push(PeerEstimate {
-            peer: ProcId(4),
-            sample: OffsetSample {
-                offset: 1e6,
-                error: 0.0,
-            },
-        });
-        let delta = adjust(&UnguardedMean, 1, 1.0, &e);
-        assert!(delta > 1e5, "unguarded mean should be dragged, got {delta}");
-    }
-
-    #[test]
-    fn unguarded_mean_skips_timeouts_and_handles_empty() {
-        let e = vec![PeerEstimate {
-            peer: ProcId(0),
-            sample: OffsetSample::TIMEOUT,
-        }];
-        assert_eq!(adjust(&UnguardedMean, 0, 1.0, &e), 0.0);
-    }
-
-    #[test]
-    fn median_of_odd_and_even_counts() {
-        let e = exact(&[5.0, 1.0, 3.0]);
-        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 3.0);
-        let e = exact(&[1.0, 2.0, 3.0, 10.0]);
-        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 2.5);
-    }
-
-    #[test]
-    fn median_resists_minority_liars() {
-        let mut e = exact(&[0.01, 0.02, 0.03, 0.0, -0.01]);
-        e.push(PeerEstimate {
-            peer: ProcId(90),
-            sample: OffsetSample {
-                offset: 1e9,
-                error: 0.0,
-            },
-        });
-        e.push(PeerEstimate {
-            peer: ProcId(91),
-            sample: OffsetSample {
-                offset: -1e9,
-                error: 0.0,
-            },
-        });
-        let delta = adjust(&MedianConvergence, 2, 1.0, &e);
-        assert!(delta.abs() <= 0.03, "median dragged to {delta}");
-    }
-
-    #[test]
-    fn median_counts_timeouts_as_zero() {
-        let mut e = exact(&[4.0, 4.0]);
-        e.push(PeerEstimate {
-            peer: ProcId(9),
-            sample: OffsetSample::TIMEOUT,
-        });
-        // offsets [0, 4, 4] -> median 4
-        assert_eq!(adjust(&MedianConvergence, 0, 1.0, &e), 4.0);
-    }
-
-    #[test]
-    fn noop_never_adjusts() {
-        let e = exact(&[100.0; 5]);
-        assert_eq!(adjust(&NoOpConvergence, 1, 1.0, &e), 0.0);
-    }
-
-    #[test]
     fn all_zero_estimates_give_zero_adjustment() {
         let e = exact(&[0.0; 7]);
-        for cf in all_fns() {
-            assert_eq!(
-                adjust(cf.as_ref(), 2, 1.0, &e),
-                0.0,
-                "{} must not move a synchronized clock",
-                cf.name()
-            );
-        }
-    }
-
-    #[test]
-    fn names_distinct_and_boxes_clone() {
-        let fns = all_fns();
-        let names: std::collections::HashSet<&str> = fns.iter().map(|f| f.name()).collect();
-        assert_eq!(names.len(), fns.len());
-        for f in &fns {
-            let cloned = f.box_clone();
-            assert_eq!(cloned.name(), f.name());
-        }
-    }
-
-    fn all_fns() -> Vec<Box<dyn ConvergenceFn>> {
-        vec![
-            Box::new(PaperSync),
-            Box::new(MinimalCorrection::new(0.05)),
-            Box::new(TrimmedMean),
-            Box::new(MedianConvergence),
-            Box::new(UnguardedMean),
-            Box::new(NoOpConvergence),
-        ]
+        assert_eq!(
+            adjust(&PaperSync, 2, 1.0, &e),
+            0.0,
+            "Figure 1 must not move a synchronized clock"
+        );
     }
 
     mod properties {
@@ -707,28 +369,6 @@ mod tests {
                 let hi = honest.iter().cloned().fold(f64::NEG_INFINITY, f64::max).max(0.0);
                 prop_assert!(delta >= lo - 1e-9 && delta <= hi + 1e-9,
                     "delta {} outside [{}, {}]", delta, lo, hi);
-            }
-
-            /// The trimmed mean with ≤ f adversarial estimates stays within
-            /// the honest hull extended to 0 (timeout convention).
-            #[test]
-            fn trimmed_mean_bounded_by_honest_hull(
-                honest in proptest::collection::vec(-100.0f64..100.0, 5..12),
-                byz in proptest::collection::vec(
-                    proptest::num::f64::NORMAL.prop_map(|v| v % 1e9), 0..2),
-            ) {
-                let f = byz.len();
-                let mut e = exact(&honest);
-                for (i, b) in byz.iter().enumerate() {
-                    e.push(PeerEstimate {
-                        peer: ProcId((100 + i) as u32),
-                        sample: OffsetSample { offset: *b, error: 0.0 },
-                    });
-                }
-                let delta = adjust(&TrimmedMean, f, 1.0, &e);
-                let lo = honest.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = honest.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert!(delta >= lo - 1e-9 && delta <= hi + 1e-9);
             }
 
             /// Figure 1 selection: m is never above the maximum honest
@@ -788,8 +428,8 @@ mod tests {
                 prop_assert_eq!(got.1.to_bits(), expect.1.to_bits());
             }
 
-            /// A reused (dirty) scratch gives every convergence function
-            /// the same bits as a fresh one — scratch carries no state.
+            /// A reused (dirty) scratch gives Figure 1 the same bits as a
+            /// fresh one — scratch carries no state.
             #[test]
             fn scratch_reuse_is_stateless(
                 first in proptest::collection::vec(-100.0f64..100.0, 5..12),
@@ -798,12 +438,9 @@ mod tests {
                 let mut scratch = ConvergenceScratch::default();
                 for values in [&first, &second] {
                     let e = exact(values);
-                    for cf in all_fns() {
-                        let fresh = adjust(cf.as_ref(), 1, 10.0, &e);
-                        let reused = cf.adjustment_scratch(1, 10.0, &e, &mut scratch);
-                        prop_assert_eq!(fresh.to_bits(), reused.to_bits(),
-                            "{} diverges under scratch reuse", cf.name());
-                    }
+                    let fresh = adjust(&PaperSync, 1, 10.0, &e);
+                    let reused = PaperSync.adjustment_scratch(1, 10.0, &e, &mut scratch);
+                    prop_assert_eq!(fresh.to_bits(), reused.to_bits());
                 }
             }
 

@@ -1,7 +1,9 @@
 //! The paper's primary contribution: the `Sync` clock synchronization
-//! protocol of Barak, Halevi, Herzberg and Naor (PODC 2000), plus the
-//! baselines it is compared against and its Theorem 5 bounds. The checks of
-//! Lemma 7 and Claim 8 against measured runs live in the experiment harness.
+//! protocol of Barak, Halevi, Herzberg and Naor (PODC 2000) and its
+//! Theorem 5 bounds. The crate holds Figure 1 and the seam that plugs a
+//! convergence function into it; what only one experiment needs (E7's
+//! comparison controls, the checks of Lemma 7 and Claim 8 against measured
+//! runs) lives in the experiment harness.
 //!
 //! # Layout
 //!
@@ -13,9 +15,10 @@
 //! * [`estimate`] — the ping/pong clock-estimation arithmetic of
 //!   Section 3.1 (`d = C − (R+S)/2`, `a = (R−S)/2`) and the min-round-trip
 //!   filter used by NTP-style refinement.
-//! * [`convergence`] — convergence functions: the paper's (Figure 1), and
-//!   the comparison baselines (minimal-correction à la Fetzer–Cristian,
-//!   fault-tolerant trimmed mean à la Welch–Lynch, unguarded mean, no-op).
+//! * [`convergence`] — the paper's convergence function (Figure 1) and the
+//!   [`ConvergenceFn`] seam other functions plug into. A function borrows
+//!   its working storage from the host's [`ConvergenceScratch`], whose
+//!   buffers any implementor, in this crate or outside it, may use.
 //! * [`node`] — the sans-IO `Sync` protocol state machine: feed it inputs
 //!   (timers, messages) stamped with local clock readings; it emits outputs
 //!   (sends, timers, clock adjustments). No IO, no simulator dependency —
@@ -25,7 +28,8 @@
 //! * [`wire`] — the ping/pong messages and their length-prefixed binary
 //!   frame codec for real-socket hosts.
 //! * [`cached`] — the cached-estimation variant Section 3.1 warns about,
-//!   composed around a node (experiment E19).
+//!   composed around a node and converging over that node's own per-peer
+//!   slots (experiment E19).
 //!
 //! # Quick taste (pure state machine)
 //!
@@ -64,10 +68,7 @@ pub mod wire;
 
 pub use bounds::{BoundsError, Derived, NetworkModel, TheoremBounds};
 pub use cached::CachedSync;
-pub use convergence::{
-    ConvergenceFn, ConvergenceScratch, MedianConvergence, MinimalCorrection, NoOpConvergence,
-    PaperSync, PeerEstimate, TrimmedMean, UnguardedMean,
-};
+pub use convergence::{ConvergenceFn, ConvergenceScratch, PaperSync, PeerEstimate};
 pub use estimate::OffsetSample;
 pub use node::{
     apply_outputs, Driver, Input, Output, RoundScratch, RoundSummary, SyncNode, TimerKind,

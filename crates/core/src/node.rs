@@ -199,10 +199,12 @@ pub struct SyncNode {
     /// in as it arrives, so `k` pings per peer still need one slot. Valid
     /// only where `filled[q] > 0`; the self slot is never read (the exact
     /// `(0, 0)` stands in at completion). Allocated once at construction,
-    /// so rounds never allocate.
+    /// so rounds never allocate. Under cached estimation the wrapping
+    /// [`CachedSync`](crate::CachedSync) overwrites these slots instead.
     samples: Vec<OffsetSample>,
     /// Pongs accepted from each peer in the active round (at most `k`,
-    /// which is at most 64).
+    /// which is at most 64); under cached estimation, 1 once the peer has
+    /// answered since the last start.
     filled: Vec<u8>,
     /// Peers (excluding self) still short of `k` pongs in the active
     /// round; the round completes early when this reaches zero.
@@ -435,36 +437,32 @@ impl SyncNode {
         let Some(active) = self.active.take() else {
             return;
         };
-        // Moved out (no allocation) so `converge` can borrow the node.
-        let samples = std::mem::take(&mut self.samples);
-        let filled = std::mem::take(&mut self.filled);
-        self.converge(
-            active.round,
-            // the best pong; TIMEOUT if none arrived at all
-            |q| {
-                if filled[q] == 0 {
-                    OffsetSample::TIMEOUT
-                } else {
-                    samples[q]
-                }
-            },
-            scratch,
-            out,
-        );
-        self.samples = samples;
-        self.filled = filled;
+        self.converge(active.round, scratch, out);
+    }
+
+    /// Overwrites peer `q`'s slot with `sample`, marking it filled. The
+    /// cached-estimation host's write path; `on_pong` folds instead.
+    pub(crate) fn store_sample(&mut self, q: usize, sample: OffsetSample) {
+        self.samples[q] = sample;
+        self.filled[q] = 1;
+    }
+
+    /// Empties every peer slot, so each reads as a timeout until it is
+    /// written again.
+    pub(crate) fn clear_samples(&mut self) {
+        self.filled.fill(0);
     }
 
     /// Figure 1's convergence step, the one round-completion path: builds
     /// the `n` estimates — the exact `(0, 0)` for self ("for each
-    /// q ∈ {1..n}" includes p) and `sample_of(q)` for each peer `q` — runs
-    /// the convergence function, and emits `AdjustClock`, `RoundCompleted`
-    /// for `round`, and the next `SyncDue` alarm. The estimates and the
-    /// selection buffers live in the host's `scratch`.
+    /// q ∈ {1..n}" includes p), and for each peer `q` the sample in its
+    /// slot, or TIMEOUT if the slot is empty — runs the convergence
+    /// function, and emits `AdjustClock`, `RoundCompleted` for `round`,
+    /// and the next `SyncDue` alarm. The estimates and the selection
+    /// buffers live in the host's `scratch`.
     pub(crate) fn converge(
         &mut self,
         round: u64,
-        sample_of: impl Fn(usize) -> OffsetSample,
         scratch: &mut RoundScratch,
         out: &mut Vec<Output>,
     ) {
@@ -478,8 +476,10 @@ impl SyncNode {
                         offset: 0.0,
                         error: 0.0,
                     }
+                } else if self.filled[i] == 0 {
+                    OffsetSample::TIMEOUT
                 } else {
-                    sample_of(i)
+                    self.samples[i]
                 },
             });
         }

@@ -6,14 +6,17 @@
 //! live in the host's `RoundScratch`. So neither the ping fan-out, nor the
 //! pongs, nor the round's completion touch the heap. A counting global
 //! allocator checks a whole first round at n = 64, that building a node
-//! makes the same number of allocations whatever n is, and that its bytes
-//! are 17 per peer whatever `pings_per_peer` is.
+//! makes the same number of allocations whatever n is, that its bytes
+//! are 17 per peer whatever `pings_per_peer` is, and that wrapping it for
+//! cached estimation adds none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use byzclock_clock::LocalTime;
-use byzclock_core::{Input, Output, ProtocolParams, RoundScratch, SyncNode, WireMessage};
+use byzclock_core::{
+    CachedSync, Input, Output, ProtocolParams, RoundScratch, SyncNode, WireMessage,
+};
 use byzclock_sim::{ProcId, SimDuration};
 
 struct Counting;
@@ -169,4 +172,24 @@ fn node_bytes_do_not_depend_on_k_and_grow_17_per_peer() {
         large - small <= 17 * (1024 - 16),
         "{small} bytes at n = 16, {large} at n = 1024: over 17 per peer"
     );
+}
+
+#[test]
+fn cached_node_costs_no_more_bytes_than_a_plain_node() {
+    for n in [16, 256, 1024] {
+        let plain = node_bytes(n, 1);
+        let params = params(n, 1);
+        let mut cached = None;
+        let b = bytes(|| {
+            cached = Some(CachedSync::new(
+                SyncNode::new(ProcId(0), params),
+                SimDuration::from_secs(3.0),
+            ))
+        });
+        assert!(cached.is_some());
+        assert!(
+            b <= plain,
+            "a cached node takes {b} bytes at n = {n}, a plain one {plain}"
+        );
+    }
 }

@@ -373,6 +373,9 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
     drive(&mut io, &mut node, start, &mut scratch, &mut out);
     let mut buf = [0u8; MAX_PAYLOAD + 4];
     let mut rejected = Rejected::default();
+    // The read timeout in force: `set_read_timeout` is a syscall, so it is
+    // made only when the wait changes.
+    let mut timeout = None;
     while !stop.load(Ordering::Relaxed) {
         // fire alarms one at a time: a fired timer may arm or cancel others
         let now = io.clock.now();
@@ -388,8 +391,14 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
             .until_next_alarm(now)
             .unwrap_or(POLL_CAP)
             .clamp(Duration::from_millis(1), POLL_CAP);
-        if io.socket.set_read_timeout(Some(wait)).is_err() {
-            return rejected;
+        // Whole milliseconds (at most POLL_CAP's 25), rounded down so that
+        // no alarm fires later, keep the wait the same across most turns.
+        let wait = Duration::from_millis(wait.as_millis() as u64);
+        if timeout != Some(wait) {
+            if io.socket.set_read_timeout(Some(wait)).is_err() {
+                return rejected;
+            }
+            timeout = Some(wait);
         }
         match io.socket.recv_from(&mut buf) {
             // Garbage datagrams are dropped, like line noise on a link. So

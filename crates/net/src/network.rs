@@ -70,11 +70,20 @@ impl IntoIterator for Deliveries {
 
 /// Administrative link state: a predicate cutting links on top of the
 /// topology (for partitions and transient outages).
+///
+/// Outages nest: a link cut twice stays down until both cuts are restored,
+/// so overlapping outages keep it down until the last one ends.
 #[derive(Debug, Clone, Default)]
 pub struct LinkFilter {
-    /// Directed pairs currently down. A `BTreeSet` so that `Debug` output
-    /// and any future iteration are deterministic (D3).
-    down: std::collections::BTreeSet<(ProcId, ProcId)>,
+    /// Active cuts per undirected link, keyed `(low, high)`; a link is down
+    /// iff it has an entry. A `BTreeMap` so that `Debug` output and any
+    /// future iteration are deterministic (D3).
+    down: std::collections::BTreeMap<(ProcId, ProcId), u32>,
+}
+
+/// The undirected key of `{a, b}`.
+fn link(a: ProcId, b: ProcId) -> (ProcId, ProcId) {
+    (a.min(b), a.max(b))
 }
 
 impl LinkFilter {
@@ -83,21 +92,27 @@ impl LinkFilter {
         Self::default()
     }
 
-    /// Cuts both directions of `{a, b}`.
+    /// Cuts both directions of `{a, b}`, adding one outage to any already
+    /// active on it.
     pub fn cut(&mut self, a: ProcId, b: ProcId) {
-        self.down.insert((a, b));
-        self.down.insert((b, a));
+        *self.down.entry(link(a, b)).or_insert(0) += 1;
     }
 
-    /// Restores both directions of `{a, b}`.
+    /// Ends one outage of `{a, b}`; the link comes back up when none is
+    /// left. Restoring a link that is up does nothing.
     pub fn restore(&mut self, a: ProcId, b: ProcId) {
-        self.down.remove(&(a, b));
-        self.down.remove(&(b, a));
+        let key = link(a, b);
+        if let Some(cuts) = self.down.get_mut(&key) {
+            *cuts -= 1;
+            if *cuts == 0 {
+                self.down.remove(&key);
+            }
+        }
     }
 
     /// True iff the directed link is up.
     pub fn is_up(&self, from: ProcId, to: ProcId) -> bool {
-        !self.down.contains(&(from, to))
+        !self.down.contains_key(&link(from, to))
     }
 }
 
@@ -458,6 +473,26 @@ mod tests {
         assert_eq!(send(&mut net, 0, 2), 1);
         net.links_mut().restore(ProcId(0), ProcId(1));
         assert_eq!(send(&mut net, 0, 1), 1);
+    }
+
+    #[test]
+    fn overlapping_cuts_keep_the_link_down_until_the_last_restore() {
+        let (a, b, c) = (ProcId(0), ProcId(1), ProcId(2));
+        let mut links = LinkFilter::new();
+        links.cut(a, b);
+        links.cut(b, a); // a second outage of the same undirected link
+        links.cut(a, c);
+        links.restore(a, b);
+        assert!(
+            !links.is_up(a, b) && !links.is_up(b, a),
+            "one cut still active"
+        );
+        links.restore(a, b);
+        assert!(links.is_up(a, b) && links.is_up(b, a));
+        assert!(!links.is_up(c, a), "other links keep their own count");
+        links.restore(a, b); // restoring an up link is a no-op
+        links.cut(a, b);
+        assert!(!links.is_up(a, b));
     }
 
     #[test]

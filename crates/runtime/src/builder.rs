@@ -18,7 +18,6 @@ use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LogicalClock, Ran
 use byzclock_core::{
     params::ProtocolParamsBuilder, BoundsError as CoreBoundsError, CachedSync, ConvergenceFn,
     Derived, NetworkModel, PaperSync, ParamError, ProtocolParams, RoundScratch, SyncNode,
-    TheoremBounds,
 };
 use byzclock_net::{DelayModel, DelaySpike, FaultProfile, Network, Topology, UniformDelay};
 use byzclock_sim::{Engine, ProcId, RealTime, RngHub, SimDuration};
@@ -149,7 +148,6 @@ pub struct WorldBuilder {
     rho: f64,
     big_delta: SimDuration,
     k: u32,
-    params_override: Option<ProtocolParams>,
     way_off_override: Option<f64>,
     allow_sub_resilience: bool,
     topology: Option<Topology>,
@@ -190,7 +188,6 @@ impl WorldBuilder {
             rho: 1e-5,
             big_delta: SimDuration::from_secs(600.0),
             k: 8,
-            params_override: None,
             way_off_override: None,
             allow_sub_resilience: false,
             topology: None,
@@ -402,13 +399,7 @@ impl WorldBuilder {
             (NetworkModel::derive, ProtocolParamsBuilder::build)
         };
 
-        let (mut params, bounds): (ProtocolParams, Option<TheoremBounds>) =
-            if let Some(p) = self.params_override {
-                (p, model.bounds_for_t(derived_t(&p, self.rho)).ok())
-            } else {
-                let derived = derive(&model, self.n, self.f, self.k)?;
-                (derived.params, Some(derived.bounds))
-            };
+        let Derived { mut params, bounds } = derive(&model, self.n, self.f, self.k)?;
 
         if self.way_off_override.is_some() || self.pings_per_peer != 1 {
             let builder = ProtocolParams::builder(params.n(), params.f())
@@ -549,10 +540,7 @@ impl WorldBuilder {
             engine.schedule_at(at, ev);
         }
 
-        let t = bounds
-            .map(|b| b.t)
-            .unwrap_or_else(|| derived_t(&params, self.rho));
-        let sample_interval = self.sample_interval.unwrap_or(t / 4.0);
+        let sample_interval = self.sample_interval.unwrap_or(bounds.t / 4.0);
         assert!(
             sample_interval.as_secs() > 0.0 && sample_interval.as_secs().is_finite(),
             "sample interval {sample_interval} must be positive and finite"
@@ -587,24 +575,9 @@ impl WorldBuilder {
     }
 }
 
-/// `T = (1+ρ)·SyncInt + 2·MaxWait` for explicit parameters.
-fn derived_t(params: &ProtocolParams, rho: f64) -> SimDuration {
-    SimDuration::from_secs(
-        (1.0 + rho) * params.sync_int().as_secs() + 2.0 * params.max_wait().as_secs(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl WorldBuilder {
-        /// Overrides the derived protocol parameters entirely.
-        fn params(mut self, params: ProtocolParams) -> Self {
-            self.params_override = Some(params);
-            self
-        }
-    }
 
     #[test]
     fn default_build_succeeds() {
@@ -676,19 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn params_override_skips_derivation() {
-        let p = ProtocolParams::builder(4, 1)
-            .sync_int(SimDuration::from_secs(5.0))
-            .max_wait(SimDuration::from_secs(1.0))
-            .way_off(9.0)
-            .build()
-            .unwrap();
-        let w = WorldBuilder::new(4, 1).params(p).build().unwrap();
-        assert_eq!(w.params().way_off(), 9.0);
-        assert_eq!(w.params().sync_int(), SimDuration::from_secs(5.0));
-    }
-
-    #[test]
     #[should_panic(expected = "slew rate")]
     fn slew_rate_above_hardware_rate_panics() {
         let _ = WorldBuilder::new(4, 1)
@@ -717,6 +677,32 @@ mod tests {
             stats.dropped > stats.delivered,
             "90% loss should drop most traffic: {stats:?}"
         );
+    }
+
+    #[test]
+    fn overlapping_outages_hold_the_link_down_until_the_last_ends() {
+        let dropped = |windows: &[(f64, f64)]| {
+            let outages = windows
+                .iter()
+                .map(|&(from, until)| LinkOutage {
+                    a: ProcId(0),
+                    b: ProcId(1),
+                    from: RealTime::from_secs(from),
+                    until: RealTime::from_secs(until),
+                })
+                .collect();
+            let mut w = WorldBuilder::new(4, 1)
+                .seed(3)
+                .big_delta(SimDuration::from_secs(40.0))
+                .link_outages(outages)
+                .build()
+                .unwrap();
+            w.run_until(RealTime::from_secs(60.0));
+            w.network_stats().dropped
+        };
+        let single = dropped(&[(5.0, 40.0)]);
+        assert!(single > 0, "the outage must drop traffic");
+        assert_eq!(dropped(&[(5.0, 20.0), (10.0, 40.0)]), single);
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub struct World {
     pub(crate) adv_rng: DetRng,
     pub(crate) observers: Vec<Box<dyn Observer>>,
     pub(crate) params: byzclock_core::ProtocolParams,
-    pub(crate) bounds: Option<byzclock_core::TheoremBounds>,
+    pub(crate) bounds: byzclock_core::TheoremBounds,
     pub(crate) discipline: Discipline,
     /// Reusable output buffer for the nodes' `handle_into`: one allocation
     /// for the whole run instead of one per handled input.
@@ -152,11 +152,11 @@ impl World {
         &self.params
     }
 
-    /// The Theorem 5 bounds for this configuration, when the parameters
-    /// were derived from a [`NetworkModel`](byzclock_core::NetworkModel)
-    /// (absent for hand-set parameters).
+    /// The Theorem 5 bounds for this configuration. Every world derives
+    /// its parameters from a [`NetworkModel`](byzclock_core::NetworkModel),
+    /// so this is always `Some`.
     pub fn bounds(&self) -> Option<&byzclock_core::TheoremBounds> {
-        self.bounds.as_ref()
+        Some(&self.bounds)
     }
 
     /// The adversary's time period Δ this world measures goodness against.
@@ -612,7 +612,29 @@ mod tests {
 
     #[test]
     fn no_sync_control_drifts_apart() {
-        use byzclock_core::NoOpConvergence;
+        use byzclock_core::{ConvergenceFn, ConvergenceScratch, PeerEstimate};
+
+        /// Never adjusts: the free-running control measuring raw drift.
+        #[derive(Debug, Clone, Copy)]
+        struct NoOpConvergence;
+        impl ConvergenceFn for NoOpConvergence {
+            fn name(&self) -> &'static str {
+                "no-sync"
+            }
+            fn adjustment_scratch(
+                &self,
+                _f: usize,
+                _way_off: f64,
+                _estimates: &[PeerEstimate],
+                _scratch: &mut ConvergenceScratch,
+            ) -> f64 {
+                0.0
+            }
+            fn box_clone(&self) -> Box<dyn ConvergenceFn> {
+                Box::new(*self)
+            }
+        }
+
         let mut w = WorldBuilder::new(4, 1)
             .seed(13)
             .delta(SimDuration::from_millis(10.0))

@@ -79,7 +79,29 @@ fn all_nodes_keep_syncing() {
 
 #[test]
 fn drift_without_sync_diverges_but_sync_holds() {
-    use byzclock::core::NoOpConvergence;
+    use byzclock::core::{ConvergenceFn, ConvergenceScratch, PeerEstimate};
+
+    /// Never adjusts: the free-running control measuring raw drift.
+    #[derive(Debug, Clone, Copy)]
+    struct NoOpConvergence;
+    impl ConvergenceFn for NoOpConvergence {
+        fn name(&self) -> &'static str {
+            "no-sync"
+        }
+        fn adjustment_scratch(
+            &self,
+            _f: usize,
+            _way_off: f64,
+            _estimates: &[PeerEstimate],
+            _scratch: &mut ConvergenceScratch,
+        ) -> f64 {
+            0.0
+        }
+        fn box_clone(&self) -> Box<dyn ConvergenceFn> {
+            Box::new(*self)
+        }
+    }
+
     let rho = 1e-4;
     let run = |convergence: bool| -> f64 {
         let mut b = base_builder(5, 1, 9)
