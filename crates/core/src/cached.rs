@@ -20,7 +20,7 @@ use byzclock_clock::LocalTime;
 use byzclock_sim::{ProcId, SimDuration};
 
 use crate::estimate::OffsetSample;
-use crate::node::{Input, Output, RoundScratch, SyncNode, TimerKind};
+use crate::node::{Driver, Input, RoundScratch, SyncNode, TimerKind};
 use crate::wire::WireMessage;
 
 /// A [`SyncNode`] whose sync rounds consume a background cache of peer
@@ -67,19 +67,25 @@ impl CachedSync {
         &self.node
     }
 
-    /// Feeds one input, appending the effects to execute (in order) to
-    /// `out`, like [`SyncNode::handle_into`]. The cache is the wrapped
-    /// node's per-peer slots; the estimates a sync converges over are
-    /// built in the host's `scratch`.
-    pub fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
+    /// Feeds one input, carrying out its effects through `driver` in order,
+    /// like [`SyncNode::handle_into`]. The cache is the wrapped node's
+    /// per-peer slots; the estimates a sync converges over are built in the
+    /// host's `scratch`.
+    pub fn handle_into<D: Driver + ?Sized>(
+        &mut self,
+        input: Input,
+        scratch: &mut RoundScratch,
+        driver: &mut D,
+    ) {
         match input {
             Input::Start { local_now } => {
                 self.node.clear_samples();
-                self.volley(local_now, out);
-                out.push(Output::SetTimer {
-                    after: self.node.params().sync_int(),
-                    kind: TimerKind::SyncDue,
-                });
+                self.volley(local_now, driver);
+                driver.set_timer(
+                    self.node.id(),
+                    self.node.params().sync_int(),
+                    TimerKind::SyncDue,
+                );
             }
             Input::Message {
                 from,
@@ -106,17 +112,17 @@ impl CachedSync {
                     );
                 }
             }
-            Input::Message { .. } => self.node.handle_into(input, scratch, out),
+            Input::Message { .. } => self.node.handle_into(input, scratch, driver),
             Input::TimerFired {
                 timer: TimerKind::SyncDue,
                 ..
-            } => self.node.converge(self.node.round(), scratch, out),
+            } => self.node.converge(self.node.round(), scratch, driver),
             Input::TimerFired {
                 timer: TimerKind::RoundTimeout { round },
                 local_now,
             } => {
                 if round == self.node.round() {
-                    self.volley(local_now, out);
+                    self.volley(local_now, driver);
                 }
             }
         }
@@ -124,30 +130,22 @@ impl CachedSync {
 
     /// Pings every peer once as a new round and arms the timeout that
     /// starts the next volley.
-    fn volley(&mut self, local_now: LocalTime, out: &mut Vec<Output>) {
+    fn volley<D: Driver + ?Sized>(&mut self, local_now: LocalTime, driver: &mut D) {
         let (round, nonce) = self.node.next_round();
         self.sent_at = local_now;
         self.nonce = nonce;
         let me = self.node.id();
-        out.extend(
-            ProcId::all(self.node.params().n())
-                .filter(|q| *q != me)
-                .map(|q| Output::Send {
-                    to: q,
-                    msg: WireMessage::Ping { round, nonce },
-                }),
-        );
-        out.push(Output::SetTimer {
-            after: self.refresh,
-            kind: TimerKind::RoundTimeout { round },
-        });
+        for q in ProcId::all(self.node.params().n()).filter(|q| *q != me) {
+            driver.send(me, q, WireMessage::Ping { round, nonce });
+        }
+        driver.set_timer(me, self.refresh, TimerKind::RoundTimeout { round });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::tests::{extract_ping, lt, params, pong};
+    use crate::node::tests::{extract_ping, lt, params, pong, Effect, Log};
 
     fn cached(refresh: f64) -> CachedSync {
         CachedSync::new(
@@ -156,17 +154,53 @@ mod tests {
         )
     }
 
-    fn handle(c: &mut CachedSync, input: Input) -> Vec<Output> {
-        let mut out = Vec::new();
-        c.handle_into(input, &mut RoundScratch::default(), &mut out);
-        out
+    fn handle(c: &mut CachedSync, input: Input) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        c.handle_into(input, &mut RoundScratch::default(), &mut effects);
+        effects
     }
 
-    fn start(c: &mut CachedSync, at: f64) -> Vec<Output> {
+    /// The calls one input makes, with the node ids.
+    fn log(c: &mut CachedSync, input: Input) -> Vec<String> {
+        let mut log = Log::default();
+        c.handle_into(input, &mut RoundScratch::default(), &mut log);
+        log.calls
+    }
+
+    #[test]
+    fn start_sends_the_volley_then_arms_its_timeout_then_the_sync() {
+        let mut c = cached(3.0);
+        assert_eq!(
+            log(&mut c, Input::Start { local_now: lt(0.0) }),
+            vec![
+                "send p0->p1 round 1",
+                "send p0->p2 round 1",
+                "send p0->p3 round 1",
+                "timer p0 +3 RoundTimeout { round: 1 }",
+                "timer p0 +10 SyncDue",
+            ]
+        );
+    }
+
+    #[test]
+    fn sync_adjusts_then_reports_then_arms_the_next_sync() {
+        let mut c = cached(3.0);
+        start(&mut c, 0.0);
+        let sync = Input::TimerFired {
+            timer: TimerKind::SyncDue,
+            local_now: lt(4.0),
+        };
+        assert_eq!(
+            log(&mut c, sync),
+            vec!["adjust p0 0", "round p0 #1", "timer p0 +10 SyncDue"]
+        );
+    }
+
+    fn start(c: &mut CachedSync, at: f64) -> Vec<Effect> {
         handle(c, Input::Start { local_now: lt(at) })
     }
 
-    fn timer(c: &mut CachedSync, timer: TimerKind, at: f64) -> Vec<Output> {
+    fn timer(c: &mut CachedSync, timer: TimerKind, at: f64) -> Vec<Effect> {
         handle(
             c,
             Input::TimerFired {
@@ -176,10 +210,10 @@ mod tests {
         )
     }
 
-    fn adjustment(out: &[Output]) -> f64 {
+    fn adjustment(out: &[Effect]) -> f64 {
         out.iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .expect("sync must adjust")
@@ -194,7 +228,7 @@ mod tests {
             .filter(|o| {
                 matches!(
                     o,
-                    Output::Send {
+                    Effect::Send {
                         msg: WireMessage::Ping { .. },
                         ..
                     }
@@ -204,12 +238,12 @@ mod tests {
         assert_eq!(pings, 3);
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::SetTimer { kind: TimerKind::RoundTimeout { round: 1 }, after }
+            Effect::SetTimer { kind: TimerKind::RoundTimeout { round: 1 }, after }
                 if *after == SimDuration::from_secs(3.0)
         )));
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::SetTimer {
+            Effect::SetTimer {
                 kind: TimerKind::SyncDue,
                 ..
             }
@@ -269,7 +303,7 @@ mod tests {
         let summary = out
             .iter()
             .find_map(|o| match o {
-                Output::RoundCompleted(s) => Some(*s),
+                Effect::RoundCompleted(s) => Some(*s),
                 _ => None,
             })
             .unwrap();
@@ -305,7 +339,7 @@ mod tests {
         };
         assert_eq!(
             handle(&mut c, ping),
-            vec![Output::Send {
+            vec![Effect::Send {
                 to: ProcId(2),
                 msg: WireMessage::Pong {
                     round: 9,

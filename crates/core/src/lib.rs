@@ -20,11 +20,11 @@
 //!   its working storage from the host's [`ConvergenceScratch`], whose
 //!   buffers any implementor, in this crate or outside it, may use.
 //! * [`node`] — the sans-IO `Sync` protocol state machine: feed it inputs
-//!   (timers, messages) stamped with local clock readings; it emits outputs
-//!   (sends, timers, clock adjustments). No IO, no simulator dependency —
-//!   fully unit-testable and embeddable. It holds only Figure 1's state.
-//!   Next to the outputs sits the host contract: the [`Driver`] trait, one
-//!   method per output, and [`apply_outputs`], which maps one to the other.
+//!   (timers, messages) stamped with local clock readings; it carries out
+//!   its effects (sends, timers, clock adjustments, round reports) by
+//!   calling its host's [`Driver`], in Figure 1's order. No IO, no
+//!   simulator dependency — fully unit-testable and embeddable. It holds
+//!   only Figure 1's state.
 //! * [`wire`] — the ping/pong messages and their length-prefixed binary
 //!   frame codec for real-socket hosts.
 //! * [`cached`] — the cached-estimation variant Section 3.1 warns about,
@@ -34,10 +34,32 @@
 //! # Quick taste (pure state machine)
 //!
 //! ```
-//! use byzclock_core::node::{Input, Output, RoundScratch, SyncNode};
+//! use byzclock_core::node::{Driver, Input, RoundScratch, RoundSummary, SyncNode, TimerKind};
 //! use byzclock_core::params::ProtocolParams;
+//! use byzclock_core::WireMessage;
 //! use byzclock_clock::LocalTime;
 //! use byzclock_sim::{ProcId, SimDuration};
+//!
+//! /// A host that only records what the node asks of it.
+//! #[derive(Default)]
+//! struct Recorder {
+//!     calls: Vec<String>,
+//! }
+//!
+//! impl Driver for Recorder {
+//!     fn send(&mut self, from: ProcId, to: ProcId, _msg: WireMessage) {
+//!         self.calls.push(format!("send {from}->{to}"));
+//!     }
+//!     fn set_timer(&mut self, _node: ProcId, after: SimDuration, kind: TimerKind) {
+//!         self.calls.push(format!("{kind:?} in {after}"));
+//!     }
+//!     fn adjust_clock(&mut self, _node: ProcId, delta: SimDuration) {
+//!         self.calls.push(format!("adjust {delta}"));
+//!     }
+//!     fn round_completed(&mut self, _node: ProcId, summary: &RoundSummary) {
+//!         self.calls.push(format!("round {}", summary.round));
+//!     }
+//! }
 //!
 //! let params = ProtocolParams::builder(4, 1)
 //!     .sync_int(SimDuration::from_secs(10.0))
@@ -46,13 +68,13 @@
 //!     .build()
 //!     .unwrap();
 //! let mut node = SyncNode::new(ProcId(0), params);
-//! // The host owns the output buffer and the round-completion scratch.
+//! // The host lends the round-completion scratch and receives the effects.
 //! let mut scratch = RoundScratch::with_capacity(4);
-//! let mut outputs = Vec::new();
-//! node.handle_into(Input::Start { local_now: LocalTime::ZERO }, &mut scratch, &mut outputs);
-//! // The node immediately begins a sync round: 3 pings + a round timeout.
-//! let pings = outputs.iter().filter(|o| matches!(o, Output::Send { .. })).count();
-//! assert_eq!(pings, 3);
+//! let mut host = Recorder::default();
+//! node.handle_into(Input::Start { local_now: LocalTime::ZERO }, &mut scratch, &mut host);
+//! // The node immediately begins a sync round: 3 pings, then a round timeout.
+//! assert_eq!(host.calls[..3], ["send p0->p1", "send p0->p2", "send p0->p3"]);
+//! assert!(host.calls[3].starts_with("RoundTimeout { round: 1 }"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,8 +92,6 @@ pub use bounds::{BoundsError, Derived, NetworkModel, TheoremBounds};
 pub use cached::CachedSync;
 pub use convergence::{ConvergenceFn, ConvergenceScratch, PaperSync, PeerEstimate};
 pub use estimate::OffsetSample;
-pub use node::{
-    apply_outputs, Driver, Input, Output, RoundScratch, RoundSummary, SyncNode, TimerKind,
-};
+pub use node::{Driver, Input, RoundScratch, RoundSummary, SyncNode, TimerKind};
 pub use params::{ParamError, ProtocolParams};
 pub use wire::WireMessage;

@@ -2,10 +2,11 @@
 //!
 //! [`SyncNode`] contains no clock, no network and no scheduler: every input
 //! is stamped with the caller-provided local clock reading, and every
-//! effect is returned as an [`Output`] for the host to execute. This is the
-//! "sans-IO" style: the protocol is a pure function of its inputs, so every
-//! line of Figure 1 is unit-testable without a simulator, and the same
-//! state machine could be embedded in a real deployment.
+//! effect is a call on the host's [`Driver`], made while the input is
+//! handled. This is the "sans-IO" style: the protocol is a pure function of
+//! its inputs, so every line of Figure 1 is unit-testable without a
+//! simulator (a test driver records the calls), and the same state machine
+//! runs in the simulator and over real sockets.
 //!
 //! Protocol shape (one node):
 //!
@@ -71,32 +72,6 @@ pub enum Input {
     },
 }
 
-/// Effects the host must carry out.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Output {
-    /// Send `msg` to `to`.
-    Send {
-        /// Destination processor.
-        to: ProcId,
-        /// The message.
-        msg: WireMessage,
-    },
-    /// Arm a timer `after` local-time units from now.
-    SetTimer {
-        /// Local-time delay.
-        after: SimDuration,
-        /// Which timer.
-        kind: TimerKind,
-    },
-    /// Add `delta` to the clock adjustment variable (Figure 1 line 11/12).
-    AdjustClock {
-        /// Seconds to add to `adj`.
-        delta: SimDuration,
-    },
-    /// A sync round finished (observability hook; no action required).
-    RoundCompleted(RoundSummary),
-}
-
 /// Statistics of one completed round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSummary {
@@ -110,11 +85,14 @@ pub struct RoundSummary {
     pub timeouts: usize,
 }
 
-/// A host for [`SyncNode`]s: one method per [`Output`] variant.
+/// A host for [`SyncNode`]s: the effects Figure 1 asks of its host (send,
+/// arm a local-time alarm, add to `adj_p`) plus the round report.
 ///
-/// The simulator's `World` and the UDP loopback runtime are the two
-/// implementors. Figure 1 asks its host for three effects (send, arm a
-/// local-time alarm, add to `adj_p`) plus the round report.
+/// The node calls these methods itself, while it handles an input, in the
+/// order Figure 1 takes its steps: a round's pings before the timeout that
+/// guards them, the adjustment before the round report, and the report
+/// before the next sync alarm. The simulator's host and the UDP loopback
+/// runtime are the two implementors.
 pub trait Driver {
     /// Carries `msg` from `from` toward `to`. Delivery may be delayed,
     /// duplicated, reordered or lost; it must not re-enter the sender.
@@ -130,22 +108,6 @@ pub trait Driver {
 
     /// `node` completed a sync round; hosts surface it to observers.
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary);
-}
-
-/// Executes a batch of `node`'s outputs through the driver, in order.
-///
-/// This is the one place [`Output`] variants are mapped to driver calls,
-/// so every host runs effects in the same order: sends before the timeout
-/// that guards them, the adjustment before the round summary.
-pub fn apply_outputs<D: Driver + ?Sized>(driver: &mut D, node: ProcId, outputs: &[Output]) {
-    for &output in outputs {
-        match output {
-            Output::Send { to, msg } => driver.send(node, to, msg),
-            Output::SetTimer { after, kind } => driver.set_timer(node, after, kind),
-            Output::AdjustClock { delta } => driver.adjust_clock(node, delta),
-            Output::RoundCompleted(summary) => driver.round_completed(node, &summary),
-        }
-    }
 }
 
 /// The scratch a host lends its nodes for round completion: the `n`
@@ -277,17 +239,21 @@ impl SyncNode {
         self.rounds_completed
     }
 
-    /// Feeds one input, appending the effects to execute (in order) to
-    /// `out`. The buffer is not cleared — the caller owns its lifecycle —
-    /// so a host can reuse one allocation across every call. `scratch` is
-    /// the host's round-completion scratch, borrowed only for the call, so
-    /// one [`RoundScratch`] can serve every node of a host.
-    pub fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
+    /// Feeds one input, carrying out its effects through `driver` in order
+    /// (see [`Driver`]). `scratch` is the host's round-completion scratch,
+    /// borrowed only for the call, so one [`RoundScratch`] can serve every
+    /// node of a host.
+    pub fn handle_into<D: Driver + ?Sized>(
+        &mut self,
+        input: Input,
+        scratch: &mut RoundScratch,
+        driver: &mut D,
+    ) {
         match input {
             Input::Start { local_now } => {
                 // Recovery: abandon any in-flight round and start fresh.
                 self.active = None;
-                self.begin_round(local_now, out);
+                self.begin_round(local_now, driver);
             }
             Input::Message {
                 from,
@@ -301,14 +267,15 @@ impl SyncNode {
                         return;
                     }
                     // "No rounds": always answer with the live clock.
-                    out.push(Output::Send {
-                        to: from,
-                        msg: WireMessage::Pong {
+                    driver.send(
+                        self.id,
+                        from,
+                        WireMessage::Pong {
                             round,
                             nonce,
                             clock: local_now,
                         },
-                    });
+                    );
                 }
                 WireMessage::Pong {
                     round,
@@ -316,20 +283,20 @@ impl SyncNode {
                     clock,
                 } => {
                     if self.on_pong(from, round, nonce, clock, local_now) {
-                        self.complete_round(scratch, out);
+                        self.complete_round(scratch, driver);
                     }
                 }
             },
             Input::TimerFired { timer, local_now } => match timer {
                 TimerKind::SyncDue => {
                     if self.active.is_none() {
-                        self.begin_round(local_now, out);
+                        self.begin_round(local_now, driver);
                     }
                     // else: a SyncDue racing an in-flight round (possible
                     // after a host-driven restart): ignore, the round's
                     // completion will re-arm the alarm.
                 }
-                TimerKind::RoundTimeout { round } => self.on_round_timeout(round, scratch, out),
+                TimerKind::RoundTimeout { round } => self.on_round_timeout(round, scratch, driver),
             },
         }
     }
@@ -340,7 +307,7 @@ impl SyncNode {
         (self.round, self.nonces.bits64())
     }
 
-    fn begin_round(&mut self, local_now: LocalTime, out: &mut Vec<Output>) {
+    fn begin_round<D: Driver + ?Sized>(&mut self, local_now: LocalTime, driver: &mut D) {
         let (round, nonce) = self.next_round();
         let n = self.params.n();
         let k = self.params.pings_per_peer();
@@ -354,21 +321,17 @@ impl SyncNode {
         self.filled.fill(0);
         self.missing = n - 1;
         // Section 3.1's min-RTT refinement: k pings per peer; the replies
-        // are filtered by smallest round trip as they arrive. Pre-size the
-        // fan-out so a reused output buffer grows at most once.
-        out.reserve((n - 1) * k + 1);
+        // are filtered by smallest round trip as they arrive.
         for q in ProcId::all(n).filter(|q| *q != self.id) {
             for _ in 0..k {
-                out.push(Output::Send {
-                    to: q,
-                    msg: WireMessage::Ping { round, nonce },
-                });
+                driver.send(self.id, q, WireMessage::Ping { round, nonce });
             }
         }
-        out.push(Output::SetTimer {
-            after: self.params.max_wait(),
-            kind: TimerKind::RoundTimeout { round },
-        });
+        driver.set_timer(
+            self.id,
+            self.params.max_wait(),
+            TimerKind::RoundTimeout { round },
+        );
     }
 
     /// Folds an accepted pong into its peer's best sample; true iff it was
@@ -421,23 +384,28 @@ impl SyncNode {
         self.missing == 0
     }
 
-    fn on_round_timeout(&mut self, round: u64, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
+    fn on_round_timeout<D: Driver + ?Sized>(
+        &mut self,
+        round: u64,
+        scratch: &mut RoundScratch,
+        driver: &mut D,
+    ) {
         let Some(active) = self.active.as_ref() else {
             return; // stale timeout (round completed early)
         };
         if active.round != round {
             return;
         }
-        self.complete_round(scratch, out);
+        self.complete_round(scratch, driver);
     }
 
-    fn complete_round(&mut self, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
+    fn complete_round<D: Driver + ?Sized>(&mut self, scratch: &mut RoundScratch, driver: &mut D) {
         // Both callers check `active` first, but a panic here would take the
         // whole world down mid-event — degrade to a no-op instead (D5).
         let Some(active) = self.active.take() else {
             return;
         };
-        self.converge(active.round, scratch, out);
+        self.converge(active.round, scratch, driver);
     }
 
     /// Overwrites peer `q`'s slot with `sample`, marking it filled. The
@@ -457,14 +425,14 @@ impl SyncNode {
     /// the `n` estimates — the exact `(0, 0)` for self ("for each
     /// q ∈ {1..n}" includes p), and for each peer `q` the sample in its
     /// slot, or TIMEOUT if the slot is empty — runs the convergence
-    /// function, and emits `AdjustClock`, `RoundCompleted` for `round`,
-    /// and the next `SyncDue` alarm. The estimates and the selection
-    /// buffers live in the host's `scratch`.
-    pub(crate) fn converge(
+    /// function, and calls the driver to adjust the clock, report `round`
+    /// and arm the next `SyncDue` alarm, in that order. The estimates and
+    /// the selection buffers live in the host's `scratch`.
+    pub(crate) fn converge<D: Driver + ?Sized>(
         &mut self,
         round: u64,
         scratch: &mut RoundScratch,
-        out: &mut Vec<Output>,
+        driver: &mut D,
     ) {
         let estimates = &mut scratch.estimates;
         estimates.clear();
@@ -492,21 +460,17 @@ impl SyncNode {
             &mut scratch.convergence,
         );
         self.rounds_completed += 1;
-        out.extend([
-            Output::AdjustClock {
-                delta: SimDuration::from_secs(delta),
-            },
-            Output::RoundCompleted(RoundSummary {
+        driver.adjust_clock(self.id, SimDuration::from_secs(delta));
+        driver.round_completed(
+            self.id,
+            &RoundSummary {
                 round,
                 adjustment: delta,
                 responders,
                 timeouts,
-            }),
-            Output::SetTimer {
-                after: self.params.sync_int(),
-                kind: TimerKind::SyncDue,
             },
-        ]);
+        );
+        driver.set_timer(self.id, self.params.sync_int(), TimerKind::SyncDue);
     }
 }
 
@@ -534,22 +498,48 @@ pub(crate) mod tests {
         LocalTime::from_secs(s)
     }
 
-    /// Feeds one input through `handle_into` into a fresh buffer, with a
-    /// fresh scratch (it carries nothing between calls).
-    fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
-        let mut out = Vec::new();
-        node.handle_into(input, &mut RoundScratch::default(), &mut out);
-        out
+    /// One driver call as a test records it; each test drives one node,
+    /// so the node id is left out.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Effect {
+        Send { to: ProcId, msg: WireMessage },
+        SetTimer { after: SimDuration, kind: TimerKind },
+        AdjustClock { delta: SimDuration },
+        RoundCompleted(RoundSummary),
     }
 
-    fn start(node: &mut SyncNode, at: f64) -> Vec<Output> {
+    /// Records every call, in order.
+    impl Driver for Vec<Effect> {
+        fn send(&mut self, _from: ProcId, to: ProcId, msg: WireMessage) {
+            self.push(Effect::Send { to, msg });
+        }
+        fn set_timer(&mut self, _node: ProcId, after: SimDuration, kind: TimerKind) {
+            self.push(Effect::SetTimer { after, kind });
+        }
+        fn adjust_clock(&mut self, _node: ProcId, delta: SimDuration) {
+            self.push(Effect::AdjustClock { delta });
+        }
+        fn round_completed(&mut self, _node: ProcId, summary: &RoundSummary) {
+            self.push(Effect::RoundCompleted(*summary));
+        }
+    }
+
+    /// Feeds one input through `handle_into` and returns the calls it made,
+    /// with a fresh scratch (it carries nothing between calls).
+    fn handle(node: &mut SyncNode, input: Input) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        node.handle_into(input, &mut RoundScratch::default(), &mut effects);
+        effects
+    }
+
+    fn start(node: &mut SyncNode, at: f64) -> Vec<Effect> {
         handle(node, Input::Start { local_now: lt(at) })
     }
 
-    /// Records every driver call in order.
+    /// Records every driver call in order, with the node ids.
     #[derive(Default)]
-    struct Log {
-        calls: Vec<String>,
+    pub(crate) struct Log {
+        pub(crate) calls: Vec<String>,
     }
 
     impl Driver for Log {
@@ -570,45 +560,68 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn outputs_map_to_capability_calls_in_order() {
+    /// The calls one input makes, with the node ids.
+    fn log(node: &mut SyncNode, input: Input) -> Vec<String> {
         let mut log = Log::default();
-        let outputs = [
-            Output::Send {
-                to: ProcId(1),
-                msg: WireMessage::Ping { round: 3, nonce: 9 },
-            },
-            Output::SetTimer {
-                after: SimDuration::from_secs(2.0),
-                kind: TimerKind::SyncDue,
-            },
-            Output::AdjustClock {
-                delta: SimDuration::from_secs(-0.5),
-            },
-            Output::RoundCompleted(RoundSummary {
-                round: 3,
-                adjustment: -0.5,
-                responders: 2,
-                timeouts: 1,
-            }),
-        ];
-        apply_outputs(&mut log, ProcId(0), &outputs);
+        node.handle_into(input, &mut RoundScratch::default(), &mut log);
+        log.calls
+    }
+
+    #[test]
+    fn start_sends_every_ping_before_arming_the_round_timeout() {
+        let params = ProtocolParams::builder(4, 1)
+            .sync_int(SimDuration::from_secs(10.0))
+            .max_wait(SimDuration::from_secs(1.0))
+            .way_off(5.0)
+            .pings_per_peer(2)
+            .build()
+            .unwrap();
+        let mut node = SyncNode::new(ProcId(1), params);
         assert_eq!(
-            log.calls,
+            log(&mut node, Input::Start { local_now: lt(0.0) }),
             vec![
-                "send p0->p1 round 3",
-                "timer p0 +2 SyncDue",
-                "adjust p0 -0.5",
-                "round p0 #3",
+                "send p1->p0 round 1",
+                "send p1->p0 round 1",
+                "send p1->p2 round 1",
+                "send p1->p2 round 1",
+                "send p1->p3 round 1",
+                "send p1->p3 round 1",
+                "timer p1 +1 RoundTimeout { round: 1 }",
             ]
         );
     }
 
-    pub(crate) fn extract_ping(outputs: &[Output], to: ProcId) -> (u64, u64) {
-        outputs
+    #[test]
+    fn completion_adjusts_then_reports_then_arms_the_next_sync() {
+        // early: the last pong completes the round
+        let mut node = SyncNode::new(ProcId(0), params(4, 1));
+        let (round, nonce) = extract_ping(&start(&mut node, 0.0), ProcId(1));
+        for p in [1u32, 2] {
+            assert!(log(&mut node, pong(p, round, nonce, 0.05, 0.1)).is_empty());
+        }
+        assert_eq!(
+            log(&mut node, pong(3, round, nonce, 0.05, 0.1)),
+            vec!["adjust p0 0", "round p0 #1", "timer p0 +10 SyncDue"]
+        );
+        // by timeout: a peer is missing
+        let mut node = SyncNode::new(ProcId(2), params(4, 1));
+        let (round, nonce) = extract_ping(&start(&mut node, 0.0), ProcId(1));
+        log(&mut node, pong(1, round, nonce, 0.05, 0.1));
+        let timeout = Input::TimerFired {
+            timer: TimerKind::RoundTimeout { round },
+            local_now: lt(1.0),
+        };
+        assert_eq!(
+            log(&mut node, timeout),
+            vec!["adjust p2 0", "round p2 #1", "timer p2 +10 SyncDue"]
+        );
+    }
+
+    pub(crate) fn extract_ping(effects: &[Effect], to: ProcId) -> (u64, u64) {
+        effects
             .iter()
             .find_map(|o| match o {
-                Output::Send {
+                Effect::Send {
                     to: t,
                     msg: WireMessage::Ping { round, nonce },
                 } if *t == to => Some((*round, *nonce)),
@@ -630,32 +643,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn handle_into_appends_without_clearing() {
-        // Two identically-seeded nodes: one fed into a fresh buffer, one
-        // into a reused buffer that already holds an item — same outputs.
-        let mut a = SyncNode::new(ProcId(0), params(4, 1)).with_nonce_seed(9);
-        let mut b = SyncNode::new(ProcId(0), params(4, 1)).with_nonce_seed(9);
-        let mut buf = vec![Output::RoundCompleted(RoundSummary {
-            round: 0,
-            adjustment: 0.0,
-            responders: 0,
-            timeouts: 0,
-        })];
-        let input = Input::Start { local_now: lt(3.0) };
-        let fresh = handle(&mut a, input);
-        b.handle_into(input, &mut RoundScratch::default(), &mut buf);
-        assert_eq!(&buf[1..], &fresh[..], "appended after existing item");
-        assert!(matches!(buf[0], Output::RoundCompleted(_)));
-    }
-
-    #[test]
     fn start_pings_all_peers_and_arms_timeout() {
         let mut node = SyncNode::new(ProcId(0), params(4, 1));
         let out = start(&mut node, 100.0);
         let pings: Vec<ProcId> = out
             .iter()
             .filter_map(|o| match o {
-                Output::Send {
+                Effect::Send {
                     to,
                     msg: WireMessage::Ping { .. },
                 } => Some(*to),
@@ -665,7 +659,7 @@ pub(crate) mod tests {
         assert_eq!(pings, vec![ProcId(1), ProcId(2), ProcId(3)]);
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::SetTimer {
+            Effect::SetTimer {
                 after,
                 kind: TimerKind::RoundTimeout { round: 1 }
             } if *after == SimDuration::from_secs(1.0)
@@ -688,7 +682,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             out,
-            vec![Output::Send {
+            vec![Effect::Send {
                 to: ProcId(0),
                 msg: WireMessage::Pong {
                     round: 9,
@@ -711,7 +705,7 @@ pub(crate) mod tests {
         let out = handle(&mut node, pong(3, round, nonce, 100.2, 100.4));
         assert!(!node.is_round_active(), "round completed early");
         let adjust = out.iter().find_map(|o| match o {
-            Output::AdjustClock { delta } => Some(*delta),
+            Effect::AdjustClock { delta } => Some(*delta),
             _ => None,
         });
         // All estimates agree d=0 (a=0.2): m = 0.2, M = -0.2 → within
@@ -720,7 +714,7 @@ pub(crate) mod tests {
         let summary = out
             .iter()
             .find_map(|o| match o {
-                Output::RoundCompleted(s) => Some(*s),
+                Effect::RoundCompleted(s) => Some(*s),
                 _ => None,
             })
             .unwrap();
@@ -730,7 +724,7 @@ pub(crate) mod tests {
         // next sync armed
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::SetTimer {
+            Effect::SetTimer {
                 after,
                 kind: TimerKind::SyncDue
             } if *after == SimDuration::from_secs(10.0)
@@ -752,7 +746,7 @@ pub(crate) mod tests {
         let delta = out
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();
@@ -779,7 +773,7 @@ pub(crate) mod tests {
         let summary = out
             .iter()
             .find_map(|o| match o {
-                Output::RoundCompleted(s) => Some(*s),
+                Effect::RoundCompleted(s) => Some(*s),
                 _ => None,
             })
             .unwrap();
@@ -820,7 +814,7 @@ pub(crate) mod tests {
         handle(&mut node, pong(1, round, nonce, 0.0, 0.1));
         handle(&mut node, pong(2, round, nonce, 0.0, 0.1));
         let out = handle(&mut node, pong(3, round, nonce, 0.0, 0.1));
-        assert!(out.iter().any(|o| matches!(o, Output::RoundCompleted(_))));
+        assert!(out.iter().any(|o| matches!(o, Effect::RoundCompleted(_))));
     }
 
     #[test]
@@ -836,7 +830,7 @@ pub(crate) mod tests {
         let delta = out
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();
@@ -913,7 +907,7 @@ pub(crate) mod tests {
         handle(&mut node, pong(1, r2, n2, 500.0, 500.1));
         handle(&mut node, pong(2, r2, n2, 500.0, 500.1));
         let out = handle(&mut node, pong(3, r2, n2, 500.0, 500.1));
-        assert!(out.iter().any(|o| matches!(o, Output::RoundCompleted(_))));
+        assert!(out.iter().any(|o| matches!(o, Effect::RoundCompleted(_))));
     }
 
     #[test]
@@ -930,7 +924,7 @@ pub(crate) mod tests {
         let delta = out
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();
@@ -1019,7 +1013,7 @@ pub(crate) mod tests {
         let delta = out
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();
@@ -1027,7 +1021,7 @@ pub(crate) mod tests {
         let summary = out
             .iter()
             .find_map(|o| match o {
-                Output::RoundCompleted(s) => Some(*s),
+                Effect::RoundCompleted(s) => Some(*s),
                 _ => None,
             })
             .unwrap();
@@ -1056,7 +1050,7 @@ pub(crate) mod tests {
             .filter(|o| {
                 matches!(
                     o,
-                    Output::Send {
+                    Effect::Send {
                         msg: WireMessage::Ping { .. },
                         ..
                     }
@@ -1092,7 +1086,7 @@ pub(crate) mod tests {
         let delta = last
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Effect::AdjustClock { delta } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();
@@ -1157,7 +1151,7 @@ pub(crate) mod tests {
             }
         }
 
-        fn pong(&mut self, input: Input) -> Vec<Output> {
+        fn pong(&mut self, input: Input) -> Vec<Effect> {
             let Input::Message {
                 from,
                 msg:
@@ -1201,14 +1195,14 @@ pub(crate) mod tests {
             }
         }
 
-        fn timeout(&mut self, round: u64) -> Vec<Output> {
+        fn timeout(&mut self, round: u64) -> Vec<Effect> {
             match &self.active {
                 Some(active) if active.round == round => self.complete(),
                 _ => Vec::new(),
             }
         }
 
-        fn complete(&mut self) -> Vec<Output> {
+        fn complete(&mut self) -> Vec<Effect> {
             let active = self.active.take().expect("round in flight");
             self.estimates.clear();
             for (i, samples) in self.samples.iter().enumerate() {
@@ -1236,16 +1230,16 @@ pub(crate) mod tests {
                 &mut self.scratch,
             );
             vec![
-                Output::AdjustClock {
+                Effect::AdjustClock {
                     delta: SimDuration::from_secs(delta),
                 },
-                Output::RoundCompleted(RoundSummary {
+                Effect::RoundCompleted(RoundSummary {
                     round: active.round,
                     adjustment: delta,
                     responders: self.estimates.len() - timeouts - 1,
                     timeouts,
                 }),
-                Output::SetTimer {
+                Effect::SetTimer {
                     after: self.params.sync_int(),
                     kind: TimerKind::SyncDue,
                 },
@@ -1300,14 +1294,14 @@ pub(crate) mod tests {
         traffic
     }
 
-    /// Outputs equal as values, and every adjustment equal bit for bit
+    /// Effects equal as values, and every adjustment equal bit for bit
     /// (float equality would let `-0.0` pass for `+0.0`).
-    fn assert_same_outputs(flat: &[Output], nested: &[Output]) {
-        fn adjustment_bits(out: &[Output]) -> Vec<u64> {
+    fn assert_same_effects(flat: &[Effect], nested: &[Effect]) {
+        fn adjustment_bits(out: &[Effect]) -> Vec<u64> {
             out.iter()
                 .filter_map(|o| match o {
-                    Output::AdjustClock { delta } => Some(delta.as_secs().to_bits()),
-                    Output::RoundCompleted(s) => Some(s.adjustment.to_bits()),
+                    Effect::AdjustClock { delta } => Some(delta.as_secs().to_bits()),
+                    Effect::RoundCompleted(s) => Some(s.adjustment.to_bits()),
                     _ => None,
                 })
                 .collect()
@@ -1363,7 +1357,7 @@ pub(crate) mod tests {
                     _ => rng.chance(0.5),
                 };
                 for input in round_traffic(&mut rng, n, k, me, (round, nonce), at, withhold) {
-                    assert_same_outputs(&handle(&mut node, input), &nested.pong(input));
+                    assert_same_effects(&handle(&mut node, input), &nested.pong(input));
                 }
                 if r == 0 {
                     proptest::prop_assert!(!node.is_round_active(), "round 0 completes early");
@@ -1372,7 +1366,7 @@ pub(crate) mod tests {
                     timer: TimerKind::RoundTimeout { round },
                     local_now: lt(at + 1.0),
                 };
-                assert_same_outputs(&handle(&mut node, timeout), &nested.timeout(round));
+                assert_same_effects(&handle(&mut node, timeout), &nested.timeout(round));
             }
         }
     }

@@ -1,10 +1,11 @@
 //! Property-based tests for the sans-IO protocol node: arbitrary input
-//! sequences must never panic, never produce malformed outputs, and keep
-//! the round bookkeeping consistent.
+//! sequences must never panic, never ask the host for malformed effects or
+//! for effects out of Figure 1's order, and keep the round bookkeeping
+//! consistent.
 
 use byzclock_clock::LocalTime;
 use byzclock_core::{
-    Input, Output, ProtocolParams, RoundScratch, SyncNode, TimerKind, WireMessage,
+    Driver, Input, ProtocolParams, RoundScratch, RoundSummary, SyncNode, TimerKind, WireMessage,
 };
 use byzclock_sim::{ProcId, SimDuration};
 use proptest::prelude::*;
@@ -19,11 +20,95 @@ fn params(n: usize, f: usize, k: usize) -> ProtocolParams {
         .unwrap()
 }
 
-/// Feeds one input through `handle_into` into a fresh buffer and scratch.
-fn handle(node: &mut SyncNode, input: Input) -> Vec<Output> {
-    let mut out = Vec::new();
-    node.handle_into(input, &mut RoundScratch::default(), &mut out);
-    out
+/// One call the node made on its driver.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Call {
+    Send {
+        from: ProcId,
+        to: ProcId,
+        msg: WireMessage,
+    },
+    SetTimer {
+        node: ProcId,
+        after: SimDuration,
+        kind: TimerKind,
+    },
+    AdjustClock {
+        node: ProcId,
+        delta: SimDuration,
+    },
+    RoundCompleted {
+        node: ProcId,
+        summary: RoundSummary,
+    },
+}
+
+/// A driver that records every call, in order.
+#[derive(Default)]
+struct Recorder(Vec<Call>);
+
+impl Driver for Recorder {
+    fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage) {
+        self.0.push(Call::Send { from, to, msg });
+    }
+    fn set_timer(&mut self, node: ProcId, after: SimDuration, kind: TimerKind) {
+        self.0.push(Call::SetTimer { node, after, kind });
+    }
+    fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
+        self.0.push(Call::AdjustClock { node, delta });
+    }
+    fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
+        self.0.push(Call::RoundCompleted {
+            node,
+            summary: *summary,
+        });
+    }
+}
+
+/// Feeds one input through `handle_into` with a fresh scratch and returns
+/// the calls it made on the driver.
+fn handle(node: &mut SyncNode, input: Input) -> Vec<Call> {
+    let mut recorder = Recorder::default();
+    node.handle_into(input, &mut RoundScratch::default(), &mut recorder);
+    recorder.0
+}
+
+/// Names the shape of one input's calls, or `None` if it is none of
+/// Figure 1's: nothing; one pong; a round's `pings` pings then its
+/// timeout; or a completion's adjustment, report and next sync alarm.
+fn shape(calls: &[Call], pings: usize) -> Option<&'static str> {
+    match calls {
+        [] => Some("nothing"),
+        [Call::Send {
+            msg: WireMessage::Pong { .. },
+            ..
+        }] => Some("pong"),
+        [Call::AdjustClock { delta, .. }, Call::RoundCompleted { summary, .. }, Call::SetTimer {
+            kind: TimerKind::SyncDue,
+            ..
+        }] if delta.as_secs().to_bits() == summary.adjustment.to_bits() => Some("completion"),
+        [sends @ .., Call::SetTimer {
+            kind: TimerKind::RoundTimeout { round },
+            ..
+        }] if sends.len() == pings
+            && sends.iter().all(|c| {
+                matches!(c, Call::Send { msg: WireMessage::Ping { round: r, .. }, .. } if r == round)
+            }) =>
+        {
+            Some("round start")
+        }
+        _ => None,
+    }
+}
+
+/// The node a call names as its own.
+fn caller(call: &Call) -> ProcId {
+    match *call {
+        Call::Send { from, .. } => from,
+        Call::SetTimer { node, .. }
+        | Call::AdjustClock { node, .. }
+        | Call::RoundCompleted { node, .. } => node,
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -69,8 +154,9 @@ fn fuzz_strategy() -> impl Strategy<Value = Fuzz> {
 
 proptest! {
     /// The node survives any input sequence with monotone local time, and
-    /// its outputs are always well formed (sends target real peers, timers
-    /// have positive delays, pongs echo exactly what was asked).
+    /// its calls are always well formed (sends target real peers, timers
+    /// have positive delays, pongs echo exactly what was asked) and come in
+    /// one of Figure 1's orders.
     #[test]
     fn node_never_panics_and_outputs_are_well_formed(
         n in 4usize..10,
@@ -111,10 +197,15 @@ proptest! {
                     local_now,
                 },
             };
-            let outputs = handle(&mut node, input);
-            for out in &outputs {
-                match out {
-                    Output::Send { to, msg } => {
+            let calls = handle(&mut node, input);
+            prop_assert!(
+                shape(&calls, (n - 1) * k).is_some(),
+                "calls out of order for {:?}: {:?}", fz, calls
+            );
+            for call in &calls {
+                prop_assert_eq!(caller(call), ProcId(0), "a call in another node's name");
+                match call {
+                    Call::Send { to, msg, .. } => {
                         prop_assert!(to.index() < n, "send outside the group");
                         // pings never target self; pongs answer whoever
                         // asked (a forged self-ping gets a self-pong, which
@@ -131,14 +222,14 @@ proptest! {
                             }
                         }
                     }
-                    Output::SetTimer { after, .. } => {
+                    Call::SetTimer { after, .. } => {
                         prop_assert!(!after.is_negative());
                         prop_assert!(after.is_finite());
                     }
-                    Output::AdjustClock { delta } => {
+                    Call::AdjustClock { delta, .. } => {
                         prop_assert!(!delta.as_secs().is_nan());
                     }
-                    Output::RoundCompleted(s) => {
+                    Call::RoundCompleted { summary: s, .. } => {
                         prop_assert!(s.responders + 1 + s.timeouts <= n);
                     }
                 }
@@ -167,14 +258,14 @@ proptest! {
         let (round, nonce) = out
             .iter()
             .find_map(|o| match o {
-                Output::Send {
+                Call::Send {
                     msg: WireMessage::Ping { round, nonce },
                     ..
                 } => Some((*round, *nonce)),
                 _ => None,
             })
             .unwrap();
-        let mut all_outputs = Vec::new();
+        let mut all_calls = Vec::new();
         for q in 1..n {
             let offset = peer_offsets[q % peer_offsets.len()];
             let recv = start + rtt;
@@ -187,24 +278,24 @@ proptest! {
                 },
                 local_now: LocalTime::from_secs(recv),
             });
-            all_outputs.extend(outs);
+            all_calls.extend(outs);
         }
-        let adjustments = all_outputs
+        let adjustments = all_calls
             .iter()
-            .filter(|o| matches!(o, Output::AdjustClock { .. }))
+            .filter(|o| matches!(o, Call::AdjustClock { .. }))
             .count();
         prop_assert_eq!(adjustments, 1, "exactly one adjustment per round");
-        let sync_armed = all_outputs.iter().any(|o| matches!(
+        let sync_armed = all_calls.iter().any(|o| matches!(
             o,
-            Output::SetTimer { kind: TimerKind::SyncDue, .. }
+            Call::SetTimer { kind: TimerKind::SyncDue, .. }
         ));
         prop_assert!(sync_armed, "next sync must be armed");
         prop_assert_eq!(node.rounds_completed(), 1, "the round must be over");
         // the adjustment is bounded by the honest estimate hull (all honest)
-        let delta = all_outputs
+        let delta = all_calls
             .iter()
             .find_map(|o| match o {
-                Output::AdjustClock { delta } => Some(delta.as_secs()),
+                Call::AdjustClock { delta, .. } => Some(delta.as_secs()),
                 _ => None,
             })
             .unwrap();

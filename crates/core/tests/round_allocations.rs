@@ -3,9 +3,11 @@
 //!
 //! `SyncNode` keeps one best pong sample and one pong count per peer, sized
 //! at construction; the estimates and selection buffers of round completion
-//! live in the host's `RoundScratch`. So neither the ping fan-out, nor the
-//! pongs, nor the round's completion touch the heap. A counting global
-//! allocator checks a whole first round at n = 64, that building a node
+//! live in the host's `RoundScratch`, and every effect is a direct call on
+//! the host's driver, with no buffer between them. So neither the ping
+//! fan-out, nor the pongs, nor the round's completion touch the heap. A
+//! counting global allocator checks a whole first round at n = 64, driven
+//! through a driver that stores nothing, that building a node
 //! makes the same number of allocations whatever n is, that its bytes
 //! are 17 per peer whatever `pings_per_peer` is, and that wrapping it for
 //! cached estimation adds none.
@@ -15,7 +17,8 @@ use std::cell::Cell;
 
 use byzclock_clock::LocalTime;
 use byzclock_core::{
-    CachedSync, Input, Output, ProtocolParams, RoundScratch, SyncNode, WireMessage,
+    CachedSync, Driver, Input, ProtocolParams, RoundScratch, RoundSummary, SyncNode, TimerKind,
+    WireMessage,
 };
 use byzclock_sim::{ProcId, SimDuration};
 
@@ -83,27 +86,40 @@ fn lt(s: f64) -> LocalTime {
     LocalTime::from_secs(s)
 }
 
+/// A host that keeps no record of the effects: it remembers only the
+/// first ping's round and nonce and the last round report, in place.
+#[derive(Default)]
+struct Forgetful {
+    ping: Option<(u64, u64)>,
+    completed: Option<RoundSummary>,
+}
+
+impl Driver for Forgetful {
+    fn send(&mut self, _from: ProcId, _to: ProcId, msg: WireMessage) {
+        if let (None, WireMessage::Ping { round, nonce }) = (self.ping, msg) {
+            self.ping = Some((round, nonce));
+        }
+    }
+    fn set_timer(&mut self, _node: ProcId, _after: SimDuration, _kind: TimerKind) {}
+    fn adjust_clock(&mut self, _node: ProcId, _delta: SimDuration) {}
+    fn round_completed(&mut self, _node: ProcId, summary: &RoundSummary) {
+        self.completed = Some(*summary);
+    }
+}
+
 #[test]
 fn first_round_allocates_nothing_after_construction() {
     let (n, k) = (64, 2);
     let mut node = SyncNode::new(ProcId(0), params(n, k)).with_nonce_seed(3);
-    // The host's reused output buffer, sized for the ping fan-out, and its
-    // round-completion scratch, sized for n: both built before measuring.
-    let mut out = Vec::with_capacity((n - 1) * k + 1);
+    // The host's round-completion scratch, sized for n, is built before
+    // measuring; no effect buffer exists at all.
     let mut scratch = RoundScratch::with_capacity(n);
-    let mut completed = None;
+    let mut host = Forgetful::default();
     let count = allocations(|| {
-        node.handle_into(Input::Start { local_now: lt(0.0) }, &mut scratch, &mut out);
-        let Some((round, nonce)) = out.iter().find_map(|o| match o {
-            Output::Send {
-                msg: WireMessage::Ping { round, nonce },
-                ..
-            } => Some((*round, *nonce)),
-            _ => None,
-        }) else {
+        node.handle_into(Input::Start { local_now: lt(0.0) }, &mut scratch, &mut host);
+        let Some((round, nonce)) = host.ping else {
             return;
         };
-        out.clear();
         for q in 1..n {
             for _ in 0..k {
                 let pong = WireMessage::Pong {
@@ -116,15 +132,13 @@ fn first_round_allocates_nothing_after_construction() {
                     msg: pong,
                     local_now: lt(0.1),
                 };
-                node.handle_into(input, &mut scratch, &mut out);
+                node.handle_into(input, &mut scratch, &mut host);
             }
         }
-        completed = out.iter().find_map(|o| match o {
-            Output::RoundCompleted(summary) => Some(*summary),
-            _ => None,
-        });
     });
-    let summary = completed.expect("every pong arrived, so the round completes");
+    let summary = host
+        .completed
+        .expect("every pong arrived, so the round completes");
     assert_eq!((summary.responders, summary.timeouts), (n - 1, 0));
     assert_eq!(count, 0, "a whole round allocated {count} times");
 }

@@ -16,7 +16,7 @@
 //! | D2   | `unseeded-rng`        | `thread_rng`/`from_entropy`/`OsRng`/`rand::random` |
 //! | D3   | `unordered-collection`| `HashMap`/`HashSet` in sim/runtime/protocol  |
 //! | D4   | `float-ord`           | `.partial_cmp(..)` calls (use `total_cmp`)   |
-//! | D5   | `hot-path-unwrap`     | `.unwrap()`/`.expect()` in `impl SyncNode`/`CachedSync`/`World`/`EventQueue`/`Engine` |
+//! | D5   | `hot-path-unwrap`     | `.unwrap()`/`.expect()` in `impl SyncNode`/`CachedSync`/`World`/`SimHost`/`Driver`/`EventQueue`/`Engine` |
 //! | D6   | `hot-path-alloc`      | `.sort_by`/`.sort_unstable_by`/`.collect` in `impl SyncNode`/`CachedSync`/`ConvergenceFn` impls |
 //! | D7   | `callerless-pub`      | a `pub`/`pub(crate)` item that no non-test code names (workspace mode only) |
 //!

@@ -59,8 +59,9 @@ pub const RULES: [RuleInfo; 7] = [
         id: "d5",
         slug: "hot-path-unwrap",
         summary: "no .unwrap()/.expect() inside impl SyncNode / CachedSync / \
-                  World / EventQueue / Engine event-dispatch code — a poisoned \
-                  or absent value must be handled, not crash the world mid-event",
+                  World / SimHost / Driver / EventQueue / Engine event-dispatch \
+                  code — a poisoned or absent value must be handled, not crash \
+                  the world mid-event",
     },
     RuleInfo {
         id: "d6",
@@ -329,7 +330,16 @@ impl<'a> Analyzer<'a> {
     }
 
     fn in_dispatch_impl(&self) -> bool {
-        self.in_impl_of(&["SyncNode", "CachedSync", "World", "EventQueue", "Engine"])
+        // `Driver` covers every host's effect path, whatever the host type.
+        self.in_impl_of(&[
+            "SyncNode",
+            "CachedSync",
+            "World",
+            "SimHost",
+            "Driver",
+            "EventQueue",
+            "Engine",
+        ])
     }
 
     fn in_round_hot_path_impl(&self) -> bool {
@@ -426,8 +436,8 @@ impl<'a> Analyzer<'a> {
                         .into(),
                 );
             }
-            // D5 — unwrap/expect in SyncNode/CachedSync/World/EventQueue/Engine
-            // dispatch code.
+            // D5 — unwrap/expect in SyncNode/CachedSync/World/SimHost/Driver/
+            // EventQueue/Engine dispatch code.
             "unwrap" | "expect" => {
                 let is_call = prev_dot && self.tok(at + 1).is_some_and(|t| t.is_punct('('));
                 if is_call && self.in_dispatch_impl() {

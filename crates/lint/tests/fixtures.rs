@@ -55,9 +55,11 @@ fn d4_fixture_does_not_flag_the_sort_line_twice() {
 #[test]
 fn d5_fixture_flags_both_sync_node_and_world_methods() {
     let findings = lint_file(&fixture("d5_hot_path_unwrap.rs")).expect("fixture readable");
-    assert_eq!(findings.len(), 2, "{findings:#?}");
+    assert_eq!(findings.len(), 3, "{findings:#?}");
     assert!(findings.iter().any(|f| f.message.contains("handle")));
     assert!(findings.iter().any(|f| f.message.contains("dispatch")));
+    // a host's `Driver` impl is dispatch code too
+    assert!(findings.iter().any(|f| f.message.contains("`send`")));
 }
 
 #[test]

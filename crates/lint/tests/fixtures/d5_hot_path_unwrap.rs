@@ -20,3 +20,17 @@ impl World {
         self.nodes.get_mut(i).unwrap().handle()
     }
 }
+
+pub trait Driver {
+    fn send(&mut self, to: usize);
+}
+
+pub struct SimHost {
+    links: Vec<Option<u64>>,
+}
+
+impl Driver for SimHost {
+    fn send(&mut self, to: usize) {
+        let _delay = self.links[to].unwrap();
+    }
+}

@@ -12,9 +12,8 @@
 //! thread, and clock reads hit the machine's monotonic clock (plus an
 //! injected initial offset and the protocol's own accumulated adjustment).
 //!
-//! Because both hosts funnel every effect through
-//! [`apply_outputs`](byzclock_core::apply_outputs), the protocol core
-//! cannot tell which world it lives in. The deterministic guarantees (chaos
+//! The node calls either host through the same trait, in the same order,
+//! so the protocol core cannot tell which world it lives in. The deterministic guarantees (chaos
 //! campaigns, golden replays, loom schedules) attach to the sim driver
 //! only; this runtime is inherently nondeterministic and exists to
 //! demonstrate the very same state machine converging on real sockets

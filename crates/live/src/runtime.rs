@@ -11,10 +11,10 @@
 //!   clock passes the target (so a step adjustment moves pending alarms
 //!   exactly as the simulator's exact local→real conversion does).
 //!
-//! Every effect flows through [`apply_outputs`], i.e. the very same
-//! `Output` → [`Driver`] mapping the deterministic sim driver uses —
-//! that shared path is what makes the simulator's behavior a model of this
-//! runtime rather than a sibling implementation.
+//! Each thread hands its node a [`Driver`] of its own (`NodeIo`), and the
+//! node calls it in the very same order it calls the deterministic sim
+//! driver — that shared contract is what makes the simulator's behavior a
+//! model of this runtime rather than a sibling implementation.
 //!
 //! A coordinator thread collects [`RoundSummary`]s over an mpsc channel
 //! and periodically samples every node's clock at one common [`Instant`]
@@ -23,8 +23,7 @@
 
 use byzclock_core::wire::{self, Envelope, MAX_PAYLOAD};
 use byzclock_core::{
-    apply_outputs, Driver, Input, NetworkModel, Output, RoundScratch, RoundSummary, SyncNode,
-    TheoremBounds, TimerKind,
+    Driver, Input, NetworkModel, RoundScratch, RoundSummary, SyncNode, TheoremBounds, TimerKind,
 };
 use byzclock_harness::table::{fmt_secs, Table};
 use byzclock_sim::{ProcId, SimDuration};
@@ -104,6 +103,9 @@ pub struct NodeStats {
     pub last_adjustment: f64,
     /// Responders in the last completed round.
     pub last_responders: usize,
+    /// Datagrams that decoded, came from their claimed sender's address
+    /// and were handed to the node.
+    pub accepted_datagrams: u64,
     /// Datagrams dropped because they did not decode.
     pub rejected_garbage: u64,
     /// Datagrams dropped because the claimed sender's address is not the
@@ -154,6 +156,19 @@ pub struct LiveReport {
 }
 
 impl LiveReport {
+    /// Rounds completed per wall-clock second, summed over the nodes.
+    pub fn rounds_per_sec(&self) -> f64 {
+        let rounds: u64 = self.stats.iter().map(|s| s.rounds).sum();
+        rounds as f64 / self.elapsed.as_secs_f64()
+    }
+
+    /// Datagrams the nodes accepted per wall-clock second, summed over the
+    /// nodes.
+    pub fn datagrams_per_sec(&self) -> f64 {
+        let accepted: u64 = self.stats.iter().map(|s| s.accepted_datagrams).sum();
+        accepted as f64 / self.elapsed.as_secs_f64()
+    }
+
     /// True when the cluster finished converged: every node completed its
     /// rounds and the final observed deviation is inside the Theorem 5
     /// envelope `γ`.
@@ -174,6 +189,7 @@ impl LiveReport {
                 "sum |adj|",
                 "last adj",
                 "last responders",
+                "datagrams accepted",
                 "dropped garbage/spoofed",
             ],
         );
@@ -184,6 +200,7 @@ impl LiveReport {
                 fmt_secs(s.total_abs_adjustment),
                 fmt_secs(s.last_adjustment),
                 s.last_responders.to_string(),
+                s.accepted_datagrams.to_string(),
                 format!("{}/{}", s.rejected_garbage, s.rejected_spoofed),
             ]);
         }
@@ -210,12 +227,14 @@ impl LiveReport {
                 fmt_secs(self.bounds.discontinuity),
             ]);
         format!(
-            "{}\n{}\nT = {} s, K = {}, elapsed {:.2} s, {}\n",
+            "{}\n{}\nT = {} s, K = {}, elapsed {:.2} s, {:.1} rounds/s, {:.0} datagrams/s, {}\n",
             per_node.render(),
             deviation.render(),
             self.bounds.t.as_secs(),
             self.bounds.k,
             self.elapsed.as_secs_f64(),
+            self.rounds_per_sec(),
+            self.datagrams_per_sec(),
             if self.converged() {
                 "converged within gamma"
             } else if self.completed {
@@ -341,38 +360,24 @@ impl NodeIo {
     }
 }
 
-/// Feeds one input to the node and executes its outputs through `io`;
-/// `scratch` and `out` are the thread's own round-completion scratch and
-/// reused output buffer.
-fn drive(
-    io: &mut NodeIo,
-    node: &mut SyncNode,
-    input: Input,
-    scratch: &mut RoundScratch,
-    out: &mut Vec<Output>,
-) {
-    out.clear();
-    node.handle_into(input, scratch, out);
-    apply_outputs(io, node.id(), out);
-}
-
-/// Datagrams a node thread dropped, by reason.
+/// Datagrams a node thread received, by fate.
 #[derive(Debug, Default)]
-struct Rejected {
+struct Datagrams {
+    accepted: u64,
     garbage: u64,
     spoofed: u64,
 }
 
-/// The body of one node thread; returns what it dropped.
-fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Rejected {
+/// The body of one node thread; returns the count of datagrams it took
+/// and dropped.
+fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagrams {
     let mut scratch = RoundScratch::with_capacity(node.params().n());
-    let mut out = Vec::new();
     let start = Input::Start {
         local_now: io.clock.now(),
     };
-    drive(&mut io, &mut node, start, &mut scratch, &mut out);
+    node.handle_into(start, &mut scratch, &mut io);
     let mut buf = [0u8; MAX_PAYLOAD + 4];
-    let mut rejected = Rejected::default();
+    let mut datagrams = Datagrams::default();
     // The read timeout in force: `set_read_timeout` is a syscall, so it is
     // made only when the wait changes.
     let mut timeout = None;
@@ -384,7 +389,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
                 timer: kind,
                 local_now: io.clock.now(),
             };
-            drive(&mut io, &mut node, input, &mut scratch, &mut out);
+            node.handle_into(input, &mut scratch, &mut io);
             continue;
         }
         let wait = io
@@ -396,7 +401,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
         let wait = Duration::from_millis(wait.as_millis() as u64);
         if timeout != Some(wait) {
             if io.socket.set_read_timeout(Some(wait)).is_err() {
-                return rejected;
+                return datagrams;
             }
             timeout = Some(wait);
         }
@@ -412,18 +417,19 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Reject
                         msg: envelope.msg,
                         local_now: io.clock.now(),
                     };
-                    drive(&mut io, &mut node, input, &mut scratch, &mut out);
+                    datagrams.accepted += 1;
+                    node.handle_into(input, &mut scratch, &mut io);
                 }
-                Ok(_) => rejected.spoofed += 1,
-                Err(_) => rejected.garbage += 1,
+                Ok(_) => datagrams.spoofed += 1,
+                Err(_) => datagrams.garbage += 1,
             },
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
-            Err(_) => return rejected,
+            Err(_) => return datagrams,
         }
     }
-    rejected
+    datagrams
 }
 
 /// Runs a loopback cluster to completion and reports what it observed.
@@ -528,9 +534,10 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
 
     stop.store(true, Ordering::Relaxed);
     for (s, handle) in stats.iter_mut().zip(handles) {
-        if let Ok(rejected) = handle.join() {
-            s.rejected_garbage = rejected.garbage;
-            s.rejected_spoofed = rejected.spoofed;
+        if let Ok(datagrams) = handle.join() {
+            s.accepted_datagrams = datagrams.accepted;
+            s.rejected_garbage = datagrams.garbage;
+            s.rejected_spoofed = datagrams.spoofed;
         }
     }
     // drain events that raced the stop decision
@@ -609,13 +616,7 @@ mod tests {
         let start = Input::Start {
             local_now: io.clock.now(),
         };
-        drive(
-            &mut io,
-            &mut node,
-            start,
-            &mut RoundScratch::default(),
-            &mut Vec::new(),
-        );
+        node.handle_into(start, &mut RoundScratch::default(), &mut io);
 
         assert!(io
             .alarms

@@ -57,4 +57,16 @@ fn four_nodes_complete_rounds_and_converge_within_gamma() {
         report.bounds.gamma
     );
     assert!(report.converged());
+    // the summary line's throughput figures
+    assert!(
+        report.rounds_per_sec() > 0.0,
+        "rounds/s = {}",
+        report.rounds_per_sec()
+    );
+    assert!(
+        report.datagrams_per_sec() > 0.0,
+        "datagrams/s = {}",
+        report.datagrams_per_sec()
+    );
+    assert!(report.render().contains("rounds/s"));
 }

@@ -25,6 +25,7 @@ use std::fmt;
 
 use crate::events::SimEvent;
 use crate::observer::WorldSample;
+use crate::sim_driver::SimHost;
 use crate::world::{NodeSlot, Protocol, World};
 
 // Re-exported publicly through the crate root; the bounds error comes from
@@ -458,6 +459,7 @@ impl WorldBuilder {
         let hub = RngHub::new(self.seed);
         let mut engine: Engine<SimEvent> = Engine::new();
         let mut nodes = Vec::with_capacity(self.n);
+        let mut protocols = Vec::with_capacity(self.n);
         for i in 0..self.n {
             let id = ProcId(i as u32);
             let mut drift_rng = hub.stream("drift", i as u64);
@@ -495,7 +497,14 @@ impl WorldBuilder {
                 None => Protocol::PerRound(node),
                 Some(refresh) => Protocol::Cached(CachedSync::new(node, refresh)),
             };
-            nodes.push(NodeSlot::new(clock, protocol, drift, drift_rng));
+            nodes.push(NodeSlot {
+                clock,
+                drift,
+                drift_rng,
+                corruption_depth: 0,
+                pending: Vec::new(),
+            });
+            protocols.push(protocol);
         }
 
         // Deterministic start jitter over one sync interval.
@@ -555,22 +564,24 @@ impl WorldBuilder {
         }
 
         Ok(World {
-            discipline: self.discipline,
-            engine,
+            host: SimHost {
+                engine,
+                nodes,
+                network,
+                adversary,
+                big_delta: self.big_delta,
+                sample_interval,
+                net_rng: hub.stream("net", 0),
+                adv_rng: hub.stream("adv", 0),
+                observers: Vec::new(),
+                discipline: self.discipline,
+                sample: WorldSample::empty(),
+            },
+            protocols,
+            round_scratch: RoundScratch::with_capacity(self.n),
             events: 0,
-            nodes,
-            network,
-            adversary,
-            big_delta: self.big_delta,
-            sample_interval,
-            net_rng: hub.stream("net", 0),
-            adv_rng: hub.stream("adv", 0),
-            observers: Vec::new(),
             params,
             bounds,
-            scratch: Vec::new(),
-            round_scratch: RoundScratch::with_capacity(self.n),
-            sample: WorldSample::empty(),
         })
     }
 }

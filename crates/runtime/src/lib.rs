@@ -11,9 +11,10 @@
 //!   corruptions), and
 //! * one sans-IO [`SyncNode`](byzclock_core::SyncNode) per processor.
 //!
-//! The [`World`] is the deterministic implementor of core's
-//! [`Driver`](byzclock_core::Driver) contract ([`sim_driver`]): every node
-//! output goes through [`apply_outputs`](byzclock_core::apply_outputs).
+//! The [`World`] holds the deterministic implementor of core's
+//! [`Driver`](byzclock_core::Driver) contract ([`sim_driver`]) beside its
+//! nodes: a node carries out every effect by calling that driver while it
+//! handles an input, with no buffer in between.
 //!
 //! Local-time alarms are converted to real-time events *exactly* using the
 //! piecewise-linear hardware clocks, and are recomputed whenever a drift

@@ -1,13 +1,14 @@
-//! The deterministic sim driver: [`World`]'s implementation of
-//! [`Driver`], the host contract of `byzclock-core`.
+//! The deterministic sim driver: `SimHost`, the part of a
+//! [`World`](crate::World) that implements [`Driver`], the host contract
+//! of `byzclock-core`. A node calls it while it handles an input.
 //!
-//! Sends route through the modeled faulty
-//! [`Network`](byzclock_net::Network) and schedule `Deliver` events on the
-//! engine; timers convert *local* deadlines exactly to real-time engine
-//! events via the piecewise-linear logical clocks (and are recomputed when
-//! a drift change or slew alters a clock's slope); adjustments go to the
-//! per-node [`LogicalClock`](byzclock_clock::LogicalClock)s, honoring the
-//! world's correction discipline.
+//! Sends route through the modeled faulty [`Network`] and schedule
+//! `Deliver` events on the engine; timers convert *local* deadlines
+//! exactly to real-time engine events via the piecewise-linear logical
+//! clocks (and are recomputed when a drift change or slew alters a clock's
+//! slope); adjustments go to the per-node
+//! [`LogicalClock`](byzclock_clock::LogicalClock)s, honoring the world's
+//! correction discipline.
 //!
 //! Everything here is a pure function of the world seed — chaos campaigns,
 //! loom/Miri runs and the golden driver-equivalence test all pin their
@@ -15,7 +16,7 @@
 //!
 //! ## Local alarms under drift
 //!
-//! `SetTimer { after }` means *local* time units. The driver computes the
+//! `set_timer(after)` means *local* time units. The driver computes the
 //! exact real time at which the node's logical clock reaches
 //! `local_now + after` using the current hardware rate, and whenever a
 //! drift model changes the rate (or a slew changes the logical slope) the
@@ -25,26 +26,50 @@
 //! replacing or dropping an alarm removes its entry and leaves the engine
 //! event queued. The stale event still pops, finds no entry and is
 //! dropped uncounted, so it neither fires nor shows in
-//! [`World::events_processed`]. `World::cancel_all` drops all of
-//! a node's alarms at once (corruption or crash destroyed the "thread"
-//! that would re-arm them — the paper's recovery discussion), and
+//! [`World::events_processed`](crate::World::events_processed).
+//! `SimHost::cancel_all` drops all of a node's alarms at once (corruption
+//! or crash destroyed the "thread" that would re-arm them — the paper's
+//! recovery discussion), and
 //! [`Input::Start`](byzclock_core::Input::Start) on release re-arms
 //! everything.
 
+use byzclock_adversary::Adversary;
 use byzclock_clock::LocalTime;
 use byzclock_core::{Driver, RoundSummary, TimerKind, WireMessage};
-use byzclock_sim::{ProcId, RealTime, SimDuration};
+use byzclock_net::Network;
+use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
 
 use crate::builder::Discipline;
 use crate::events::SimEvent;
-use crate::world::{PendingTimer, World};
+use crate::observer::{Observer, WorldSample};
+use crate::world::{NodeSlot, PendingTimer};
 
-impl Driver for World {
+/// Everything a world's node effects touch: the engine, each processor's
+/// clock, drift and pending alarms, the network, the adversary, the random
+/// streams and the observers. The world keeps the protocols beside it, so
+/// a node can be handed its host without aliasing itself.
+pub(crate) struct SimHost {
+    pub(crate) engine: Engine<SimEvent>,
+    pub(crate) nodes: Vec<NodeSlot>,
+    pub(crate) network: Network,
+    pub(crate) adversary: Adversary,
+    pub(crate) big_delta: SimDuration,
+    pub(crate) sample_interval: SimDuration,
+    pub(crate) net_rng: DetRng,
+    pub(crate) adv_rng: DetRng,
+    pub(crate) observers: Vec<Box<dyn Observer>>,
+    pub(crate) discipline: Discipline,
+    /// The sample every observer tick refills in place, so a tick with
+    /// observers allocates nothing once warm.
+    pub(crate) sample: WorldSample,
+}
+
+impl Driver for SimHost {
     /// Sends through the modeled network: `send_times` yields zero (lost),
     /// one, or — when the duplication fault fires — at most two delivery
     /// instants, held inline, each scheduled as a `Deliver` event.
     fn send(&mut self, from: ProcId, to: ProcId, msg: WireMessage) {
-        let tau = self.now();
+        let tau = self.engine.now();
         for at in self.network.send_times(from, to, tau, &mut self.net_rng) {
             self.engine
                 .schedule_at(at, SimEvent::Deliver { to, from, msg });
@@ -52,7 +77,7 @@ impl Driver for World {
     }
 
     fn set_timer(&mut self, node: ProcId, after: SimDuration, kind: TimerKind) {
-        let tau = self.now();
+        let tau = self.engine.now();
         let idx = node.index();
         let target_local = self.nodes[idx].clock.read(tau) + after;
         let real_at = self.real_time_for_local_target(node, tau, target_local);
@@ -66,7 +91,7 @@ impl Driver for World {
     }
 
     fn adjust_clock(&mut self, node: ProcId, delta: SimDuration) {
-        let tau = self.now();
+        let tau = self.engine.now();
         match self.discipline {
             Discipline::Step => {
                 self.nodes[node.index()].clock.adjust(delta);
@@ -85,12 +110,12 @@ impl Driver for World {
     }
 
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
-        let tau = self.now();
+        let tau = self.engine.now();
         self.notify(|o| o.on_round(node, summary, tau));
     }
 }
 
-impl World {
+impl SimHost {
     /// Forgets every pending alarm of the node, so none of them fires:
     /// their engine events pop stale.
     pub(crate) fn cancel_all(&mut self, node: ProcId) {

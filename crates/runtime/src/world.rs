@@ -1,30 +1,28 @@
 //! The simulation world: event-loop orchestrator over the sim driver.
 //!
-//! The world owns one [`Engine`] on the real-time axis and, per processor,
-//! a [`LogicalClock`], a drift model and a [`SyncNode`] (wrapped in a
-//! [`CachedSync`] under cached estimation). Node effects are
-//! executed through the [`Driver`](byzclock_core::Driver) contract —
-//! the deterministic implementations of sends, timers and adjustments live
-//! in [`crate::sim_driver`] — while this module orchestrates: it pops and
-//! dispatches events, routes traffic addressed to corrupted processors
-//! through the [`Adversary`], applies corruption/release/restart/drift
-//! transitions, and notifies [`Observer`]s.
+//! The world owns one [`SyncNode`] per processor (wrapped in a
+//! [`CachedSync`] under cached estimation) and, beside them, one
+//! `SimHost`: the engine, the network, the [`Adversary`], the
+//! [`Observer`]s and, per processor, a [`LogicalClock`], a drift model and
+//! the pending alarms. The host is the nodes' [`Driver`](byzclock_core::Driver)
+//! ([`crate::sim_driver`]), and being a separate field it can be lent to a
+//! node while the node handles an input. This module pops events, applies
+//! corruption/release/restart/drift transitions, routes traffic addressed
+//! to corrupted processors through the adversary, and feeds each input to
+//! its node.
 //!
 //! See `crate::sim_driver` for how local-time alarms are converted exactly
 //! to real-time events under drift and slew.
 
 use byzclock_adversary::{Adversary, AttackReply, ClockSabotage};
 use byzclock_clock::{DriftModel, LocalTime, LogicalClock};
-use byzclock_core::{
-    apply_outputs, CachedSync, Input, Output, RoundScratch, SyncNode, TimerKind, WireMessage,
-};
-use byzclock_net::Network;
+use byzclock_core::{CachedSync, Input, RoundScratch, SyncNode, TimerKind, WireMessage};
 use byzclock_sim::queue::EventId;
-use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
+use byzclock_sim::{DetRng, ProcId, RealTime, SimDuration};
 
-use crate::builder::Discipline;
 use crate::events::SimEvent;
 use crate::observer::{Observer, WorldSample};
+use crate::sim_driver::SimHost;
 
 /// A pending local-time alarm as tracked by the sim driver's index.
 #[derive(Debug, Clone, Copy)]
@@ -41,14 +39,14 @@ pub(crate) enum Protocol {
 }
 
 impl Protocol {
-    fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, out: &mut Vec<Output>) {
+    fn handle_into(&mut self, input: Input, scratch: &mut RoundScratch, host: &mut SimHost) {
         match self {
-            Protocol::PerRound(node) => node.handle_into(input, scratch, out),
-            Protocol::Cached(cached) => cached.handle_into(input, scratch, out),
+            Protocol::PerRound(node) => node.handle_into(input, scratch, host),
+            Protocol::Cached(cached) => cached.handle_into(input, scratch, host),
         }
     }
 
-    fn node(&self) -> &SyncNode {
+    pub(crate) fn node(&self) -> &SyncNode {
         match self {
             Protocol::PerRound(node) => node,
             Protocol::Cached(cached) => cached.node(),
@@ -56,9 +54,9 @@ impl Protocol {
     }
 }
 
+/// The host's state for one processor: everything but its protocol.
 pub(crate) struct NodeSlot {
     pub(crate) clock: LogicalClock,
-    pub(crate) protocol: Protocol,
     pub(crate) drift: Box<dyn DriftModel>,
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
@@ -75,22 +73,6 @@ pub(crate) struct NodeSlot {
 }
 
 impl NodeSlot {
-    pub(crate) fn new(
-        clock: LogicalClock,
-        protocol: Protocol,
-        drift: Box<dyn DriftModel>,
-        drift_rng: DetRng,
-    ) -> Self {
-        NodeSlot {
-            clock,
-            protocol,
-            drift,
-            drift_rng,
-            corruption_depth: 0,
-            pending: Vec::new(),
-        }
-    }
-
     fn corrupted(&self) -> bool {
         self.corruption_depth > 0
     }
@@ -100,38 +82,26 @@ impl NodeSlot {
 ///
 /// Construct via [`WorldBuilder`](crate::builder::WorldBuilder).
 pub struct World {
-    pub(crate) engine: Engine<SimEvent>,
-    /// Events dispatched so far, superseded alarms excluded.
-    pub(crate) events: u64,
-    pub(crate) nodes: Vec<NodeSlot>,
-    pub(crate) network: Network,
-    pub(crate) adversary: Adversary,
-    pub(crate) big_delta: SimDuration,
-    pub(crate) sample_interval: SimDuration,
-    pub(crate) net_rng: DetRng,
-    pub(crate) adv_rng: DetRng,
-    pub(crate) observers: Vec<Box<dyn Observer>>,
-    pub(crate) params: byzclock_core::ProtocolParams,
-    pub(crate) bounds: byzclock_core::TheoremBounds,
-    pub(crate) discipline: Discipline,
-    /// Reusable output buffer for the nodes' `handle_into`: one allocation
-    /// for the whole run instead of one per handled input.
-    pub(crate) scratch: Vec<Output>,
+    /// Everything the nodes' effects touch.
+    pub(crate) host: SimHost,
+    /// One protocol instance per processor, indexed by [`ProcId`].
+    pub(crate) protocols: Vec<Protocol>,
     /// The round-completion scratch every node borrows in turn: the world
     /// dispatches one node at a time, and the buffers carry nothing
     /// between calls, so one value serves all `n` nodes.
     pub(crate) round_scratch: RoundScratch,
-    /// The sample every observer tick refills in place, so a tick with
-    /// observers allocates nothing once warm.
-    pub(crate) sample: WorldSample,
+    /// Events dispatched so far, superseded alarms excluded.
+    pub(crate) events: u64,
+    pub(crate) params: byzclock_core::ProtocolParams,
+    pub(crate) bounds: byzclock_core::TheoremBounds,
 }
 
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("now", &self.engine.now())
-            .field("n", &self.nodes.len())
-            .field("queued_events", &self.engine.queued())
+            .field("now", &self.host.engine.now())
+            .field("n", &self.protocols.len())
+            .field("queued_events", &self.host.engine.queued())
             .finish()
     }
 }
@@ -139,12 +109,12 @@ impl std::fmt::Debug for World {
 impl World {
     /// Current simulated real time.
     pub fn now(&self) -> RealTime {
-        self.engine.now()
+        self.host.engine.now()
     }
 
     /// Number of processors.
     pub fn n(&self) -> usize {
-        self.nodes.len()
+        self.protocols.len()
     }
 
     /// The protocol parameters every node runs with.
@@ -161,17 +131,17 @@ impl World {
 
     /// The adversary's time period Δ this world measures goodness against.
     pub fn big_delta(&self) -> SimDuration {
-        self.big_delta
+        self.host.big_delta
     }
 
     /// Registers an observer (before or between runs).
     pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observers.push(observer);
+        self.host.observers.push(observer);
     }
 
     /// The network traffic statistics.
     pub fn network_stats(&self) -> &byzclock_net::NetworkStats {
-        self.network.stats()
+        self.host.network.stats()
     }
 
     /// Events processed so far. A superseded alarm still pops from the
@@ -184,57 +154,120 @@ impl World {
     /// Total corruption episodes in the adversary's schedule (the mobile
     /// adversary's cumulative fault count, typically ≫ n).
     pub fn corruption_episodes(&self) -> usize {
-        self.adversary.schedule().episode_count()
+        self.host.adversary.schedule().episode_count()
     }
 
     /// Sync rounds completed by `p`.
     pub fn rounds_completed(&self, p: ProcId) -> u64 {
-        self.nodes[p.index()].protocol.node().rounds_completed()
+        self.protocols[p.index()].node().rounds_completed()
     }
 
     /// Bias of `p`'s clock right now.
     pub fn bias_of(&self, p: ProcId) -> byzclock_clock::Bias {
-        self.nodes[p.index()].clock.bias(self.now())
+        self.host.nodes[p.index()].clock.bias(self.now())
     }
 
     /// Snapshot of all biases, corruption and goodness flags.
     pub fn sample_now(&self) -> WorldSample {
+        let host = &self.host;
         let mut sample = WorldSample::empty();
-        sample.fill(self.now(), &self.nodes, &self.adversary, self.big_delta);
+        sample.fill(self.now(), &host.nodes, &host.adversary, host.big_delta);
         sample
     }
 
     /// Runs the event loop until simulated time `deadline`.
     pub fn run_until(&mut self, deadline: RealTime) {
-        while let Some((tau, event)) = self.engine.pop_until(deadline) {
+        while let Some((tau, event)) = self.host.engine.pop_until(deadline) {
             if self.dispatch(tau, event) {
                 self.events += 1;
             }
         }
     }
 
-    /// Handles one popped event; false if it was a superseded alarm,
-    /// which is dropped.
+    /// Handles one popped event: the host applies it, and if it is an input
+    /// to a node, the node handles it with the host as its driver. False if
+    /// the event was a superseded alarm, which is dropped.
+    ///
+    /// Each arm feeds its node itself: returning an `Option<(ProcId,
+    /// Input)>` from the match instead cost ~10 % per event (store-forwarding
+    /// stalls on the moved tuple).
     fn dispatch(&mut self, tau: RealTime, event: SimEvent) -> bool {
         match event {
-            SimEvent::NodeTimer { node, id } => return self.node_timer(node, id),
-            SimEvent::StartNode { node } => self.start_node(node),
-            SimEvent::Deliver { to, from, msg } => self.deliver(tau, to, from, msg),
-            SimEvent::DriftChange { node, new_rate } => self.drift_change(tau, node, new_rate),
-            SimEvent::Corrupt { node } => self.corrupt(tau, node),
-            SimEvent::Release { node } => self.release(tau, node),
-            SimEvent::LinkCut { a, b } => self.network.links_mut().cut(a, b),
-            SimEvent::LinkRestore { a, b } => self.network.links_mut().restore(a, b),
-            SimEvent::Restart { node } => self.restart(tau, node),
-            SimEvent::Sample => self.sample_tick(),
+            SimEvent::NodeTimer { node, id } => {
+                let Some(timer) = self.host.fire_alarm(node, id) else {
+                    return false;
+                };
+                let local_now = self.host.local_now(node);
+                self.feed(node, Input::TimerFired { timer, local_now });
+            }
+            SimEvent::StartNode { node } => {
+                if let Some(input) = self.host.start(node) {
+                    self.feed(node, input);
+                }
+            }
+            SimEvent::Deliver { to, from, msg } => {
+                if self.host.nodes[to.index()].corrupted() {
+                    let way_off = self.params.way_off();
+                    self.host.adversary_receives(tau, to, from, msg, way_off);
+                } else {
+                    let local_now = self.host.local_now(to);
+                    self.feed(
+                        to,
+                        Input::Message {
+                            from,
+                            msg,
+                            local_now,
+                        },
+                    );
+                }
+            }
+            SimEvent::DriftChange { node, new_rate } => {
+                self.host.drift_change(tau, node, new_rate);
+            }
+            SimEvent::Corrupt { node } => self.host.corrupt(tau, node),
+            SimEvent::Release { node } => {
+                if let Some(input) = self.host.release(tau, node) {
+                    self.feed(node, input);
+                }
+            }
+            SimEvent::LinkCut { a, b } => self.host.network.links_mut().cut(a, b),
+            SimEvent::LinkRestore { a, b } => self.host.network.links_mut().restore(a, b),
+            SimEvent::Restart { node } => {
+                if let Some(input) = self.host.restart(tau, node) {
+                    self.feed(node, input);
+                }
+            }
+            SimEvent::Sample => self.host.sample_tick(),
         }
         true
     }
 
-    fn restart(&mut self, tau: RealTime, node: ProcId) {
-        let idx = node.index();
-        if self.nodes[idx].corrupted() {
-            return;
+    /// Hands `input` to `node`'s protocol, with the host as its driver.
+    fn feed(&mut self, node: ProcId, input: Input) {
+        self.protocols[node.index()].handle_into(input, &mut self.round_scratch, &mut self.host);
+    }
+}
+
+/// The host's side of each event: world transitions, and the input (if
+/// any) the event hands to its node.
+impl SimHost {
+    fn local_now(&self, node: ProcId) -> LocalTime {
+        self.nodes[node.index()].clock.read(self.engine.now())
+    }
+
+    /// The input that starts `node` from its current clock, unless it is
+    /// corrupted (its `Release` restarts it then).
+    fn start(&self, node: ProcId) -> Option<Input> {
+        if self.nodes[node.index()].corrupted() {
+            return None;
+        }
+        let local_now = self.local_now(node);
+        Some(Input::Start { local_now })
+    }
+
+    fn restart(&mut self, tau: RealTime, node: ProcId) -> Option<Input> {
+        if self.nodes[node.index()].corrupted() {
+            return None;
         }
         // Crash: all pending alarms die with the process.
         self.cancel_all(node);
@@ -242,52 +275,7 @@ impl World {
         // Reboot: re-enter the protocol from the persistent clock alone —
         // the paper's tiny-recovery-state property makes this identical to
         // a cold start.
-        let local_now = self.local_now(node);
-        self.handle_and_apply(node, Input::Start { local_now });
-    }
-
-    fn start_node(&mut self, node: ProcId) {
-        if self.nodes[node.index()].corrupted() {
-            return; // corrupted at its start time; Release will restart it
-        }
-        let local_now = self.local_now(node);
-        self.handle_and_apply(node, Input::Start { local_now });
-    }
-
-    /// Feeds one input to `node` through the reusable scratch buffers and
-    /// executes the resulting outputs through [`apply_outputs`].
-    ///
-    /// (The node lives *inside* the driver state, so the outputs are
-    /// collected into the world-owned scratch first, then applied.)
-    fn handle_and_apply(&mut self, node: ProcId, input: Input) {
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        self.nodes[node.index()]
-            .protocol
-            .handle_into(input, &mut self.round_scratch, &mut out);
-        apply_outputs(self, node, &out);
-        out.clear();
-        self.scratch = out;
-    }
-
-    fn local_now(&self, node: ProcId) -> LocalTime {
-        self.nodes[node.index()].clock.read(self.now())
-    }
-
-    fn deliver(&mut self, tau: RealTime, to: ProcId, from: ProcId, msg: WireMessage) {
-        if self.nodes[to.index()].corrupted() {
-            self.adversary_receives(tau, to, from, msg);
-            return;
-        }
-        let local_now = self.local_now(to);
-        self.handle_and_apply(
-            to,
-            Input::Message {
-                from,
-                msg,
-                local_now,
-            },
-        );
+        self.start(node)
     }
 
     /// A corrupted node received a message: the adversary decides.
@@ -297,6 +285,7 @@ impl World {
         victim: ProcId,
         from: ProcId,
         msg: WireMessage,
+        way_off: f64,
     ) {
         let WireMessage::Ping { round, nonce } = msg else {
             return; // the adversary has no use for pongs to its victims
@@ -325,7 +314,7 @@ impl World {
             nodes[victim.index()].clock.read(tau),
             Some(nodes[from.index()].clock.bias(tau)),
             &good_bias_range,
-            self.params.way_off(),
+            way_off,
         );
         match self.adversary.reply_to_ping(&ctx, &mut self.adv_rng) {
             AttackReply::Silent => {}
@@ -355,8 +344,9 @@ impl World {
         }
     }
 
-    /// Fires the alarm `id` of `node`; false if the alarm was superseded.
-    fn node_timer(&mut self, node: ProcId, id: EventId) -> bool {
+    /// Takes the alarm `id` of `node` out of the pending index and returns
+    /// its kind; `None` if the alarm was superseded.
+    fn fire_alarm(&mut self, node: ProcId, id: EventId) -> Option<TimerKind> {
         // Match the fired event against the pending index by its own engine
         // id: exact and unambiguous even when another alarm shares
         // `(kind, target_local)` — a positional match could clear the
@@ -365,20 +355,13 @@ impl World {
         // must not fire. A corrupted node's index is empty, so none of its
         // alarms fires.
         let slot = &mut self.nodes[node.index()];
-        let Some(at) = slot.pending.iter().position(|(pending, _)| *pending == id) else {
-            return false;
-        };
+        let at = slot
+            .pending
+            .iter()
+            .position(|(pending, _)| *pending == id)?;
         let (_, PendingTimer { kind, .. }) = slot.pending.remove(at);
         debug_assert!(!slot.corrupted(), "a corrupted node holds an alarm");
-        let local_now = self.local_now(node);
-        self.handle_and_apply(
-            node,
-            Input::TimerFired {
-                timer: kind,
-                local_now,
-            },
-        );
-        true
+        Some(kind)
     }
 
     fn drift_change(&mut self, tau: RealTime, node: ProcId, new_rate: f64) {
@@ -415,7 +398,7 @@ impl World {
         self.notify(|o| o.on_corrupt(node, tau));
     }
 
-    fn release(&mut self, tau: RealTime, node: ProcId) {
+    fn release(&mut self, tau: RealTime, node: ProcId) -> Option<Input> {
         let idx = node.index();
         debug_assert!(
             self.nodes[idx].corruption_depth > 0,
@@ -423,19 +406,18 @@ impl World {
         );
         self.nodes[idx].corruption_depth -= 1;
         if self.nodes[idx].corruption_depth > 0 {
-            return;
+            return None;
         }
         self.notify(|o| o.on_release(node, tau));
         // Recovery: the processor reboots its protocol with whatever clock
         // the adversary left behind.
-        let local_now = self.local_now(node);
-        self.handle_and_apply(node, Input::Start { local_now });
+        self.start(node)
     }
 
     fn sample_tick(&mut self) {
         // The sample is for observers only; the tick still pops and counts.
         if !self.observers.is_empty() {
-            let tau = self.now();
+            let tau = self.engine.now();
             self.sample
                 .fill(tau, &self.nodes, &self.adversary, self.big_delta);
             for o in &mut self.observers {
@@ -446,13 +428,8 @@ impl World {
             .schedule_after(self.sample_interval, SimEvent::Sample);
     }
 
-    pub(crate) fn notify(&mut self, mut f: impl FnMut(&mut Box<dyn Observer>)) {
-        let mut observers = std::mem::take(&mut self.observers);
-        for o in &mut observers {
-            f(o);
-        }
-        debug_assert!(self.observers.is_empty(), "observer added during notify");
-        self.observers = observers;
+    pub(crate) fn notify(&mut self, f: impl FnMut(&mut Box<dyn Observer>)) {
+        self.observers.iter_mut().for_each(f);
     }
 }
 
@@ -499,7 +476,7 @@ mod tests {
         /// Schedules a benign crash+reboot of `node` at `at`, as
         /// [`WorldBuilder::restarts`] does at build time.
         fn schedule_restart(&mut self, at: RealTime, node: ProcId) {
-            self.engine.schedule_at(at, SimEvent::Restart { node });
+            self.host.engine.schedule_at(at, SimEvent::Restart { node });
         }
     }
 
@@ -880,14 +857,15 @@ mod tests {
         w.run_until(t(0.5));
         let node = ProcId(0);
         let idx = 0usize;
-        let target = w.nodes[idx].clock.read(w.now()) + d(500.0);
+        let target = w.host.nodes[idx].clock.read(w.now()) + d(500.0);
         let kind = TimerKind::SyncDue;
         // The LATER twin is armed first, so any first-match-wins lookup
         // would clear it when the earlier twin fires.
         let late = w
+            .host
             .engine
             .schedule_at_with(t(5.0), |id| SimEvent::NodeTimer { node, id });
-        w.nodes[idx].pending.push((
+        w.host.nodes[idx].pending.push((
             late,
             PendingTimer {
                 kind,
@@ -895,16 +873,17 @@ mod tests {
             },
         ));
         let early = w
+            .host
             .engine
             .schedule_at_with(t(1.0), |id| SimEvent::NodeTimer { node, id });
-        w.nodes[idx].pending.push((
+        w.host.nodes[idx].pending.push((
             early,
             PendingTimer {
                 kind,
                 target_local: target,
             },
         ));
-        let armed = |w: &crate::World, id| w.nodes[idx].pending.iter().any(|(p, _)| *p == id);
+        let armed = |w: &crate::World, id| w.host.nodes[idx].pending.iter().any(|(p, _)| *p == id);
         w.run_until(t(2.0)); // only the early twin has fired
         assert!(
             !armed(&w, early),
@@ -941,7 +920,8 @@ mod tests {
         };
         let deadline = t(60.0);
         let pending = |w: &crate::World| -> BTreeSet<EventId> {
-            w.nodes
+            w.host
+                .nodes
                 .iter()
                 .flat_map(|s| s.pending.iter().map(|(id, _)| *id))
                 .collect()
@@ -951,16 +931,18 @@ mod tests {
         let mut superseded: BTreeMap<EventId, &str> = BTreeMap::new();
         let mut stale_by_cause: BTreeMap<&str, u64> = BTreeMap::new();
         let mut pops = 0u64;
-        while let Some((tau, event)) = w.engine.pop_until(deadline) {
+        while let Some((tau, event)) = w.host.engine.pop_until(deadline) {
             pops += 1;
             if let SimEvent::NodeTimer { node, id } = event {
                 if let Some(cause) = superseded.remove(&id) {
-                    let slot = &w.nodes[node.index()];
-                    let before = (slot.protocol.node().round(), slot.pending.len());
+                    let state = |w: &crate::World| {
+                        let round = w.protocols[node.index()].node().round();
+                        (round, w.host.nodes[node.index()].pending.len())
+                    };
+                    let before = state(&w);
                     let bias = w.bias_of(node);
                     assert!(!w.dispatch(tau, event), "a {cause} alarm fired");
-                    let slot = &w.nodes[node.index()];
-                    assert_eq!((slot.protocol.node().round(), slot.pending.len()), before);
+                    assert_eq!(state(&w), before);
                     assert_eq!(w.bias_of(node), bias);
                     *stale_by_cause.entry(cause).or_default() += 1;
                     continue;
@@ -1007,7 +989,7 @@ mod tests {
         w.run_until(t(2.0));
         // Simulate an event horizon: swap in an empty engine so the
         // run_until loop drains immediately.
-        w.engine = byzclock_sim::Engine::new();
+        w.host.engine = byzclock_sim::Engine::new();
         let stuck_at = w.now();
         w.run_until(t(50.0));
         assert_eq!(w.now(), t(50.0));
