@@ -1,10 +1,11 @@
-//! Drift models: generators of hardware-clock rate schedules.
+//! Drift: how hardware-clock rates wander inside the ρ-envelope.
 //!
 //! The paper only assumes Equation 2 — every hardware clock's rate stays
 //! within `[1/(1+ρ), 1+ρ]`. *How* a clock wanders inside that envelope is
-//! unspecified, so the simulator offers two models: a constant rate and a
-//! bounded random walk. Both guarantee the returned rates respect the
-//! bound; the runtime additionally debug-asserts it.
+//! unspecified, so the simulator offers a random constant rate
+//! ([`random_rate`]) and a bounded random walk from it ([`RandomWalk`]).
+//! Both keep every rate inside the bound; the runtime additionally
+//! debug-asserts it.
 
 use byzclock_sim::{DetRng, RealTime, SimDuration};
 
@@ -18,86 +19,31 @@ pub fn max_rate(rho: f64) -> f64 {
     1.0 + rho
 }
 
-/// A generator of one processor's hardware rate schedule.
-///
-/// The runtime calls [`DriftModel::initial_rate`] once at start-up, then
-/// repeatedly [`DriftModel::next_change`] to learn when the rate next
-/// changes and to what value. Returning `None` means the rate is constant
-/// forever after.
-pub trait DriftModel: std::fmt::Debug + Send {
-    /// The drift bound ρ this model was configured with (for validation).
-    fn rho(&self) -> f64;
-
-    /// The rate at time zero.
-    fn initial_rate(&mut self, rng: &mut DetRng) -> f64;
-
-    /// The next rate change strictly after `now`: `(when, new_rate)`.
-    fn next_change(&mut self, now: RealTime, rng: &mut DetRng) -> Option<(RealTime, f64)>;
-}
-
-/// A clock that ticks at a fixed rate forever.
+/// A rate drawn uniformly from the ρ-envelope: one draw of `rng`. It gives
+/// each processor a distinct fixed skew, and starts a [`RandomWalk`].
 ///
 /// ```
-/// use byzclock_clock::{ConstantDrift, DriftModel};
-/// use byzclock_sim::{RngHub, RealTime};
+/// use byzclock_clock::drift::{max_rate, min_rate, random_rate};
+/// use byzclock_sim::RngHub;
 ///
-/// let mut m = ConstantDrift::new(1e-4, 1.00005);
 /// let mut rng = RngHub::new(0).stream("drift", 0);
-/// assert_eq!(m.initial_rate(&mut rng), 1.00005);
-/// assert!(m.next_change(RealTime::ZERO, &mut rng).is_none());
+/// let rate = random_rate(1e-4, &mut rng);
+/// assert!((min_rate(1e-4)..=max_rate(1e-4)).contains(&rate));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ConstantDrift {
-    rho: f64,
-    rate: f64,
-}
-
-impl ConstantDrift {
-    /// Fixed `rate`, validated against drift bound `rho`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[1/(1+ρ), 1+ρ]`.
-    pub fn new(rho: f64, rate: f64) -> Self {
-        assert!(
-            (min_rate(rho)..=max_rate(rho)).contains(&rate),
-            "rate {rate} outside drift envelope for rho={rho}"
-        );
-        ConstantDrift { rho, rate }
-    }
-
-    /// A clock pinned at a random rate inside the envelope (constant
-    /// thereafter). Useful for giving each processor a distinct skew.
-    pub fn random_within(rho: f64, rng: &mut DetRng) -> Self {
-        let rate = rng.uniform(min_rate(rho), max_rate(rho));
-        ConstantDrift { rho, rate }
-    }
-}
-
-impl DriftModel for ConstantDrift {
-    fn rho(&self) -> f64 {
-        self.rho
-    }
-    fn initial_rate(&mut self, _rng: &mut DetRng) -> f64 {
-        self.rate
-    }
-    fn next_change(&mut self, _now: RealTime, _rng: &mut DetRng) -> Option<(RealTime, f64)> {
-        None
-    }
+pub fn random_rate(rho: f64, rng: &mut DetRng) -> f64 {
+    rng.uniform(min_rate(rho), max_rate(rho))
 }
 
 /// A bounded random walk: every `interval`, the rate takes a Gaussian step
-/// and is clamped into the envelope.
-#[derive(Debug, Clone)]
-pub struct RandomWalkDrift {
+/// and is clamped into the ρ-envelope.
+#[derive(Debug, Clone, Copy)]
+pub struct RandomWalk {
     rho: f64,
     step_std: f64,
     interval: SimDuration,
-    current: f64,
-    initialized: bool,
 }
 
-impl RandomWalkDrift {
+impl RandomWalk {
     /// Random walk with steps of standard deviation `step_std` every
     /// `interval`, clamped to the ρ-envelope.
     ///
@@ -110,32 +56,21 @@ impl RandomWalkDrift {
             "random walk interval must be positive"
         );
         assert!(step_std >= 0.0, "step_std must be non-negative");
-        RandomWalkDrift {
+        RandomWalk {
             rho,
             step_std,
             interval,
-            current: 1.0,
-            initialized: false,
         }
     }
-}
 
-impl DriftModel for RandomWalkDrift {
-    fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    fn initial_rate(&mut self, rng: &mut DetRng) -> f64 {
-        self.current = rng.uniform(min_rate(self.rho), max_rate(self.rho));
-        self.initialized = true;
-        self.current
-    }
-
-    fn next_change(&mut self, now: RealTime, rng: &mut DetRng) -> Option<(RealTime, f64)> {
-        debug_assert!(self.initialized, "initial_rate must be called first");
-        let next = self.current + rng.normal_with(0.0, self.step_std);
-        self.current = next.clamp(min_rate(self.rho), max_rate(self.rho));
-        Some((now + self.interval, self.current))
+    /// The step after a clock ran at `rate` until `now`: when the rate
+    /// next changes, and to what. One normal draw of `rng`.
+    pub fn next_change(&self, now: RealTime, rate: f64, rng: &mut DetRng) -> (RealTime, f64) {
+        let next = rate + rng.normal_with(0.0, self.step_std);
+        (
+            now + self.interval,
+            next.clamp(min_rate(self.rho), max_rate(self.rho)),
+        )
     }
 }
 
@@ -156,27 +91,11 @@ mod tests {
     }
 
     #[test]
-    fn constant_drift_never_changes() {
-        let mut m = ConstantDrift::new(1e-4, 1.00003);
-        let mut r = rng();
-        assert_eq!(m.initial_rate(&mut r), 1.00003);
-        assert!(m.next_change(RealTime::ZERO, &mut r).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "envelope")]
-    fn constant_outside_envelope_panics() {
-        ConstantDrift::new(1e-6, 1.1);
-    }
-
-    #[test]
     fn constant_random_within_respects_envelope() {
         let rho = 1e-4;
         let mut r = rng();
-        for i in 0..100 {
-            let _ = i;
-            let mut m = ConstantDrift::random_within(rho, &mut r);
-            let rate = m.initial_rate(&mut r);
+        for _ in 0..100 {
+            let rate = random_rate(rho, &mut r);
             assert!((min_rate(rho)..=max_rate(rho)).contains(&rate));
         }
     }
@@ -184,12 +103,12 @@ mod tests {
     #[test]
     fn random_walk_stays_in_envelope() {
         let rho = 1e-4;
-        let mut m = RandomWalkDrift::new(rho, 1e-4, SimDuration::from_secs(1.0));
+        let walk = RandomWalk::new(rho, 1e-4, SimDuration::from_secs(1.0));
         let mut r = rng();
-        let mut rate = m.initial_rate(&mut r);
+        let mut rate = random_rate(rho, &mut r);
         let mut now = RealTime::ZERO;
         for _ in 0..10_000 {
-            let (when, new_rate) = m.next_change(now, &mut r).unwrap();
+            let (when, new_rate) = walk.next_change(now, rate, &mut r);
             assert!(when > now);
             assert!(
                 (min_rate(rho)..=max_rate(rho)).contains(&new_rate),
@@ -198,32 +117,22 @@ mod tests {
             now = when;
             rate = new_rate;
         }
-        let _ = rate;
     }
 
     #[test]
     fn random_walk_changes_are_spaced_by_interval() {
-        let mut m = RandomWalkDrift::new(1e-3, 1e-5, SimDuration::from_secs(5.0));
+        let walk = RandomWalk::new(1e-3, 1e-5, SimDuration::from_secs(5.0));
         let mut r = rng();
-        m.initial_rate(&mut r);
-        let (t1, _) = m.next_change(RealTime::ZERO, &mut r).unwrap();
+        let rate = random_rate(1e-3, &mut r);
+        let (t1, rate) = walk.next_change(RealTime::ZERO, rate, &mut r);
         assert_eq!(t1, RealTime::from_secs(5.0));
-        let (t2, _) = m.next_change(t1, &mut r).unwrap();
+        let (t2, _) = walk.next_change(t1, rate, &mut r);
         assert_eq!(t2, RealTime::from_secs(10.0));
     }
 
     #[test]
     #[should_panic(expected = "interval")]
     fn random_walk_zero_interval_panics() {
-        RandomWalkDrift::new(1e-4, 1e-5, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn rho_accessors() {
-        assert_eq!(ConstantDrift::new(1e-4, 1.0).rho(), 1e-4);
-        assert_eq!(
-            RandomWalkDrift::new(2e-4, 0.0, SimDuration::from_secs(1.0)).rho(),
-            2e-4
-        );
+        RandomWalk::new(1e-4, 1e-5, SimDuration::ZERO);
     }
 }

@@ -3,7 +3,7 @@
 //! Definition 1 of the paper requires `H_p` to be smooth and monotonically
 //! increasing with rate within `[1/(1+ρ), 1+ρ]` (Equation 2). We model `H_p`
 //! as piecewise *linear*: a current rate that may change at discrete real
-//! times (driven by a [`DriftModel`](crate::drift::DriftModel)). Piecewise
+//! times (driven by a [`RandomWalk`](crate::drift::RandomWalk)). Piecewise
 //! linearity keeps both evaluation and inversion exact, which matters
 //! because local-time alarms ("call sync() every `SyncInt` local units")
 //! must be converted to real-time simulator events without cumulative error.

@@ -17,8 +17,9 @@
 //!   axes cannot be confused).
 //! * [`HardwareClock`] — piecewise-linear `H_p`, read exactly even when the
 //!   rate changes over time.
-//! * [`DriftModel`] — pluggable generators of rate changes (constant or
-//!   bounded random walk), all guaranteed to respect the drift bound ρ.
+//! * [`drift`] — how rates wander: a random constant rate
+//!   ([`random_rate`]) or a bounded random walk ([`RandomWalk`]), both
+//!   inside the drift bound ρ.
 //! * [`LogicalClock`] — `H_p + adj_p`, plus the paper's *bias*
 //!   `B_p(τ) = C_p(τ) − τ` (Section 4.2) used throughout the analysis. Its
 //!   exact inverse (`real_time_reaching_logical`) converts local-time
@@ -31,7 +32,7 @@ pub mod drift;
 pub mod hardware;
 pub mod logical;
 
-pub use drift::{ConstantDrift, DriftModel, RandomWalkDrift};
+pub use drift::{random_rate, RandomWalk};
 pub use hardware::HardwareClock;
 pub use logical::{Bias, LogicalClock};
 

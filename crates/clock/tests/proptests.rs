@@ -1,6 +1,6 @@
 //! Property-based tests for the clock models.
 
-use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LocalTime, LogicalClock};
+use byzclock_clock::{random_rate, HardwareClock, LocalTime, LogicalClock};
 use byzclock_sim::{RealTime, RngHub, SimDuration};
 use proptest::prelude::*;
 
@@ -72,13 +72,12 @@ proptest! {
         prop_assert!((clock.read(t).as_secs() - sabotage_to).abs() < 1e-6);
     }
 
-    /// Drift models never leave the ρ-envelope (constant-random case).
+    /// A random constant rate never leaves the ρ-envelope.
     #[test]
     fn constant_random_rate_in_envelope(seed in any::<u64>(), rho_exp in -7.0f64..-2.0) {
         let rho = 10f64.powf(rho_exp);
         let mut rng = RngHub::new(seed).stream("prop-drift", 0);
-        let mut m = ConstantDrift::random_within(rho, &mut rng);
-        let rate = m.initial_rate(&mut rng);
+        let rate = random_rate(rho, &mut rng);
         prop_assert!(rate >= 1.0 / (1.0 + rho) && rate <= 1.0 + rho);
     }
 }

@@ -318,6 +318,19 @@ mod tests {
     }
 
     #[test]
+    fn pong_before_volley_send_time_ignored_defensively() {
+        let mut c = cached(3.0);
+        let (round, nonce) = extract_ping(&start(&mut c, 10.0), ProcId(1));
+        // local_now < sent_at: impossible without mid-volley adjustment
+        assert!(handle(&mut c, pong(1, round, nonce, 10.0, 9.0)).is_empty());
+        assert_eq!(c.node().sample(1), None);
+        // local_now == sent_at: a zero round trip, accepted with error 0
+        assert!(handle(&mut c, pong(1, round, nonce, 12.0, 10.0)).is_empty());
+        let sample = c.node().sample(1).expect("a zero-RTT pong is accepted");
+        assert_eq!((sample.offset, sample.error), (2.0, 0.0));
+    }
+
+    #[test]
     fn stale_volley_timeout_is_ignored() {
         let mut c = cached(3.0);
         let out = start(&mut c, 0.0);

@@ -483,6 +483,11 @@ pub(crate) mod tests {
         pub(crate) fn is_round_active(&self) -> bool {
             self.active.is_some()
         }
+
+        /// The sample in peer `q`'s slot, if a pong filled it.
+        pub(crate) fn sample(&self, q: usize) -> Option<OffsetSample> {
+            (self.filled[q] > 0).then_some(self.samples[q])
+        }
     }
 
     pub(crate) fn params(n: usize, f: usize) -> ProtocolParams {
@@ -853,6 +858,11 @@ pub(crate) mod tests {
         let (round, nonce) = extract_ping(&out, ProcId(1));
         // local_now < sent_at: impossible without mid-round adjustment
         assert!(handle(&mut node, pong(1, round, nonce, 10.0, 9.0)).is_empty());
+        assert_eq!(node.sample(1), None);
+        // local_now == sent_at: a zero round trip, accepted with error 0
+        assert!(handle(&mut node, pong(1, round, nonce, 12.0, 10.0)).is_empty());
+        let sample = node.sample(1).expect("a zero-RTT pong is accepted");
+        assert_eq!((sample.offset, sample.error), (2.0, 0.0));
     }
 
     #[test]

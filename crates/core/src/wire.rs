@@ -27,10 +27,12 @@
 //! bytes and a pong 29. The length prefix is redundant over datagrams but
 //! detects truncation, and would serve a stream transport unchanged.
 //!
-//! [`decode`] rejects truncation, oversize, unknown tags, a length that
-//! does not match the tag, and NaN clock bits ([`LocalTime`] forbids NaN,
-//! so a frame carrying one is corruption or an attack). [`encode_into`]
-//! appends to a caller-owned buffer, so a warm send path allocates nothing.
+//! [`decode`] rejects truncation, oversize, a length that is neither a
+//! ping's nor a pong's, unknown tags, a length that does not match the
+//! tag, and NaN clock bits ([`LocalTime`] forbids NaN, so a frame carrying
+//! one is corruption or an attack). Its errors are plain `Copy` values, so
+//! rejecting garbage allocates nothing. [`encode_into`] appends to a
+//! caller-owned buffer, so a warm send path allocates nothing either.
 //!
 //! Authentication note: the paper assumes authenticated links, so a
 //! deployment would MAC each frame; the loopback runtime trusts
@@ -61,9 +63,9 @@ pub enum WireMessage {
     },
 }
 
-/// Upper bound on the payload length accepted by [`decode`]; protocol
-/// messages are tiny, so anything larger is garbage or an attack.
-pub const MAX_PAYLOAD: usize = 4096;
+/// The longest payload [`decode`] accepts: a pong's. Anything larger is
+/// garbage or an attack.
+pub const MAX_PAYLOAD: usize = PONG_PAYLOAD;
 
 /// Payload tag for [`WireMessage::Ping`].
 const TAG_PING: u8 = 0;
@@ -86,7 +88,7 @@ pub struct Envelope {
 }
 
 /// Framing / parsing failure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// Fewer bytes than the header or the announced payload length.
     Truncated {
@@ -98,7 +100,25 @@ pub enum FrameError {
     /// Announced payload length exceeds [`MAX_PAYLOAD`].
     TooLarge(usize),
     /// The payload is not a valid envelope.
-    Malformed(String),
+    Malformed(Malformed),
+}
+
+/// Why a payload of acceptable size is not a valid envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Malformed {
+    /// The announced length is neither a ping's nor a pong's.
+    Length(usize),
+    /// The tag byte names no message.
+    UnknownTag(u8),
+    /// The payload length does not match the message its tag names.
+    TagLength {
+        /// The tag byte.
+        tag: u8,
+        /// The payload length.
+        len: usize,
+    },
+    /// A pong's clock bits are NaN.
+    NanClock,
 }
 
 impl fmt::Display for FrameError {
@@ -110,7 +130,7 @@ impl fmt::Display for FrameError {
             FrameError::TooLarge(len) => {
                 write!(f, "frame payload of {len} bytes exceeds {MAX_PAYLOAD}")
             }
-            FrameError::Malformed(e) => write!(f, "malformed frame payload: {e}"),
+            FrameError::Malformed(why) => write!(f, "malformed frame payload: {why:?}"),
         }
     }
 }
@@ -159,10 +179,11 @@ fn read_u64(payload: &[u8], offset: usize) -> u64 {
 ///
 /// # Errors
 ///
-/// [`FrameError::Truncated`] for a short header or payload,
-/// [`FrameError::TooLarge`] for a length above [`MAX_PAYLOAD`], and
-/// [`FrameError::Malformed`] for an unknown tag, a payload whose length
-/// does not match its tag, or NaN clock bits.
+/// [`FrameError::TooLarge`] for a length above [`MAX_PAYLOAD`],
+/// [`FrameError::Malformed`] for any other length but a ping's or a
+/// pong's, an unknown tag, a payload whose length does not match its tag,
+/// or NaN clock bits, and [`FrameError::Truncated`] for a short header or
+/// payload.
 pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
     if buf.len() < 4 {
         return Err(FrameError::Truncated {
@@ -176,6 +197,9 @@ pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
     if len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge(len));
     }
+    if len != PING_PAYLOAD && len != PONG_PAYLOAD {
+        return Err(FrameError::Malformed(Malformed::Length(len)));
+    }
     let needed = 4 + len;
     if buf.len() < needed {
         return Err(FrameError::Truncated {
@@ -184,38 +208,18 @@ pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
         });
     }
     let payload = &buf[4..needed];
-    if payload.len() < PING_PAYLOAD {
-        return Err(FrameError::Malformed(format!(
-            "binary payload of {} bytes is shorter than any message",
-            payload.len()
-        )));
-    }
     let mut from_bytes = [0u8; 4];
     from_bytes.copy_from_slice(&payload[..4]);
     let from = ProcId(u32::from_le_bytes(from_bytes));
-    let msg = match payload[4] {
-        TAG_PING => {
-            if payload.len() != PING_PAYLOAD {
-                return Err(FrameError::Malformed(format!(
-                    "ping payload must be {PING_PAYLOAD} bytes, got {}",
-                    payload.len()
-                )));
-            }
-            WireMessage::Ping {
-                round: read_u64(payload, 5),
-                nonce: read_u64(payload, 13),
-            }
-        }
-        TAG_PONG => {
-            if payload.len() != PONG_PAYLOAD {
-                return Err(FrameError::Malformed(format!(
-                    "pong payload must be {PONG_PAYLOAD} bytes, got {}",
-                    payload.len()
-                )));
-            }
+    let msg = match (payload[4], len) {
+        (TAG_PING, PING_PAYLOAD) => WireMessage::Ping {
+            round: read_u64(payload, 5),
+            nonce: read_u64(payload, 13),
+        },
+        (TAG_PONG, PONG_PAYLOAD) => {
             let secs = f64::from_bits(read_u64(payload, 21));
             if secs.is_nan() {
-                return Err(FrameError::Malformed("NaN clock bits".to_string()));
+                return Err(FrameError::Malformed(Malformed::NanClock));
             }
             WireMessage::Pong {
                 round: read_u64(payload, 5),
@@ -223,11 +227,10 @@ pub fn decode(buf: &[u8]) -> Result<(Envelope, usize), FrameError> {
                 clock: LocalTime::from_secs(secs),
             }
         }
-        other => {
-            return Err(FrameError::Malformed(format!(
-                "unknown message tag {other}"
-            )));
+        (tag @ (TAG_PING | TAG_PONG), len) => {
+            return Err(FrameError::Malformed(Malformed::TagLength { tag, len }));
         }
+        (tag, _) => return Err(FrameError::Malformed(Malformed::UnknownTag(tag))),
     };
     Ok((Envelope { from, msg }, needed))
 }
@@ -400,17 +403,30 @@ mod tests {
 
     #[test]
     fn garbage_and_short_payloads_rejected() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&5u32.to_le_bytes());
-        frame.extend_from_slice(b"junk!");
-        assert!(matches!(decode(&frame), Err(FrameError::Malformed(_))));
+        // every announced length but a ping's or a pong's
+        for len in 0..=MAX_PAYLOAD {
+            let mut frame = (len as u32).to_le_bytes().to_vec();
+            frame.resize(4 + len, 0);
+            if len == PONG_PAYLOAD {
+                frame[4 + 4] = TAG_PONG;
+            }
+            let got = decode(&frame);
+            if len == PING_PAYLOAD || len == PONG_PAYLOAD {
+                assert!(got.is_ok(), "length {len}: {got:?}");
+            } else {
+                assert_eq!(got, Err(FrameError::Malformed(Malformed::Length(len))));
+            }
+        }
     }
 
     #[test]
     fn unknown_tag_rejected() {
         let mut frame = encoded(&ping());
         frame[4 + 4] = 9; // tag byte
-        assert!(matches!(decode(&frame), Err(FrameError::Malformed(_))));
+        assert_eq!(
+            decode(&frame),
+            Err(FrameError::Malformed(Malformed::UnknownTag(9)))
+        );
     }
 
     #[test]

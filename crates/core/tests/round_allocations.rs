@@ -10,12 +10,15 @@
 //! through a driver that stores nothing, that building a node
 //! makes the same number of allocations whatever n is, that its bytes
 //! are 17 per peer whatever `pings_per_peer` is, and that wrapping it for
-//! cached estimation adds none.
+//! cached estimation adds none. It also checks that the wire decoder
+//! rejects garbage without touching the heap, so a flood of junk datagrams
+//! costs a live node no allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use byzclock_clock::LocalTime;
+use byzclock_core::wire::{self, Envelope, MAX_PAYLOAD};
 use byzclock_core::{
     CachedSync, Driver, Input, ProtocolParams, RoundScratch, RoundSummary, SyncNode, TimerKind,
     WireMessage,
@@ -206,4 +209,50 @@ fn cached_node_costs_no_more_bytes_than_a_plain_node() {
             "a cached node takes {b} bytes at n = {n}, a plain one {plain}"
         );
     }
+}
+
+#[test]
+fn garbage_frames_decode_without_allocating() {
+    let mut pong = Vec::new();
+    let envelope = Envelope {
+        from: ProcId(1),
+        msg: WireMessage::Pong {
+            round: 1,
+            nonce: 2,
+            clock: lt(3.0),
+        },
+    };
+    wire::encode_into(&envelope, &mut pong);
+    let with_length = |len: u32| {
+        let mut frame = len.to_le_bytes().to_vec();
+        frame.resize(4 + MAX_PAYLOAD, 0);
+        frame
+    };
+    let mut nan = pong.clone();
+    let clock_at = nan.len() - 8;
+    nan[clock_at..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    let mut unknown_tag = pong.clone();
+    unknown_tag[8] = 9;
+    let mut tag_mismatch = pong.clone();
+    tag_mismatch[8] = 0;
+    let garbage: Vec<Vec<u8>> = vec![
+        pong[..3].to_vec(),
+        pong[..pong.len() - 1].to_vec(),
+        with_length(5),
+        with_length(MAX_PAYLOAD as u32 + 1),
+        with_length(u32::MAX),
+        nan,
+        unknown_tag,
+        tag_mismatch,
+    ];
+    let mut rejected = 0;
+    let count = allocations(|| {
+        for frame in &garbage {
+            if wire::decode(frame).is_err() {
+                rejected += 1;
+            }
+        }
+    });
+    assert_eq!(rejected, garbage.len(), "every garbage frame is rejected");
+    assert_eq!(count, 0, "rejecting garbage allocated {count} times");
 }

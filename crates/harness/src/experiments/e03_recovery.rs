@@ -45,7 +45,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     for &mult in offsets_gamma {
         let offset = mult * gamma;
         let (mut world, _victim, release_at) =
-            scenario.recovery_world(offset, Box::new(ConstantOffsetStrategy::new(offset)));
+            scenario.recovery_world(Box::new(ConstantOffsetStrategy::new(offset)));
         let log = RunLog::new();
         world.add_observer(Box::new(log.clone()));
         // fine-grained sampling for latency resolution
@@ -66,7 +66,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     // Halving trajectory: ε inside WayOff so the limited branch is used.
     let eps = bounds.way_off * 0.8;
     let (mut world, victim, release_at) =
-        scenario.recovery_world(eps, Box::new(ConstantOffsetStrategy::new(eps)));
+        scenario.recovery_world(Box::new(ConstantOffsetStrategy::new(eps)));
     let log = RunLog::new();
     world.add_observer(Box::new(log.clone()));
     world.run_until(release_at + scenario.big_delta * 2.0);

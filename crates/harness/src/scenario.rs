@@ -137,15 +137,15 @@ impl Scenario {
     }
 
     /// A recovery scenario: one processor (`the last one`) is corrupted at
-    /// `Δ` for `Δ/2` and its clock reset to bias `offset`; everyone else is
-    /// honest and converged.
+    /// `Δ` for `Δ/2` and its clock set by `strategy` (e.g. to a fixed bias
+    /// by a `ConstantOffsetStrategy`); everyone else is honest and
+    /// converged.
     ///
     /// # Panics
     ///
     /// Panics on configuration errors.
     pub fn recovery_world(
         &self,
-        offset: f64,
         strategy: Box<dyn ByzantineStrategy>,
     ) -> (World, ProcId, RealTime) {
         let victim = ProcId((self.n - 1) as u32);
@@ -158,7 +158,6 @@ impl Scenario {
             .adversary(Adversary::new(schedule, strategy))
             .build()
             .expect("recovery world must build");
-        let _ = offset; // conveyed through the strategy (e.g. ConstantOffsetStrategy)
         (world, victim, release_at)
     }
 }
@@ -201,7 +200,7 @@ mod tests {
     fn recovery_world_shape() {
         let s = Scenario::standard(4, 1);
         let (mut w, victim, release_at) =
-            s.recovery_world(10.0, Box::new(ConstantOffsetStrategy::new(10.0)));
+            s.recovery_world(Box::new(ConstantOffsetStrategy::new(10.0)));
         assert_eq!(victim, ProcId(3));
         assert_eq!(release_at, RealTime::from_secs(90.0));
         w.run_until(RealTime::from_secs(70.0));

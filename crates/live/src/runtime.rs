@@ -376,7 +376,9 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
         local_now: io.clock.now(),
     };
     node.handle_into(start, &mut scratch, &mut io);
-    let mut buf = [0u8; MAX_PAYLOAD + 4];
+    // One byte past the largest frame, so that an oversized datagram
+    // shows as a frame that does not span it, not as a clipped valid one.
+    let mut buf = [0u8; 4 + MAX_PAYLOAD + 1];
     let mut datagrams = Datagrams::default();
     // The read timeout in force: `set_read_timeout` is a syscall, so it is
     // made only when the wait changes.
@@ -406,11 +408,13 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
             timeout = Some(wait);
         }
         match io.socket.recv_from(&mut buf) {
-            // Garbage datagrams are dropped, like line noise on a link. So
-            // is an envelope whose claimed sender is not bound to the
-            // address it came from: any local process can reach these
-            // sockets, and `from` is read off the wire.
+            // Garbage datagrams are dropped, like line noise on a link;
+            // that includes a valid frame with bytes trailing it. So is an
+            // envelope whose claimed sender is not bound to the address it
+            // came from: any local process can reach these sockets, and
+            // `from` is read off the wire.
             Ok((len, src)) => match wire::decode(&buf[..len]) {
+                Ok((_, used)) if used != len => datagrams.garbage += 1,
                 Ok((envelope, _)) if io.peers.get(envelope.from.index()) == Some(&src) => {
                     let input = Input::Message {
                         from: envelope.from,
@@ -622,7 +626,7 @@ mod tests {
             .alarms
             .iter()
             .any(|a| matches!(a.kind, TimerKind::RoundTimeout { .. })));
-        let mut buf = [0u8; MAX_PAYLOAD + 4];
+        let mut buf = [0u8; 4 + MAX_PAYLOAD + 1];
         for peer in sockets {
             peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let (len, src) = peer.recv_from(&mut buf).expect("a ping arrives");
@@ -631,6 +635,75 @@ mod tests {
             assert_eq!((envelope.from, used), (ProcId(0), len));
             assert!(matches!(envelope.msg, WireMessage::Ping { .. }));
         }
+    }
+
+    /// A valid frame with a byte trailing it, from a genuine peer, is
+    /// dropped as garbage and left unanswered; the same ping sent alone is
+    /// answered.
+    #[test]
+    fn datagram_with_trailing_bytes_is_dropped_as_garbage() {
+        let sockets: Vec<UdpSocket> = (0..4)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
+            .collect();
+        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let node_addr = peers[0];
+        let mut sockets = sockets.into_iter();
+        let (rounds, _rx) = mpsc::channel();
+        let io = NodeIo {
+            id: ProcId(0),
+            socket: sockets.next().unwrap(),
+            peers: Arc::new(peers),
+            clock: Arc::new(LiveClock::new(Instant::now(), 0.0)),
+            alarms: Vec::new(),
+            next_seq: 0,
+            rounds,
+            wire_buf: Vec::new(),
+        };
+        let params = ProtocolParams::builder(4, 1)
+            .sync_int(SimDuration::from_secs(5.0))
+            .max_wait(SimDuration::from_secs(1.0))
+            .way_off(9.0)
+            .build()
+            .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let node = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || run_node(io, SyncNode::new(ProcId(0), params), stop))
+        };
+        let peer = sockets.next().unwrap();
+        for (round, trailing) in [(77, &[0u8][..]), (78, &[][..])] {
+            let mut frame = Vec::new();
+            let msg = WireMessage::Ping { round, nonce: 1 };
+            wire::encode_into(
+                &Envelope {
+                    from: ProcId(1),
+                    msg,
+                },
+                &mut frame,
+            );
+            frame.extend_from_slice(trailing);
+            peer.send_to(&frame, node_addr).unwrap();
+        }
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 4 + MAX_PAYLOAD + 1];
+        let answered = loop {
+            let (len, _) = peer.recv_from(&mut buf).expect("the node answers");
+            // skip the node's own round pings
+            if let Ok((
+                Envelope {
+                    msg: WireMessage::Pong { round, .. },
+                    ..
+                },
+                _,
+            )) = wire::decode(&buf[..len])
+            {
+                break round;
+            }
+        };
+        stop.store(true, Ordering::Relaxed);
+        let datagrams = node.join().unwrap();
+        assert_eq!(answered, 78, "the ping with a trailing byte was answered");
+        assert_eq!((datagrams.garbage, datagrams.accepted), (1, 1));
     }
 
     /// A foreign socket floods every node with pongs and pings forged in

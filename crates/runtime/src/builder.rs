@@ -14,7 +14,8 @@
 //!   executions in different processors" — Section 3.3).
 
 use byzclock_adversary::{Adversary, AdversaryAction};
-use byzclock_clock::{ConstantDrift, DriftModel, HardwareClock, LogicalClock, RandomWalkDrift};
+use byzclock_clock::drift::{max_rate, min_rate};
+use byzclock_clock::{random_rate, HardwareClock, LogicalClock, RandomWalk};
 use byzclock_core::{
     params::ProtocolParamsBuilder, BoundsError as CoreBoundsError, CachedSync, ConvergenceFn,
     Derived, NetworkModel, PaperSync, ParamError, ProtocolParams, RoundScratch, SyncNode,
@@ -460,32 +461,41 @@ impl WorldBuilder {
         let mut engine: Engine<SimEvent> = Engine::new();
         let mut nodes = Vec::with_capacity(self.n);
         let mut protocols = Vec::with_capacity(self.n);
+        let walk = match &self.drift {
+            DriftSpec::ConstantRandomRate => None,
+            DriftSpec::RandomWalk { step_std, interval } => {
+                Some(RandomWalk::new(self.rho, *step_std, *interval))
+            }
+            DriftSpec::ExplicitRates(rates) => {
+                if rates.len() != self.n {
+                    return Err(BuildError::LengthMismatch {
+                        what: "drift rates",
+                        expected: self.n,
+                        got: rates.len(),
+                    });
+                }
+                for &rate in rates {
+                    assert!(
+                        (min_rate(self.rho)..=max_rate(self.rho)).contains(&rate),
+                        "rate {rate} outside drift envelope for rho={}",
+                        self.rho
+                    );
+                }
+                None
+            }
+        };
         for i in 0..self.n {
             let id = ProcId(i as u32);
             let mut drift_rng = hub.stream("drift", i as u64);
-            let mut drift: Box<dyn DriftModel> = match &self.drift {
-                DriftSpec::ConstantRandomRate => {
-                    Box::new(ConstantDrift::random_within(self.rho, &mut drift_rng))
-                }
-                DriftSpec::RandomWalk { step_std, interval } => {
-                    Box::new(RandomWalkDrift::new(self.rho, *step_std, *interval))
-                }
-                DriftSpec::ExplicitRates(rates) => {
-                    if rates.len() != self.n {
-                        return Err(BuildError::LengthMismatch {
-                            what: "drift rates",
-                            expected: self.n,
-                            got: rates.len(),
-                        });
-                    }
-                    Box::new(ConstantDrift::new(self.rho, rates[i]))
-                }
+            let rate = match &self.drift {
+                DriftSpec::ExplicitRates(rates) => rates[i],
+                _ => random_rate(self.rho, &mut drift_rng),
             };
-            let rate = drift.initial_rate(&mut drift_rng);
             let hardware = HardwareClock::new(rate);
             let clock =
                 LogicalClock::with_adjustment(hardware, SimDuration::from_secs(initial_biases[i]));
-            if let Some((when, new_rate)) = drift.next_change(RealTime::ZERO, &mut drift_rng) {
+            if let Some(walk) = walk {
+                let (when, new_rate) = walk.next_change(RealTime::ZERO, rate, &mut drift_rng);
                 engine.schedule_at(when, SimEvent::DriftChange { node: id, new_rate });
             }
             // Each node's anti-replay nonces come from a private fork of the
@@ -499,7 +509,6 @@ impl WorldBuilder {
             };
             nodes.push(NodeSlot {
                 clock,
-                drift,
                 drift_rng,
                 corruption_depth: 0,
                 pending: Vec::new(),
@@ -569,6 +578,7 @@ impl WorldBuilder {
                 nodes,
                 network,
                 adversary,
+                walk,
                 big_delta: self.big_delta,
                 sample_interval,
                 net_rng: hub.stream("net", 0),
@@ -630,6 +640,38 @@ mod tests {
             err.to_string(),
             "drift rates vector has length 3, expected 4"
         );
+    }
+
+    /// A constant spec builds no walk, so every clock keeps the rate it
+    /// was built with.
+    #[test]
+    fn constant_drift_never_changes() {
+        for spec in [
+            DriftSpec::ConstantRandomRate,
+            DriftSpec::ExplicitRates(vec![1.0 - 5e-6, 1.0, 1.0, 1.0 + 5e-6]),
+        ] {
+            let mut w = WorldBuilder::new(4, 1).drift(spec).build().unwrap();
+            assert!(w.host.walk.is_none());
+            let rates = |w: &mut World| -> Vec<f64> {
+                w.host
+                    .nodes
+                    .iter_mut()
+                    .map(|slot| slot.clock.hardware_mut().rate())
+                    .collect()
+            };
+            let built = rates(&mut w);
+            w.run_until(RealTime::from_secs(100.0));
+            assert_eq!(rates(&mut w), built);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rate 1.1 outside drift envelope for rho=0.000001")]
+    fn constant_outside_envelope_panics() {
+        let _ = WorldBuilder::new(4, 1)
+            .rho(1e-6)
+            .drift(DriftSpec::ExplicitRates(vec![1.0, 1.0, 1.1, 1.0]))
+            .build();
     }
 
     #[test]

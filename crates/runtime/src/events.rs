@@ -31,7 +31,7 @@ pub enum SimEvent {
         /// missing from the index never fires.
         id: EventId,
     },
-    /// A node's hardware clock changes rate (drift model step). The event
+    /// A node's hardware clock changes rate (a drift-walk step). The event
     /// is scheduled at the change instant and carries the rate to apply.
     DriftChange {
         /// Whose clock.

@@ -4,7 +4,7 @@
 //!
 //! * the discrete-event [`Engine`](byzclock_sim::Engine) (real-time axis),
 //! * per-processor [`LogicalClock`](byzclock_clock::LogicalClock)s with
-//!   drift models,
+//!   drifting hardware rates,
 //! * the [`Network`](byzclock_net::Network) (bounded-delay authenticated
 //!   links),
 //! * the [`Adversary`](byzclock_adversary::Adversary) (mobile Byzantine
@@ -17,8 +17,8 @@
 //! handles an input, with no buffer in between.
 //!
 //! Local-time alarms are converted to real-time events *exactly* using the
-//! piecewise-linear hardware clocks, and are recomputed whenever a drift
-//! model changes a clock's rate — so the simulation is faithful to the
+//! piecewise-linear hardware clocks, and are recomputed whenever the drift
+//! walk changes a clock's rate — so the simulation is faithful to the
 //! model even under time-varying drift.
 //!
 //! # Example

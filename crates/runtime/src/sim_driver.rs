@@ -19,7 +19,7 @@
 //! `set_timer(after)` means *local* time units. The driver computes the
 //! exact real time at which the node's logical clock reaches
 //! `local_now + after` using the current hardware rate, and whenever a
-//! drift model changes the rate (or a slew changes the logical slope) the
+//! drift walk changes the rate (or a slew changes the logical slope) the
 //! world recomputes every pending alarm of that node. Each pending alarm
 //! is one engine event, keyed by its engine id in the node's id-ordered
 //! pending list, and that list is the only record of which alarms are live:
@@ -34,7 +34,7 @@
 //! everything.
 
 use byzclock_adversary::Adversary;
-use byzclock_clock::LocalTime;
+use byzclock_clock::{LocalTime, RandomWalk};
 use byzclock_core::{Driver, RoundSummary, TimerKind, WireMessage};
 use byzclock_net::Network;
 use byzclock_sim::{DetRng, Engine, ProcId, RealTime, SimDuration};
@@ -45,14 +45,17 @@ use crate::observer::{Observer, WorldSample};
 use crate::world::{NodeSlot, PendingTimer};
 
 /// Everything a world's node effects touch: the engine, each processor's
-/// clock, drift and pending alarms, the network, the adversary, the random
-/// streams and the observers. The world keeps the protocols beside it, so
+/// clock, drift stream and pending alarms, the drift walk, the network,
+/// the adversary, the random streams and the observers. The world keeps the protocols beside it, so
 /// a node can be handed its host without aliasing itself.
 pub(crate) struct SimHost {
     pub(crate) engine: Engine<SimEvent>,
     pub(crate) nodes: Vec<NodeSlot>,
     pub(crate) network: Network,
     pub(crate) adversary: Adversary,
+    /// The rate walk every clock takes under `DriftSpec::RandomWalk`;
+    /// `None` when rates stay constant.
+    pub(crate) walk: Option<RandomWalk>,
     pub(crate) big_delta: SimDuration,
     pub(crate) sample_interval: SimDuration,
     pub(crate) net_rng: DetRng,

@@ -2,10 +2,11 @@
 //!
 //! The world owns one [`SyncNode`] per processor (wrapped in a
 //! [`CachedSync`] under cached estimation) and, beside them, one
-//! `SimHost`: the engine, the network, the [`Adversary`], the
-//! [`Observer`]s and, per processor, a [`LogicalClock`], a drift model and
-//! the pending alarms. The host is the nodes' [`Driver`](byzclock_core::Driver)
-//! ([`crate::sim_driver`]), and being a separate field it can be lent to a
+//! `SimHost`: the engine, the network, the [`Adversary`], the drift walk,
+//! the [`Observer`]s and, per processor, a [`LogicalClock`], its drift
+//! stream and the pending alarms. The host is the nodes'
+//! [`Driver`](byzclock_core::Driver) ([`crate::sim_driver`]), and being a
+//! separate field it can be lent to a
 //! node while the node handles an input. This module pops events, applies
 //! corruption/release/restart/drift transitions, routes traffic addressed
 //! to corrupted processors through the adversary, and feeds each input to
@@ -15,7 +16,7 @@
 //! to real-time events under drift and slew.
 
 use byzclock_adversary::{Adversary, AttackReply, ClockSabotage};
-use byzclock_clock::{DriftModel, LocalTime, LogicalClock};
+use byzclock_clock::{LocalTime, LogicalClock};
 use byzclock_core::{CachedSync, Input, RoundScratch, SyncNode, TimerKind, WireMessage};
 use byzclock_sim::queue::EventId;
 use byzclock_sim::{DetRng, ProcId, RealTime, SimDuration};
@@ -57,7 +58,7 @@ impl Protocol {
 /// The host's state for one processor: everything but its protocol.
 pub(crate) struct NodeSlot {
     pub(crate) clock: LogicalClock,
-    pub(crate) drift: Box<dyn DriftModel>,
+    /// The stream the drift walk steps this clock's rate with.
     pub(crate) drift_rng: DetRng,
     pub(crate) corruption_depth: u32,
     /// Pending alarms keyed by their engine [`EventId`]: the only record of
@@ -368,10 +369,13 @@ impl SimHost {
         let slot = &mut self.nodes[node.index()];
         debug_assert!(
             new_rate > 0.0,
-            "drift model produced non-positive rate {new_rate}"
+            "drift walk produced non-positive rate {new_rate}"
         );
         slot.clock.hardware_mut().set_rate(tau, new_rate);
-        if let Some((when, next_rate)) = slot.drift.next_change(tau, &mut slot.drift_rng) {
+        // Only the walk schedules rate changes, so `new_rate` is where it
+        // stands: the next step starts from there.
+        if let Some(walk) = self.walk {
+            let (when, next_rate) = walk.next_change(tau, new_rate, &mut slot.drift_rng);
             self.engine.schedule_at(
                 when,
                 SimEvent::DriftChange {

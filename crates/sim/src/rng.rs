@@ -7,22 +7,18 @@
 //! pair with a stable 64-bit mixing function, so streams are decoupled by
 //! construction.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 /// Derives independent deterministic RNG streams from a root seed.
 ///
 /// ```
 /// use byzclock_sim::RngHub;
-/// use rand::Rng;
 ///
 /// let hub = RngHub::new(42);
 /// let mut a1 = hub.stream("delay", 0);
 /// let mut a2 = hub.stream("delay", 0);
 /// let mut b = hub.stream("drift", 0);
-/// let x1: u64 = a1.gen();
-/// let x2: u64 = a2.gen();
-/// let y: u64 = b.gen();
+/// let x1 = a1.bits64();
+/// let x2 = a2.bits64();
+/// let y = b.bits64();
 /// assert_eq!(x1, x2); // same label+index => same stream
 /// assert_ne!(x1, y);  // different label => independent stream
 /// ```
@@ -59,19 +55,22 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic random-number generator stream.
-///
-/// Wraps [`SmallRng`] with convenience samplers used across the simulator.
+/// A deterministic random-number generator stream: xoshiro256++ with
+/// convenience samplers used across the simulator.
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl DetRng {
-    /// Creates a stream directly from a 64-bit seed.
+    /// Creates a stream directly from a 64-bit seed, expanding it into the
+    /// four state words by SplitMix64.
     pub fn seeded(seed: u64) -> Self {
+        // `mix64` is a bijection and the four inputs differ, so at most one
+        // word is 0: the all-zero state xoshiro must avoid cannot occur.
+        let word = |i: u64| mix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         DetRng {
-            inner: SmallRng::seed_from_u64(seed),
+            s: [word(0), word(1), word(2), word(3)],
         }
     }
 
@@ -85,7 +84,13 @@ impl DetRng {
         if lo == hi {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        let v = lo + self.unit() * (hi - lo);
+        // guard against rounding up to the excluded endpoint
+        if v >= hi {
+            lo
+        } else {
+            v
+        }
     }
 
     /// Uniform integer in `[0, n)`.
@@ -95,20 +100,20 @@ impl DetRng {
     /// Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index: empty range");
-        self.inner.gen_range(0..n)
+        self.below(n)
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
-        self.inner.gen::<f64>() < p
+        self.unit() < p
     }
 
     /// Standard normal sample via Box–Muller.
     pub fn normal(&mut self) -> f64 {
         // Rejection-free Box–Muller; u1 in (0,1] to avoid ln(0).
-        let u1: f64 = 1.0 - self.inner.gen::<f64>();
-        let u2: f64 = self.inner.gen::<f64>();
+        let u1: f64 = 1.0 - self.unit();
+        let u2: f64 = self.unit();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
@@ -117,15 +122,38 @@ impl DetRng {
         mean + std_dev * self.normal()
     }
 
-    /// Raw 64 random bits (e.g. for nonces and derived seeds).
+    /// Raw 64 random bits (e.g. for nonces and derived seeds): one
+    /// xoshiro256++ step.
     pub fn bits64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform sample in `[0, 1)` from the top 53 bits of one draw.
+    fn unit(&mut self) -> f64 {
+        (self.bits64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform integer in `[0, span)`: a 128-bit draw, high word first,
+    /// reduced modulo `span`.
+    fn below(&mut self, span: usize) -> usize {
+        let hi = u128::from(self.bits64());
+        let lo = u128::from(self.bits64());
+        (((hi << 64) | lo) % span as u128) as usize
     }
 
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.below(i + 1);
             slice.swap(i, j);
         }
     }
@@ -140,36 +168,20 @@ impl DetRng {
     }
 }
 
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_label_same_stream() {
         let hub = RngHub::new(7);
         let a: Vec<u64> = {
             let mut r = hub.stream("x", 3);
-            (0..16).map(|_| r.gen()).collect()
+            (0..16).map(|_| r.bits64()).collect()
         };
         let b: Vec<u64> = {
             let mut r = hub.stream("x", 3);
-            (0..16).map(|_| r.gen()).collect()
+            (0..16).map(|_| r.bits64()).collect()
         };
         assert_eq!(a, b);
     }
@@ -177,23 +189,23 @@ mod tests {
     #[test]
     fn different_labels_differ() {
         let hub = RngHub::new(7);
-        let a: u64 = hub.stream("x", 0).gen();
-        let b: u64 = hub.stream("y", 0).gen();
+        let a: u64 = hub.stream("x", 0).bits64();
+        let b: u64 = hub.stream("y", 0).bits64();
         assert_ne!(a, b);
     }
 
     #[test]
     fn different_indices_differ() {
         let hub = RngHub::new(7);
-        let a: u64 = hub.stream("x", 0).gen();
-        let b: u64 = hub.stream("x", 1).gen();
+        let a: u64 = hub.stream("x", 0).bits64();
+        let b: u64 = hub.stream("x", 1).bits64();
         assert_ne!(a, b);
     }
 
     #[test]
     fn different_roots_differ() {
-        let a: u64 = RngHub::new(1).stream("x", 0).gen();
-        let b: u64 = RngHub::new(2).stream("x", 0).gen();
+        let a: u64 = RngHub::new(1).stream("x", 0).bits64();
+        let b: u64 = RngHub::new(2).stream("x", 0).bits64();
         assert_ne!(a, b);
     }
 
@@ -250,13 +262,41 @@ mod tests {
         }
     }
 
+    /// The first draws of one stream through every sampler. Any change to
+    /// the generator, its seeding or a sampler's arithmetic moves every
+    /// simulated run, so the exact values are pinned.
     #[test]
-    fn bits64_matches_rngcore_stream() {
-        let mut a = RngHub::new(37).stream("bits", 0);
-        let mut b = RngHub::new(37).stream("bits", 0);
-        for _ in 0..16 {
-            assert_eq!(a.bits64(), b.next_u64());
-        }
+    fn stream_values_are_pinned() {
+        let mut r = RngHub::new(42).stream("pin", 3);
+        let bits: Vec<u64> = (0..3).map(|_| r.bits64()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x8248_8dd6_2730_026c,
+                0x1085_6629_da9e_d7bf,
+                0xc948_cd44_f634_0fc5
+            ]
+        );
+        let uniform: Vec<u64> = (0..3).map(|_| r.uniform(-1.5, 2.5).to_bits()).collect();
+        assert_eq!(
+            uniform,
+            [
+                0x4002_cd08_1dea_9cb0,
+                0x3fff_8aa3_0760_c7bc,
+                0x4003_4311_e60a_1d86
+            ]
+        );
+        let index: Vec<usize> = (0..6).map(|_| r.index(1000)).collect();
+        assert_eq!(index, [623, 237, 716, 400, 418, 555]);
+        let normal: Vec<u64> = (0..2).map(|_| r.normal().to_bits()).collect();
+        assert_eq!(normal, [0xbfb5_9dd3_3879_b015, 0x3fe5_ac68_e51d_bce2]);
+        let chance: Vec<bool> = (0..8).map(|_| r.chance(0.5)).collect();
+        assert_eq!(chance, [true, false, true, true, false, false, false, true]);
+        let mut v: Vec<u32> = (0..10).collect();
+        r.shuffle(&mut v);
+        assert_eq!(v, [7, 8, 5, 9, 2, 3, 6, 4, 1, 0]);
+        assert_eq!(r.bits64(), 0x7706_21b8_da82_625f);
+        assert_eq!(DetRng::seeded(0).bits64(), 0x5317_5d61_490b_23df);
     }
 
     #[test]

@@ -151,12 +151,11 @@ proptest! {
     /// RNG streams: same label+index identical, any difference diverges.
     #[test]
     fn rng_streams_are_stable(seed in any::<u64>(), label in "[a-z]{1,8}", idx in 0u64..100) {
-        use rand::Rng;
         let hub = RngHub::new(seed);
-        let a: Vec<u64> = { let mut r = hub.stream(&label, idx); (0..8).map(|_| r.gen()).collect() };
-        let b: Vec<u64> = { let mut r = hub.stream(&label, idx); (0..8).map(|_| r.gen()).collect() };
+        let a: Vec<u64> = { let mut r = hub.stream(&label, idx); (0..8).map(|_| r.bits64()).collect() };
+        let b: Vec<u64> = { let mut r = hub.stream(&label, idx); (0..8).map(|_| r.bits64()).collect() };
         prop_assert_eq!(&a, &b);
-        let c: Vec<u64> = { let mut r = hub.stream(&label, idx + 1); (0..8).map(|_| r.gen()).collect() };
+        let c: Vec<u64> = { let mut r = hub.stream(&label, idx + 1); (0..8).map(|_| r.bits64()).collect() };
         prop_assert_ne!(&a, &c);
     }
 
