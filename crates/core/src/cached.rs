@@ -12,9 +12,11 @@
 //!
 //! It wraps a [`SyncNode`] rather than extending it, so the node keeps only
 //! Figure 1's state. The wrapped node answers pings, numbers the volleys,
-//! draws their nonces, holds the cache in its own per-peer sample slots and
+//! draws their nonces, holds the cache in its per-peer sample slots and
 //! runs the convergence step over them in the host's [`RoundScratch`]; the
-//! wrapper only tracks the current volley.
+//! wrapper only tracks the current volley. A plain node holds its slots
+//! only while a round runs; the cache outlives every volley, so the wrapped
+//! node takes a slot pair from the host's pool at start and keeps it.
 
 use byzclock_clock::LocalTime;
 use byzclock_sim::{ProcId, SimDuration};
@@ -79,7 +81,7 @@ impl CachedSync {
     ) {
         match input {
             Input::Start { local_now } => {
-                self.node.clear_samples();
+                self.node.take_empty_slots(scratch);
                 self.volley(local_now, driver);
                 driver.set_timer(
                     self.node.id(),
@@ -102,7 +104,6 @@ impl CachedSync {
                 if clock.as_secs().is_finite()
                     && round == self.node.round()
                     && nonce == self.nonce
-                    && from != self.node.id()
                     && from.index() < self.node.params().n()
                     && local_now >= self.sent_at
                 {

@@ -110,28 +110,38 @@ pub trait Driver {
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary);
 }
 
-/// The scratch a host lends its nodes for round completion: the `n`
-/// estimates Figure 1 converges over and the convergence function's
-/// selection buffers ([`ConvergenceScratch`]).
+/// The scratch a host lends its nodes: the `n` estimates Figure 1
+/// converges over, the convergence function's selection buffers
+/// ([`ConvergenceScratch`]), and a pool of per-peer slot pairs for the
+/// rounds in flight.
 ///
-/// A node carries only its per-peer round state between inputs; these
-/// buffers live only while a round completes and carry nothing from one
-/// call to the next. So one value serves every node a host drives, one at
-/// a time: a simulated `World` owns one for all its nodes, and a live node
-/// thread owns one for its node. Built with capacity `n`, it makes rounds
-/// allocation-free from the first.
+/// A node holds a slot pair (one best sample and one pong count per peer)
+/// only while its round runs: it takes one from the pool when the round
+/// begins and hands it back once the round has converged. Nothing in the
+/// scratch carries over to the next call: the estimates and selection
+/// buffers are cleared before they are filled, and a round zeroes the
+/// counts of the pair it takes and reads a sample only where its count is
+/// positive. So one value serves every node a host drives, one at a time
+/// (a simulated `World` owns one for all its nodes, a live node thread
+/// owns one for its node), and a fresh scratch per call works as well.
+/// Built with capacity `n`, it holds one pair already, so a live node and
+/// a world's first round allocate nothing; a world's pool grows to the
+/// most rounds it has in flight at once.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
     estimates: Vec<PeerEstimate>,
     convergence: ConvergenceScratch,
+    slots: Vec<(Vec<OffsetSample>, Vec<u8>)>,
 }
 
 impl RoundScratch {
-    /// Pre-sizes every buffer for `n` processors.
+    /// Pre-sizes every buffer for `n` processors, with one slot pair in
+    /// the pool.
     pub fn with_capacity(n: usize) -> Self {
         RoundScratch {
             estimates: Vec::with_capacity(n),
             convergence: ConvergenceScratch::with_capacity(n),
+            slots: vec![(vec![OffsetSample::TIMEOUT; n], vec![0; n])],
         }
     }
 }
@@ -160,13 +170,16 @@ pub struct SyncNode {
     /// min-RTT filter ([`OffsetSample::min_rtt`]) folds each accepted pong
     /// in as it arrives, so `k` pings per peer still need one slot. Valid
     /// only where `filled[q] > 0`; the self slot is never read (the exact
-    /// `(0, 0)` stands in at completion). Allocated once at construction,
-    /// so rounds never allocate. Under cached estimation the wrapping
-    /// [`CachedSync`](crate::CachedSync) overwrites these slots instead.
+    /// `(0, 0)` stands in at completion). Empty between rounds: the slots
+    /// are taken from the host's [`RoundScratch`] pool when a round begins
+    /// and handed back when it completes. Under cached estimation the
+    /// wrapping [`CachedSync`](crate::CachedSync) takes them at start,
+    /// keeps them, and overwrites them instead.
     samples: Vec<OffsetSample>,
     /// Pongs accepted from each peer in the active round (at most `k`,
     /// which is at most 64); under cached estimation, 1 once the peer has
-    /// answered since the last start.
+    /// answered since the last start. Taken and handed back with
+    /// `samples`.
     filled: Vec<u8>,
     /// Peers (excluding self) still short of `k` pongs in the active
     /// round; the round completes early when this reaches zero.
@@ -190,7 +203,6 @@ impl SyncNode {
         convergence: Box<dyn ConvergenceFn>,
     ) -> Self {
         assert!(id.index() < params.n(), "node id out of range");
-        let n = params.n();
         SyncNode {
             id,
             params,
@@ -202,8 +214,8 @@ impl SyncNode {
             // still get distinct streams. Hosts override via
             // `with_nonce_seed` with a fork of their root seed.
             nonces: DetRng::seeded(0x6E6F_6E63_6500_0000 ^ (id.index() as u64 + 1)),
-            samples: vec![OffsetSample::TIMEOUT; n],
-            filled: vec![0; n],
+            samples: Vec::new(),
+            filled: Vec::new(),
             missing: 0,
         }
     }
@@ -251,9 +263,10 @@ impl SyncNode {
     ) {
         match input {
             Input::Start { local_now } => {
-                // Recovery: abandon any in-flight round and start fresh.
+                // Recovery: abandon any in-flight round and start fresh; the
+                // abandoned round's slots serve the new one.
                 self.active = None;
-                self.begin_round(local_now, driver);
+                self.begin_round(local_now, scratch, driver);
             }
             Input::Message {
                 from,
@@ -290,7 +303,7 @@ impl SyncNode {
             Input::TimerFired { timer, local_now } => match timer {
                 TimerKind::SyncDue => {
                     if self.active.is_none() {
-                        self.begin_round(local_now, driver);
+                        self.begin_round(local_now, scratch, driver);
                     }
                     // else: a SyncDue racing an in-flight round (possible
                     // after a host-driven restart): ignore, the round's
@@ -307,7 +320,12 @@ impl SyncNode {
         (self.round, self.nonces.bits64())
     }
 
-    fn begin_round<D: Driver + ?Sized>(&mut self, local_now: LocalTime, driver: &mut D) {
+    fn begin_round<D: Driver + ?Sized>(
+        &mut self,
+        local_now: LocalTime,
+        scratch: &mut RoundScratch,
+        driver: &mut D,
+    ) {
         let (round, nonce) = self.next_round();
         let n = self.params.n();
         let k = self.params.pings_per_peer();
@@ -316,9 +334,7 @@ impl SyncNode {
             nonce,
             sent_at: local_now,
         });
-        // Reuse the node-owned per-peer storage: only the fill counts
-        // reset, so rounds allocate nothing.
-        self.filled.fill(0);
+        self.take_empty_slots(scratch);
         self.missing = n - 1;
         // Section 3.1's min-RTT refinement: k pings per peer; the replies
         // are filtered by smallest round trip as they arrive.
@@ -406,19 +422,40 @@ impl SyncNode {
             return;
         };
         self.converge(active.round, scratch, driver);
+        scratch.slots.push((
+            std::mem::take(&mut self.samples),
+            std::mem::take(&mut self.filled),
+        ));
+    }
+
+    /// Gives the node `n` empty per-peer slots, so each reads as a timeout
+    /// until it is written: the pair it holds (a round abandoned by a
+    /// restart, or a cached node's cache), else one from the host's pool,
+    /// allocated only when the pool is empty.
+    pub(crate) fn take_empty_slots(&mut self, scratch: &mut RoundScratch) {
+        if self.filled.is_empty() {
+            (self.samples, self.filled) = scratch.slots.pop().unwrap_or_default();
+        }
+        let n = self.params.n();
+        self.samples.resize(n, OffsetSample::TIMEOUT);
+        self.filled.clear();
+        self.filled.resize(n, 0);
     }
 
     /// Overwrites peer `q`'s slot with `sample`, marking it filled. The
     /// cached-estimation host's write path; `on_pong` folds instead.
+    ///
+    /// A self-addressed sample is stored like any other, and it is
+    /// harmless: `converge` puts the exact `(0, 0)` in the self slot's
+    /// place, and counts responders among the estimates, not the fills.
+    /// (The simulated network drops self-addressed sends anyway, and the
+    /// live runtime never runs cached estimation.) A node without slots (a
+    /// cached node not yet started) drops the sample.
     pub(crate) fn store_sample(&mut self, q: usize, sample: OffsetSample) {
-        self.samples[q] = sample;
-        self.filled[q] = 1;
-    }
-
-    /// Empties every peer slot, so each reads as a timeout until it is
-    /// written again.
-    pub(crate) fn clear_samples(&mut self) {
-        self.filled.fill(0);
+        if let (Some(slot), Some(count)) = (self.samples.get_mut(q), self.filled.get_mut(q)) {
+            *slot = sample;
+            *count = 1;
+        }
     }
 
     /// Figure 1's convergence step, the one round-completion path: builds
@@ -444,10 +481,11 @@ impl SyncNode {
                         offset: 0.0,
                         error: 0.0,
                     }
-                } else if self.filled[i] == 0 {
-                    OffsetSample::TIMEOUT
                 } else {
-                    self.samples[i]
+                    match self.filled.get(i) {
+                        Some(&count) if count > 0 => self.samples[i],
+                        _ => OffsetSample::TIMEOUT,
+                    }
                 },
             });
         }
@@ -486,7 +524,7 @@ pub(crate) mod tests {
 
         /// The sample in peer `q`'s slot, if a pong filled it.
         pub(crate) fn sample(&self, q: usize) -> Option<OffsetSample> {
-            (self.filled[q] > 0).then_some(self.samples[q])
+            (self.filled.get(q) > Some(&0)).then(|| self.samples[q])
         }
     }
 
@@ -530,7 +568,7 @@ pub(crate) mod tests {
     }
 
     /// Feeds one input through `handle_into` and returns the calls it made,
-    /// with a fresh scratch (it carries nothing between calls).
+    /// with a fresh scratch (one serves as well as a shared one).
     fn handle(node: &mut SyncNode, input: Input) -> Vec<Effect> {
         let mut effects = Vec::new();
         node.handle_into(input, &mut RoundScratch::default(), &mut effects);
@@ -1329,8 +1367,9 @@ pub(crate) mod tests {
         /// Three rounds per case against the `Vec<Vec<_>>` reference: the
         /// first gets every genuine pong (early completion), the second
         /// misses one (completion by timeout unless a duplicate stands in),
-        /// the third decides at random. The second and third rounds reuse
-        /// the storage the first one filled.
+        /// the third decides at random. All rounds share one scratch, so
+        /// the second and third rounds take the slot pair the one before
+        /// handed back, with its counts and samples as that round left them.
         #[test]
         fn flat_round_storage_matches_nested_reference(
             n in 4usize..17,
@@ -1349,16 +1388,22 @@ pub(crate) mod tests {
             let mut node = SyncNode::new(ProcId(me as u32), params).with_nonce_seed(seed);
             let mut nested = NestedRounds::new(ProcId(me as u32), params);
             let mut rng = DetRng::seeded(seed);
+            let mut scratch = RoundScratch::default();
+            let mut feed = |node: &mut SyncNode, input| {
+                let mut effects = Vec::new();
+                node.handle_into(input, &mut scratch, &mut effects);
+                effects
+            };
             for r in 0..3u32 {
                 let at = 20.0 * f64::from(r);
-                let out = if r == 0 {
-                    start(&mut node, at)
+                let out = feed(&mut node, if r == 0 {
+                    Input::Start { local_now: lt(at) }
                 } else {
-                    handle(&mut node, Input::TimerFired {
+                    Input::TimerFired {
                         timer: TimerKind::SyncDue,
                         local_now: lt(at),
-                    })
-                };
+                    }
+                });
                 let (round, nonce) = extract_ping(&out, ProcId(((me + 1) % n) as u32));
                 nested.begin(round, nonce, lt(at));
                 let withhold = match r {
@@ -1367,7 +1412,7 @@ pub(crate) mod tests {
                     _ => rng.chance(0.5),
                 };
                 for input in round_traffic(&mut rng, n, k, me, (round, nonce), at, withhold) {
-                    assert_same_effects(&handle(&mut node, input), &nested.pong(input));
+                    assert_same_effects(&feed(&mut node, input), &nested.pong(input));
                 }
                 if r == 0 {
                     proptest::prop_assert!(!node.is_round_active(), "round 0 completes early");
@@ -1376,7 +1421,7 @@ pub(crate) mod tests {
                     timer: TimerKind::RoundTimeout { round },
                     local_now: lt(at + 1.0),
                 };
-                assert_same_effects(&handle(&mut node, timeout), &nested.timeout(round));
+                assert_same_effects(&feed(&mut node, timeout), &nested.timeout(round));
             }
         }
     }

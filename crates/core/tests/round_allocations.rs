@@ -1,18 +1,21 @@
 //! A sync round allocates nothing once the node and its host's scratch are
-//! built, and a node holds only its per-peer round state.
+//! built, and a node holds per-peer state only while its round runs.
 //!
-//! `SyncNode` keeps one best pong sample and one pong count per peer, sized
-//! at construction; the estimates and selection buffers of round completion
-//! live in the host's `RoundScratch`, and every effect is a direct call on
-//! the host's driver, with no buffer between them. So neither the ping
-//! fan-out, nor the pongs, nor the round's completion touch the heap. A
-//! counting global allocator checks a whole first round at n = 64, driven
-//! through a driver that stores nothing, that building a node
-//! makes the same number of allocations whatever n is, that its bytes
-//! are 17 per peer whatever `pings_per_peer` is, and that wrapping it for
-//! cached estimation adds none. It also checks that the wire decoder
-//! rejects garbage without touching the heap, so a flood of junk datagrams
-//! costs a live node no allocations.
+//! During a round `SyncNode` keeps one best pong sample and one pong count
+//! per peer, a slot pair it takes from the pool in the host's
+//! `RoundScratch` and hands back when the round completes; the estimates
+//! and selection buffers of round completion live in the same scratch, and
+//! every effect is a direct call on the host's driver, with no buffer
+//! between them. So neither the ping fan-out, nor the pongs, nor the
+//! round's completion touch the heap. A counting global allocator checks a
+//! whole first round at n = 64, driven through a driver that stores
+//! nothing, and a second node's round on a scratch the first one warmed;
+//! that building a node makes the same number of allocations whatever n
+//! is; that between rounds a node holds no bytes per peer, whatever
+//! `pings_per_peer` is; and that a started cached node, which keeps its
+//! slot pair as its cache, holds at most 17 bytes per peer. It also checks
+//! that the wire decoder rejects garbage without touching the heap, so a
+//! flood of junk datagrams costs a live node no allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,13 +32,18 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    static BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Heap bytes allocated on this thread and not yet freed (signed: a
+    /// thread may free what another allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Counts one allocation of `bytes` on this thread.
-fn count(bytes: usize) {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-    BYTES.with(|b| b.set(b.get() + bytes));
+/// Adds `delta` live bytes on this thread, counting an allocation if
+/// `allocation`.
+fn track(delta: isize, allocation: bool) {
+    if allocation {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
+    LIVE.with(|l| l.set(l.get() + delta));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -43,16 +51,17 @@ fn count(bytes: usize) {
 // counters, which are const-initialized and so never allocate themselves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        track(layout.size() as isize, true);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize), false);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
+        track(new_size as isize - layout.size() as isize, true);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,12 +76,11 @@ fn allocations(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Heap bytes requested by `f` on this thread (a reallocation counts its
-/// growth).
-fn bytes(f: impl FnOnce()) -> usize {
-    let before = BYTES.with(Cell::get);
+/// Heap bytes that `f` leaves live on this thread.
+fn bytes(f: impl FnOnce()) -> isize {
+    let before = LIVE.with(Cell::get);
     f();
-    BYTES.with(Cell::get) - before
+    LIVE.with(Cell::get) - before
 }
 
 fn params(n: usize, k: usize) -> ProtocolParams {
@@ -110,6 +118,41 @@ impl Driver for Forgetful {
     }
 }
 
+/// Drives `node` through one whole round in which every pong arrives —
+/// started, or begun by its sync alarm after the first — and returns the
+/// round's report.
+fn full_round(node: &mut SyncNode, scratch: &mut RoundScratch) -> Option<RoundSummary> {
+    let mut host = Forgetful::default();
+    let (me, n, k) = (node.id(), node.params().n(), node.params().pings_per_peer());
+    let at = 20.0 * node.round() as f64;
+    let input = if node.round() == 0 {
+        Input::Start { local_now: lt(at) }
+    } else {
+        Input::TimerFired {
+            timer: TimerKind::SyncDue,
+            local_now: lt(at),
+        }
+    };
+    node.handle_into(input, scratch, &mut host);
+    let (round, nonce) = host.ping?;
+    for q in ProcId::all(n).filter(|q| *q != me) {
+        for _ in 0..k {
+            let pong = WireMessage::Pong {
+                round,
+                nonce,
+                clock: lt(at + 0.05),
+            };
+            let input = Input::Message {
+                from: q,
+                msg: pong,
+                local_now: lt(at + 0.1),
+            };
+            node.handle_into(input, scratch, &mut host);
+        }
+    }
+    host.completed
+}
+
 #[test]
 fn first_round_allocates_nothing_after_construction() {
     let (n, k) = (64, 2);
@@ -117,33 +160,25 @@ fn first_round_allocates_nothing_after_construction() {
     // The host's round-completion scratch, sized for n, is built before
     // measuring; no effect buffer exists at all.
     let mut scratch = RoundScratch::with_capacity(n);
-    let mut host = Forgetful::default();
-    let count = allocations(|| {
-        node.handle_into(Input::Start { local_now: lt(0.0) }, &mut scratch, &mut host);
-        let Some((round, nonce)) = host.ping else {
-            return;
-        };
-        for q in 1..n {
-            for _ in 0..k {
-                let pong = WireMessage::Pong {
-                    round,
-                    nonce,
-                    clock: lt(0.05),
-                };
-                let input = Input::Message {
-                    from: ProcId(q as u32),
-                    msg: pong,
-                    local_now: lt(0.1),
-                };
-                node.handle_into(input, &mut scratch, &mut host);
-            }
-        }
-    });
-    let summary = host
-        .completed
-        .expect("every pong arrived, so the round completes");
+    let mut summary = None;
+    let count = allocations(|| summary = full_round(&mut node, &mut scratch));
+    let summary = summary.expect("every pong arrived, so the round completes");
     assert_eq!((summary.responders, summary.timeouts), (n - 1, 0));
     assert_eq!(count, 0, "a whole round allocated {count} times");
+}
+
+#[test]
+fn a_second_nodes_round_on_a_warmed_scratch_allocates_nothing() {
+    let n = 64;
+    // An empty pool: the first node's round allocates its slot pair.
+    let mut scratch = RoundScratch::default();
+    let mut first = SyncNode::new(ProcId(0), params(n, 2));
+    assert!(full_round(&mut first, &mut scratch).is_some());
+    let mut second = SyncNode::new(ProcId(5), params(n, 2)).with_nonce_seed(9);
+    let mut summary = None;
+    let count = allocations(|| summary = full_round(&mut second, &mut scratch));
+    assert_eq!(summary.map(|s| s.responders), Some(n - 1));
+    assert_eq!(count, 0, "the second node's round allocated {count} times");
 }
 
 #[test]
@@ -166,7 +201,7 @@ fn construction_allocations_do_not_depend_on_n() {
 
 /// The heap bytes of a freshly built node with `n` processors and `k`
 /// pings per peer.
-fn node_bytes(n: usize, k: usize) -> usize {
+fn node_bytes(n: usize, k: usize) -> isize {
     let params = params(n, k);
     let mut node = None;
     let b = bytes(|| node = Some(SyncNode::new(ProcId(0), params)));
@@ -175,20 +210,52 @@ fn node_bytes(n: usize, k: usize) -> usize {
 }
 
 #[test]
-fn node_bytes_do_not_depend_on_k_and_grow_17_per_peer() {
-    for n in [16, 256, 1024] {
-        assert_eq!(
-            node_bytes(n, 1),
-            node_bytes(n, 8),
-            "k = 8 pings per peer must not cost more than k = 1 at n = {n}"
-        );
+fn between_rounds_a_node_holds_no_bytes_per_peer() {
+    let mut held = Vec::new();
+    for n in [16, 64, 256, 1024] {
+        for k in [1, 8] {
+            let mut scratch = RoundScratch::with_capacity(n);
+            let mut node = None;
+            let b = bytes(|| {
+                let mut built = SyncNode::new(ProcId(0), params(n, k));
+                for _ in 0..2 {
+                    assert!(full_round(&mut built, &mut scratch).is_some());
+                }
+                node = Some(built);
+            });
+            held.push((n, k, b));
+        }
     }
-    // one best sample (16 bytes) and one pong count (1 byte) per peer
-    let (small, large) = (node_bytes(16, 1), node_bytes(1024, 1));
     assert!(
-        large - small <= 17 * (1024 - 16),
-        "{small} bytes at n = 16, {large} at n = 1024: over 17 per peer"
+        held.windows(2).all(|w| w[0].2 == w[1].2),
+        "bytes held after two rounds, by (n, k): {held:?}"
     );
+}
+
+#[test]
+fn a_started_cached_node_holds_at_most_17_bytes_per_peer() {
+    let started_bytes = |n: usize| {
+        let mut cached = CachedSync::new(
+            SyncNode::new(ProcId(0), params(n, 1)),
+            SimDuration::from_secs(3.0),
+        );
+        // An empty pool: the cache's slot pair is allocated at start.
+        let mut scratch = RoundScratch::default();
+        let b = bytes(|| {
+            cached.handle_into(
+                Input::Start { local_now: lt(0.0) },
+                &mut scratch,
+                &mut Forgetful::default(),
+            )
+        });
+        assert_eq!(cached.node().round(), 1);
+        b
+    };
+    for n in [16, 256, 1024] {
+        let b = started_bytes(n);
+        // one best sample (16 bytes) and one pong count (1 byte) per peer
+        assert!(b <= 17 * n as isize, "{b} bytes at n = {n}");
+    }
 }
 
 #[test]

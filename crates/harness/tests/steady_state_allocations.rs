@@ -11,8 +11,11 @@
 //! corrupted processors, with and without an observer.
 //!
 //! The same allocator tracks live heap bytes, so the footprint guards can
-//! bound a whole world's peak heap: each node keeps only its 17 bytes of
-//! per-peer round state, and the world lends all nodes one round scratch.
+//! bound a whole world's peak heap: a node holds its 17 bytes of per-peer
+//! round state only while its round runs, taking them from and handing
+//! them back to the one round scratch the world lends all nodes, and the
+//! full-mesh topology stores no adjacency matrix. So the heap follows the
+//! rounds in flight, not n².
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -145,18 +148,16 @@ fn churn_world_heap_peak(n: usize, secs: f64) -> i64 {
 const MIB: i64 = 1 << 20;
 
 #[test]
-fn churn_world_at_n_256_peaks_under_2_mib() {
+fn churn_world_at_n_256_peaks_under_512_kib() {
     let peak = churn_world_heap_peak(256, 30.0);
-    assert!(peak < 2 * MIB, "{peak} bytes of peak live heap at n = 256");
+    assert!(peak < MIB / 2, "{peak} bytes of peak live heap at n = 256");
 }
 
-/// The n = 1024 footprint guard, run by the nightly job (`--ignored`).
+/// The n = 1024 footprint guard. It is slow in a debug build, so CI runs
+/// it in release (`--include-ignored`).
 #[test]
-#[ignore = "n = 1024 footprint guard: the nightly job runs it with --ignored"]
-fn churn_world_at_n_1024_peaks_under_24_mib() {
+#[ignore = "n = 1024 footprint guard: CI runs it in release with --include-ignored"]
+fn churn_world_at_n_1024_peaks_under_2_mib() {
     let peak = churn_world_heap_peak(1024, 4.0);
-    assert!(
-        peak < 24 * MIB,
-        "{peak} bytes of peak live heap at n = 1024"
-    );
+    assert!(peak < 2 * MIB, "{peak} bytes of peak live heap at n = 1024");
 }

@@ -111,6 +111,10 @@ pub struct NodeStats {
     /// Datagrams dropped because the claimed sender's address is not the
     /// one they came from.
     pub rejected_spoofed: u64,
+    /// CPU time the node's thread used over its whole run, nanoseconds,
+    /// as Linux reports it in `/proc/thread-self/schedstat`; `None` where
+    /// the platform does not report it.
+    pub cpu_ns: Option<u64>,
 }
 
 impl NodeStats {
@@ -121,6 +125,22 @@ impl NodeStats {
         self.last_adjustment = summary.adjustment;
         self.last_responders = summary.responders;
     }
+
+    /// The node thread's CPU time per accepted datagram, microseconds, or
+    /// `None` if the CPU time is unknown or no datagram was accepted.
+    pub fn cpu_us_per_datagram(&self) -> Option<f64> {
+        per_datagram_us(self.cpu_ns?, self.accepted_datagrams)
+    }
+}
+
+/// `cpu_ns` of CPU time spread over `datagrams`, in microseconds each.
+fn per_datagram_us(cpu_ns: u64, datagrams: u64) -> Option<f64> {
+    (datagrams > 0).then(|| cpu_ns as f64 / 1e3 / datagrams as f64)
+}
+
+/// Renders a CPU-per-datagram figure, or "n/a" when it is unknown.
+fn fmt_cpu_us(us: Option<f64>) -> String {
+    us.map_or_else(|| "n/a".into(), |us| format!("{us:.1}"))
 }
 
 /// One deviation sample: max pairwise clock difference at a common instant.
@@ -169,6 +189,17 @@ impl LiveReport {
         accepted as f64 / self.elapsed.as_secs_f64()
     }
 
+    /// CPU time per accepted datagram over the whole cluster, microseconds:
+    /// every node thread's CPU time over every datagram the nodes
+    /// accepted. `None` if any node's CPU time is unknown.
+    pub fn cpu_us_per_datagram(&self) -> Option<f64> {
+        let cpu_ns = self.stats.iter().map(|s| s.cpu_ns).sum::<Option<u64>>()?;
+        per_datagram_us(
+            cpu_ns,
+            self.stats.iter().map(|s| s.accepted_datagrams).sum(),
+        )
+    }
+
     /// True when the cluster finished converged: every node completed its
     /// rounds and the final observed deviation is inside the Theorem 5
     /// envelope `γ`.
@@ -191,6 +222,7 @@ impl LiveReport {
                 "last responders",
                 "datagrams accepted",
                 "dropped garbage/spoofed",
+                "CPU µs/datagram",
             ],
         );
         for (i, s) in self.stats.iter().enumerate() {
@@ -202,6 +234,7 @@ impl LiveReport {
                 s.last_responders.to_string(),
                 s.accepted_datagrams.to_string(),
                 format!("{}/{}", s.rejected_garbage, s.rejected_spoofed),
+                fmt_cpu_us(s.cpu_us_per_datagram()),
             ]);
         }
         let mut deviation = Table::new(
@@ -227,7 +260,8 @@ impl LiveReport {
                 fmt_secs(self.bounds.discontinuity),
             ]);
         format!(
-            "{}\n{}\nT = {} s, K = {}, elapsed {:.2} s, {:.1} rounds/s, {:.0} datagrams/s, {}\n",
+            "{}\n{}\nT = {} s, K = {}, elapsed {:.2} s, {:.1} rounds/s, {:.0} datagrams/s, \
+             {} CPU µs/datagram, {}\n",
             per_node.render(),
             deviation.render(),
             self.bounds.t.as_secs(),
@@ -235,6 +269,7 @@ impl LiveReport {
             self.elapsed.as_secs_f64(),
             self.rounds_per_sec(),
             self.datagrams_per_sec(),
+            fmt_cpu_us(self.cpu_us_per_datagram()),
             if self.converged() {
                 "converged within gamma"
             } else if self.completed {
@@ -360,16 +395,30 @@ impl NodeIo {
     }
 }
 
-/// Datagrams a node thread received, by fate.
+/// Datagrams a node thread received, by fate, and the CPU time the thread
+/// used.
 #[derive(Debug, Default)]
 struct Datagrams {
     accepted: u64,
     garbage: u64,
     spoofed: u64,
+    cpu_ns: Option<u64>,
+}
+
+/// The calling thread's CPU time so far, nanoseconds: the first field of
+/// Linux's `/proc/thread-self/schedstat`. `None` where that file is
+/// missing or unreadable.
+fn thread_cpu_ns() -> Option<u64> {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
 }
 
 /// The body of one node thread; returns the count of datagrams it took
-/// and dropped.
+/// and dropped, and the thread's CPU time.
 fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagrams {
     let mut scratch = RoundScratch::with_capacity(node.params().n());
     let start = Input::Start {
@@ -403,7 +452,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
         let wait = Duration::from_millis(wait.as_millis() as u64);
         if timeout != Some(wait) {
             if io.socket.set_read_timeout(Some(wait)).is_err() {
-                return datagrams;
+                break;
             }
             timeout = Some(wait);
         }
@@ -430,9 +479,10 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
-            Err(_) => return datagrams,
+            Err(_) => break,
         }
     }
+    datagrams.cpu_ns = thread_cpu_ns();
     datagrams
 }
 
@@ -542,6 +592,7 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
             s.accepted_datagrams = datagrams.accepted;
             s.rejected_garbage = datagrams.garbage;
             s.rejected_spoofed = datagrams.spoofed;
+            s.cpu_ns = datagrams.cpu_ns;
         }
     }
     // drain events that raced the stop decision

@@ -68,5 +68,13 @@ fn four_nodes_complete_rounds_and_converge_within_gamma() {
         "datagrams/s = {}",
         report.datagrams_per_sec()
     );
-    assert!(report.render().contains("rounds/s"));
+    let rendered = report.render();
+    assert!(rendered.contains("rounds/s"));
+    // CPU per accepted datagram: a column per node and a cluster total,
+    // positive wherever the thread CPU time could be read.
+    assert!(rendered.contains("CPU µs/datagram"), "{rendered}");
+    let per_node = report.stats.iter().map(|s| s.cpu_us_per_datagram());
+    for us in per_node.chain([report.cpu_us_per_datagram()]).flatten() {
+        assert!(us > 0.0, "CPU µs/datagram = {us}");
+    }
 }

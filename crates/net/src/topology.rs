@@ -12,9 +12,13 @@ use byzclock_sim::{DetRng, ProcId};
 
 /// An undirected communication graph over processors `0..n`.
 ///
-/// Stored as one symmetric `n×n` adjacency matrix of `bool`s, flattened row
-/// by row (`{a, b}` is at `adj[a·n + b]`); `n` is small in all experiments
-/// so O(n²) storage is irrelevant and lookups are O(1).
+/// The complete graph ([`Topology::full_mesh`], the paper's model) stores
+/// no adjacency at all: every pair of distinct in-range ids is an edge.
+/// Every other graph is stored as one symmetric `n×n` adjacency matrix of
+/// `bool`s, flattened row by row (`{a, b}` is at `adj[a·n + b]`); such
+/// graphs appear only in small experiments, so O(n²) storage is irrelevant
+/// there. Lookups are O(1) either way, and equality compares the edges, so
+/// a complete graph built edge by edge equals the full mesh.
 ///
 /// ```
 /// use byzclock_net::Topology;
@@ -25,10 +29,18 @@ use byzclock_sim::{DetRng, ProcId};
 /// assert!(!t.are_connected(ProcId(2), ProcId(2))); // no self-loops
 /// assert_eq!(t.degree(ProcId(1)), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     n: usize,
-    adj: Vec<bool>,
+    edges: Edges,
+}
+
+#[derive(Debug, Clone)]
+enum Edges {
+    /// Every pair of distinct nodes.
+    Complete,
+    /// The flattened adjacency matrix.
+    Matrix(Vec<bool>),
 }
 
 impl Topology {
@@ -41,21 +53,21 @@ impl Topology {
         assert!(n > 0, "topology needs at least one node");
         Topology {
             n,
-            adj: vec![false; n * n],
+            edges: Edges::Matrix(vec![false; n * n]),
         }
     }
 
     /// The complete graph on `n` nodes — the paper's standard model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
     pub fn full_mesh(n: usize) -> Self {
-        let mut t = Topology::empty(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    t.adj[i * n + j] = true;
-                }
-            }
+        assert!(n > 0, "topology needs at least one node");
+        Topology {
+            n,
+            edges: Edges::Complete,
         }
-        t
     }
 
     /// The Section 5 counterexample: two cliques of `3f+1` nodes each, with
@@ -150,8 +162,11 @@ impl Topology {
             a.index() < self.n && b.index() < self.n,
             "edge endpoint out of range"
         );
-        self.adj[a.index() * self.n + b.index()] = true;
-        self.adj[b.index() * self.n + a.index()] = true;
+        // A complete graph already has every edge.
+        if let Edges::Matrix(adj) = &mut self.edges {
+            adj[a.index() * self.n + b.index()] = true;
+            adj[b.index() * self.n + a.index()] = true;
+        }
     }
 
     /// Number of nodes.
@@ -167,17 +182,20 @@ impl Topology {
 
     /// True iff `{a, b}` is an edge. Self-pairs are never connected.
     pub fn are_connected(&self, a: ProcId, b: ProcId) -> bool {
-        a.index() < self.n && b.index() < self.n && self.adj[a.index() * self.n + b.index()]
+        if a.index() >= self.n || b.index() >= self.n {
+            return false;
+        }
+        match &self.edges {
+            Edges::Complete => a != b,
+            Edges::Matrix(adj) => adj[a.index() * self.n + b.index()],
+        }
     }
 
-    /// Row `i` of the adjacency matrix.
-    fn row(&self, i: usize) -> &[bool] {
-        &self.adj[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Degree of `p`.
+    /// Degree of `p` (0 if `p` is out of range).
     pub fn degree(&self, p: ProcId) -> usize {
-        self.row(p.index()).iter().filter(|&&c| c).count()
+        ProcId::all(self.n)
+            .filter(|&q| self.are_connected(p, q))
+            .count()
     }
 
     /// Minimum degree over all nodes.
@@ -188,16 +206,20 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// True iff the graph is connected (BFS from node 0).
+    /// True iff the graph is connected (BFS from node 0). A complete graph
+    /// answers without a search, so without allocating.
     pub fn is_connected(&self) -> bool {
+        if self.min_degree() + 1 == self.n {
+            return true;
+        }
         let mut seen = vec![false; self.n];
         let mut queue = VecDeque::from([0usize]);
         seen[0] = true;
         let mut count = 1;
         while let Some(i) = queue.pop_front() {
-            for (j, &connected) in self.row(i).iter().enumerate() {
-                if connected && !seen[j] {
-                    seen[j] = true;
+            for (j, seen) in seen.iter_mut().enumerate() {
+                if !*seen && self.are_connected(ProcId(i as u32), ProcId(j as u32)) {
+                    *seen = true;
                     count += 1;
                     queue.push_back(j);
                 }
@@ -206,6 +228,18 @@ impl Topology {
         count == self.n
     }
 }
+
+/// Two topologies are equal iff they have the same nodes and edges,
+/// however each stores them.
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        let ids = || (0..self.n as u32).map(ProcId);
+        self.n == other.n
+            && ids().all(|a| ids().all(|b| self.are_connected(a, b) == other.are_connected(a, b)))
+    }
+}
+
+impl Eq for Topology {}
 
 #[cfg(test)]
 mod tests {
@@ -238,7 +272,10 @@ mod tests {
             let mut count = 1;
             while let Some(i) = queue.pop_front() {
                 for j in 0..self.n {
-                    if self.row(i)[j] && !seen[j] && !gone[j] {
+                    if self.are_connected(ProcId(i as u32), ProcId(j as u32))
+                        && !seen[j]
+                        && !gone[j]
+                    {
                         seen[j] = true;
                         count += 1;
                         queue.push_back(j);

@@ -1,9 +1,12 @@
-//! Sends never allocate, whatever the fault profile.
+//! Sends never allocate, whatever the fault profile, and the full mesh
+//! answers every query without a matrix.
 //!
 //! The simulator makes a send for every message, so `send_times` and
 //! `send_forged_times` return their delivery instants inline. A counting
 //! global allocator checks that a batch of sends makes no allocation under
-//! each fault the network models.
+//! each fault the network models, and that the full mesh, which stores no
+//! adjacency, answers like a complete graph built edge by edge without
+//! allocating a row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -102,5 +105,38 @@ fn sends_make_no_allocation_under_any_fault_profile() {
         });
         assert_eq!(made, 0, "{name}: sends allocated {made} times");
         assert!(delivered > 0, "{name}: nothing was delivered");
+    }
+}
+
+#[test]
+fn full_mesh_agrees_with_an_edge_built_complete_graph_without_allocating() {
+    for n in [1usize, 2, 5] {
+        let mesh = Topology::full_mesh(n);
+        let built = Topology::erdos_renyi(n, 1.0, &mut RngHub::new(5).stream("mesh", 0));
+        // ids past `n` included: out-of-range pairs are never connected
+        let ids = || (0..n as u32 + 2).map(ProcId);
+        for t in [&mesh, &built] {
+            let mut answers = Vec::with_capacity(4 * (n + 2) * (n + 2));
+            let made = allocations(|| {
+                answers.push(*t == mesh && built == *t);
+                for a in ids() {
+                    for b in ids() {
+                        answers.push(
+                            t.are_connected(a, b) == (a != b && a.index() < n && b.index() < n),
+                        );
+                    }
+                }
+                for p in ProcId::all(n) {
+                    answers.push(t.degree(p) == n - 1);
+                }
+                answers.push(t.min_degree() == n - 1);
+                answers.push(t.is_connected());
+            });
+            assert_eq!(made, 0, "n = {n}: {t:?} allocated {made} times");
+            assert!(
+                answers.iter().all(|&ok| ok),
+                "n = {n}: {t:?} answers {answers:?}"
+            );
+        }
     }
 }
