@@ -1,16 +1,19 @@
 //! Real-time loopback runtime: the same sans-IO
 //! [`SyncNode`](byzclock_core::SyncNode) the deterministic simulator
-//! drives, running over real UDP sockets on localhost with real monotonic
-//! clocks.
+//! drives, running over real UDP sockets on localhost.
 //!
 //! This crate is the second implementor of the
 //! [`Driver`](byzclock_core::Driver) contract. Where the sim driver
 //! executes protocol outputs against a modeled world (event queue, drifting
 //! piecewise-linear clocks, faulty network), this one executes them for
 //! real: sends become UDP datagrams carrying the length-prefixed frames of
-//! [`byzclock_core::wire`], timers become deadline entries in a per-node
-//! thread, and clock reads hit the machine's monotonic clock (plus an
-//! injected initial offset and the protocol's own accumulated adjustment).
+//! [`byzclock_core::wire`] and timers become deadline entries in a
+//! per-node thread. Clocks are the simulator's own
+//! [`LogicalClock`](byzclock_clock::LogicalClock): each node's hardware
+//! clock drifts at a constant rate within ρ, drawn as a simulated world
+//! with the same seed draws it, over real time read from the machine's
+//! monotonic clock; its adjustment starts at an injected initial offset
+//! and takes the protocol's steps.
 //!
 //! The node calls either host through the same trait, in the same order,
 //! so the protocol core cannot tell which world it lives in. The deterministic guarantees (chaos
@@ -30,8 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod runtime;
 
-pub use clock::LiveClock;
 pub use runtime::{run, DeviationSample, LiveConfig, LiveError, LiveReport, NodeStats};

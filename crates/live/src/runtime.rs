@@ -21,19 +21,18 @@
 //! to measure observed deviation — the live analogue of the simulator's
 //! `sample_now`.
 
+use byzclock_clock::{random_rate, HardwareClock, LocalTime, LogicalClock};
 use byzclock_core::wire::{self, Envelope, MAX_PAYLOAD};
 use byzclock_core::{
     Driver, Input, NetworkModel, RoundScratch, RoundSummary, SyncNode, TheoremBounds, TimerKind,
 };
 use byzclock_harness::table::{fmt_secs, Table};
-use byzclock_sim::{ProcId, SimDuration};
+use byzclock_sim::{ProcId, RealTime, RngHub, SimDuration};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crate::clock::LiveClock;
 
 /// Longest a node thread blocks in `recv_from` before re-checking the
 /// stop flag and its alarm list.
@@ -58,13 +57,15 @@ pub struct LiveConfig {
     /// Sync intervals per Δ (Theorem 5 requires `k ≥ 5`).
     pub k: u32,
     /// Half-width of the deterministic initial clock spread, seconds:
-    /// node `i` starts at `(i/(n−1) − 1/2) · 2 · spread`.
+    /// node `i` starts at `(i/(n−1) − 1/2) · 2 · spread`. Must be finite
+    /// and not negative.
     pub spread: f64,
     /// Stop once every node has completed this many rounds.
     pub min_rounds: u64,
     /// Hard wall-clock cap on the whole run.
     pub deadline: Duration,
-    /// Nonce-stream seed (per-node streams are derived from it).
+    /// Root seed of the per-node drift rates and nonce streams, drawn as
+    /// a simulated world with the same seed draws them.
     pub seed: u64,
 }
 
@@ -293,6 +294,8 @@ pub enum LiveError {
     /// Config asks for more nodes than the cap of one thread per node
     /// allows.
     TooManyNodes(usize),
+    /// Config's initial spread is NaN, infinite or negative.
+    BadSpread(f64),
 }
 
 impl std::fmt::Display for LiveError {
@@ -303,6 +306,9 @@ impl std::fmt::Display for LiveError {
             LiveError::TooFewNodes(n) => write!(f, "need at least 2 nodes, got {n}"),
             LiveError::TooManyNodes(n) => {
                 write!(f, "at most {MAX_NODES} nodes (one thread each), got {n}")
+            }
+            LiveError::BadSpread(s) => {
+                write!(f, "initial spread must be finite and not negative, got {s}")
             }
         }
     }
@@ -322,20 +328,46 @@ impl From<byzclock_core::BoundsError> for LiveError {
     }
 }
 
+/// Real time at `at`: seconds since the cluster `epoch`, 0 before it.
+fn real_time(epoch: Instant, at: Instant) -> RealTime {
+    RealTime::from_secs(at.saturating_duration_since(epoch).as_secs_f64())
+}
+
+/// Locks a clock shared between its node thread and the coordinator. A
+/// clock is plain data, so one a panicking thread held is still sound.
+fn lock(clock: &Mutex<LogicalClock>) -> MutexGuard<'_, LogicalClock> {
+    clock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Node `i`'s clock at the cluster epoch: the hardware rate a simulated
+/// world with the same seed and ρ draws under its default constant random
+/// rate, and an adjustment of the node's initial offset.
+fn node_clock(config: &LiveConfig, i: usize) -> LogicalClock {
+    let rate = random_rate(
+        config.model.rho,
+        &mut RngHub::new(config.seed).stream("drift", i as u64),
+    );
+    let frac = i as f64 / (config.nodes - 1) as f64;
+    let offset = (frac - 0.5) * 2.0 * config.spread;
+    LogicalClock::with_adjustment(HardwareClock::new(rate), SimDuration::from_secs(offset))
+}
+
 /// A pending local-time alarm.
 struct Alarm {
-    target: byzclock_clock::LocalTime,
+    target: LocalTime,
     seq: u64,
     kind: TimerKind,
 }
 
-/// One node's [`Driver`]: real sockets, real clock, in-thread deadline
-/// list.
+/// One node's [`Driver`]: real sockets, a drifting clock over real time,
+/// in-thread deadline list.
 struct NodeIo {
     id: ProcId,
     socket: UdpSocket,
     peers: Arc<Vec<SocketAddr>>,
-    clock: Arc<LiveClock>,
+    /// Real time 0.
+    epoch: Instant,
+    clock: Arc<Mutex<LogicalClock>>,
     alarms: Vec<Alarm>,
     next_seq: u64,
     /// Each completed round's record, tagged with the node, for the
@@ -359,14 +391,14 @@ impl Driver for NodeIo {
     }
 
     fn set_timer(&mut self, _node: ProcId, after: SimDuration, kind: TimerKind) {
-        let target = self.clock.now() + after;
+        let target = self.local_now() + after;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.alarms.push(Alarm { target, seq, kind });
     }
 
     fn adjust_clock(&mut self, _node: ProcId, delta: SimDuration) {
-        self.clock.adjust(delta);
+        lock(&self.clock).adjust(delta);
     }
 
     fn round_completed(&mut self, node: ProcId, summary: &RoundSummary) {
@@ -375,8 +407,18 @@ impl Driver for NodeIo {
 }
 
 impl NodeIo {
+    /// Real time now.
+    fn real_now(&self) -> RealTime {
+        real_time(self.epoch, Instant::now())
+    }
+
+    /// The node's clock reading now.
+    fn local_now(&self) -> LocalTime {
+        lock(&self.clock).read(self.real_now())
+    }
+
     /// Pops the due alarm with the earliest `(target, seq)`, if any.
-    fn pop_due(&mut self, now: byzclock_clock::LocalTime) -> Option<TimerKind> {
+    fn pop_due(&mut self, now: LocalTime) -> Option<TimerKind> {
         let due = self
             .alarms
             .iter()
@@ -387,11 +429,12 @@ impl NodeIo {
         Some(self.alarms.swap_remove(due).kind)
     }
 
-    /// Real seconds until the earliest alarm (local units map 1:1 to real
-    /// ones here — the hardware rate is the host oscillator's).
-    fn until_next_alarm(&self, now: byzclock_clock::LocalTime) -> Option<Duration> {
+    /// Real time from `tau` until the node's clock reaches its earliest
+    /// alarm, as the simulator converts an alarm to a real-time event.
+    fn until_next_alarm(&self, tau: RealTime) -> Option<Duration> {
         let next = self.alarms.iter().map(|a| a.target).min()?;
-        Some(Duration::from_secs_f64((next - now).as_secs().max(0.0)))
+        let due = lock(&self.clock).real_time_reaching_logical(tau, next);
+        Some(Duration::from_secs_f64((due - tau).as_secs()))
     }
 }
 
@@ -422,7 +465,7 @@ fn thread_cpu_ns() -> Option<u64> {
 fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagrams {
     let mut scratch = RoundScratch::with_capacity(node.params().n());
     let start = Input::Start {
-        local_now: io.clock.now(),
+        local_now: io.local_now(),
     };
     node.handle_into(start, &mut scratch, &mut io);
     // One byte past the largest frame, so that an oversized datagram
@@ -434,17 +477,18 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
     let mut timeout = None;
     while !stop.load(Ordering::Relaxed) {
         // fire alarms one at a time: a fired timer may arm or cancel others
-        let now = io.clock.now();
+        let tau = io.real_now();
+        let now = lock(&io.clock).read(tau);
         if let Some(kind) = io.pop_due(now) {
             let input = Input::TimerFired {
                 timer: kind,
-                local_now: io.clock.now(),
+                local_now: now,
             };
             node.handle_into(input, &mut scratch, &mut io);
             continue;
         }
         let wait = io
-            .until_next_alarm(now)
+            .until_next_alarm(tau)
             .unwrap_or(POLL_CAP)
             .clamp(Duration::from_millis(1), POLL_CAP);
         // Whole milliseconds (at most POLL_CAP's 25), rounded down so that
@@ -468,7 +512,7 @@ fn run_node(mut io: NodeIo, mut node: SyncNode, stop: Arc<AtomicBool>) -> Datagr
                     let input = Input::Message {
                         from: envelope.from,
                         msg: envelope.msg,
-                        local_now: io.clock.now(),
+                        local_now: io.local_now(),
                     };
                     datagrams.accepted += 1;
                     node.handle_into(input, &mut scratch, &mut io);
@@ -500,6 +544,9 @@ pub fn run(config: LiveConfig) -> Result<LiveReport, LiveError> {
     if config.nodes > MAX_NODES {
         return Err(LiveError::TooManyNodes(config.nodes));
     }
+    if !(config.spread.is_finite() && config.spread >= 0.0) {
+        return Err(LiveError::BadSpread(config.spread));
+    }
     let sockets = (0..config.nodes)
         .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
         .collect::<io::Result<Vec<_>>>()?;
@@ -518,46 +565,37 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
     );
 
     let epoch = Instant::now();
-    let clocks: Vec<Arc<LiveClock>> = (0..n)
-        .map(|i| {
-            let frac = if n > 1 {
-                i as f64 / (n - 1) as f64
-            } else {
-                0.5
-            };
-            Arc::new(LiveClock::new(epoch, (frac - 0.5) * 2.0 * config.spread))
-        })
+    let clocks: Vec<Arc<Mutex<LogicalClock>>> = (0..n)
+        .map(|i| Arc::new(Mutex::new(node_clock(&config, i))))
         .collect();
 
-    let sample_deviation = |clocks: &[Arc<LiveClock>]| {
-        let at = Instant::now();
-        let reads: Vec<f64> = clocks.iter().map(|c| c.read_at(at).as_secs()).collect();
+    let sample_deviation = |clocks: &[Arc<Mutex<LogicalClock>>]| {
+        let tau = real_time(epoch, Instant::now());
+        let reads: Vec<f64> = clocks.iter().map(|c| lock(c).read(tau).as_secs()).collect();
         let max = reads.iter().cloned().fold(f64::MIN, f64::max);
         let min = reads.iter().cloned().fold(f64::MAX, f64::min);
-        (at.saturating_duration_since(epoch).as_secs_f64(), max - min)
+        (tau.as_secs(), max - min)
     };
     let (_, initial_deviation) = sample_deviation(&clocks);
 
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel();
+    let hub = RngHub::new(config.seed);
     let mut handles = Vec::with_capacity(n);
     for (i, socket) in sockets.into_iter().enumerate() {
         let io = NodeIo {
             id: ProcId(i as u32),
             socket,
             peers: Arc::clone(&addrs),
+            epoch,
             clock: Arc::clone(&clocks[i]),
             alarms: Vec::new(),
             next_seq: 0,
             rounds: tx.clone(),
             wire_buf: Vec::with_capacity(MAX_PAYLOAD + 4),
         };
-        let node = SyncNode::new(ProcId(i as u32), derived.params).with_nonce_seed(
-            config
-                .seed
-                .wrapping_add(i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let node = SyncNode::new(ProcId(i as u32), derived.params)
+            .with_nonce_seed(hub.stream("nonce", i as u64).bits64());
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || run_node(io, node, stop)));
     }
@@ -621,8 +659,40 @@ fn run_on(config: LiveConfig, sockets: Vec<UdpSocket>) -> Result<LiveReport, Liv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byzclock_clock::LocalTime;
     use byzclock_core::{ProtocolParams, WireMessage};
+    use byzclock_runtime::{InitialBias, WorldBuilder};
+
+    /// Node 0 of a four-node cluster on fresh loopback sockets, its clock
+    /// reading 0 now and ticking at `rate`, with the sockets of its three
+    /// peers and the parameters the node runs.
+    fn node_zero(rate: f64) -> (NodeIo, impl Iterator<Item = UdpSocket>, ProtocolParams) {
+        let sockets: Vec<UdpSocket> = (0..4)
+            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
+            .collect();
+        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
+        let mut sockets = sockets.into_iter();
+        let io = NodeIo {
+            id: ProcId(0),
+            socket: sockets.next().unwrap(),
+            peers: Arc::new(peers),
+            epoch: Instant::now(),
+            clock: Arc::new(Mutex::new(LogicalClock::with_adjustment(
+                HardwareClock::new(rate),
+                SimDuration::ZERO,
+            ))),
+            alarms: Vec::new(),
+            next_seq: 0,
+            rounds: mpsc::channel().0,
+            wire_buf: Vec::new(),
+        };
+        let params = ProtocolParams::builder(4, 1)
+            .sync_int(SimDuration::from_secs(5.0))
+            .max_wait(SimDuration::from_secs(1.0))
+            .way_off(9.0)
+            .build()
+            .unwrap();
+        (io, sockets, params)
+    }
 
     /// Both node-count bounds return before any socket is bound or any
     /// thread starts.
@@ -641,35 +711,88 @@ mod tests {
         }
     }
 
+    /// A NaN, infinite or negative spread is refused before any socket is
+    /// bound, instead of arming NaN alarms that fire back to back.
+    #[test]
+    fn spread_that_is_not_a_finite_half_width_is_rejected() {
+        for spread in [f64::NAN, f64::INFINITY, -0.01] {
+            let config = LiveConfig {
+                spread,
+                ..LiveConfig::quick(4, 1)
+            };
+            match run(config) {
+                Err(e @ LiveError::BadSpread(s)) if s.to_bits() == spread.to_bits() => {
+                    assert!(e.to_string().contains("spread"), "{e}");
+                }
+                other => panic!("expected BadSpread({spread}), got {other:?}"),
+            }
+        }
+    }
+
+    /// Real time before the epoch reads as 0, not a panic.
+    #[test]
+    fn real_time_before_the_epoch_saturates() {
+        let epoch = Instant::now() + Duration::from_secs(5);
+        assert_eq!(real_time(epoch, Instant::now()), RealTime::ZERO);
+        let later = epoch + Duration::from_millis(250);
+        assert_eq!(real_time(epoch, later).as_secs(), 0.25);
+    }
+
+    /// A live node's clock is the clock a simulated world with the same
+    /// seed, ρ and initial offsets gives that node: at τ = 100 µs, before
+    /// any round can complete (a round trip takes at least 2 · 0.1δ), every
+    /// bias agrees bit for bit, and the rates differ from node to node.
+    #[test]
+    fn node_clocks_match_the_simulator_bit_for_bit() {
+        let config = LiveConfig::quick(7, 2);
+        let n = config.nodes;
+        let offsets: Vec<f64> = (0..n)
+            .map(|i| (i as f64 / (n - 1) as f64 - 0.5) * 2.0 * config.spread)
+            .collect();
+        let mut world = WorldBuilder::new(n, config.faults)
+            .seed(config.seed)
+            .delta(config.model.delta)
+            .rho(config.model.rho)
+            .big_delta(config.model.big_delta)
+            .k(config.k)
+            .initial_bias(InitialBias::Explicit(offsets))
+            .build()
+            .unwrap();
+        let tau = RealTime::from_secs(100e-6);
+        world.run_until(tau);
+        let mut rates = Vec::new();
+        for i in 0..n {
+            let mut clock = node_clock(&config, i);
+            assert_eq!(
+                clock.bias(tau).as_secs().to_bits(),
+                world.bias_of(ProcId(i as u32)).as_secs().to_bits(),
+                "p{i}"
+            );
+            rates.push(clock.hardware_mut().rate());
+        }
+        rates.sort_by(f64::total_cmp);
+        rates.dedup();
+        assert_eq!(rates.len(), n, "{rates:?}");
+    }
+
+    /// An alarm 1 s ahead on a clock ticking at twice real speed is due
+    /// after about 0.5 s of real time, not 1 s.
+    #[test]
+    fn alarm_wait_follows_the_clock_rate() {
+        let (mut io, _peers, _) = node_zero(2.0);
+        io.set_timer(ProcId(0), SimDuration::from_secs(1.0), TimerKind::SyncDue);
+        let wait = io.until_next_alarm(io.real_now()).unwrap().as_secs_f64();
+        assert!((wait - 0.5).abs() < 0.05, "{wait}");
+    }
+
     /// A started node sends one ping frame to each of its three peers over
     /// UDP and arms its round timeout.
     #[test]
     fn drive_runs_start_through_the_driver() {
-        let sockets: Vec<UdpSocket> = (0..4)
-            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
-            .collect();
-        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-        let mut sockets = sockets.into_iter();
-        let (rounds, _rx) = mpsc::channel();
-        let mut io = NodeIo {
-            id: ProcId(0),
-            socket: sockets.next().unwrap(),
-            peers: Arc::new(peers),
-            clock: Arc::new(LiveClock::new(Instant::now(), 0.0)),
-            alarms: Vec::new(),
-            next_seq: 0,
-            rounds,
-            wire_buf: Vec::new(),
-        };
-        let params = ProtocolParams::builder(4, 1)
-            .sync_int(SimDuration::from_secs(5.0))
-            .max_wait(SimDuration::from_secs(1.0))
-            .way_off(9.0)
-            .build()
-            .unwrap();
+        let (mut io, sockets, params) = node_zero(1.0);
         let mut node = SyncNode::new(ProcId(0), params);
         let start = Input::Start {
-            local_now: io.clock.now(),
+            local_now: io.local_now(),
         };
         node.handle_into(start, &mut RoundScratch::default(), &mut io);
 
@@ -693,29 +816,8 @@ mod tests {
     /// answered.
     #[test]
     fn datagram_with_trailing_bytes_is_dropped_as_garbage() {
-        let sockets: Vec<UdpSocket> = (0..4)
-            .map(|_| UdpSocket::bind(("127.0.0.1", 0)).expect("bind node socket"))
-            .collect();
-        let peers: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-        let node_addr = peers[0];
-        let mut sockets = sockets.into_iter();
-        let (rounds, _rx) = mpsc::channel();
-        let io = NodeIo {
-            id: ProcId(0),
-            socket: sockets.next().unwrap(),
-            peers: Arc::new(peers),
-            clock: Arc::new(LiveClock::new(Instant::now(), 0.0)),
-            alarms: Vec::new(),
-            next_seq: 0,
-            rounds,
-            wire_buf: Vec::new(),
-        };
-        let params = ProtocolParams::builder(4, 1)
-            .sync_int(SimDuration::from_secs(5.0))
-            .max_wait(SimDuration::from_secs(1.0))
-            .way_off(9.0)
-            .build()
-            .unwrap();
+        let (io, mut sockets, params) = node_zero(1.0);
+        let node_addr = io.peers[0];
         let stop = Arc::new(AtomicBool::new(false));
         let node = {
             let stop = Arc::clone(&stop);

@@ -408,7 +408,7 @@ impl WorldBuilder {
                 .sync_int(params.sync_int())
                 .max_wait(params.max_wait())
                 .way_off(self.way_off_override.unwrap_or(params.way_off()))
-                .pings_per_peer(self.pings_per_peer.max(params.pings_per_peer()));
+                .pings_per_peer(self.pings_per_peer);
             params = build(builder).map_err(CoreBoundsError::Param)?;
         }
 
@@ -690,6 +690,27 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(w.params().way_off(), 42.0);
+    }
+
+    /// A ping count outside 1..=64 fails the build at either end; k = 0
+    /// is not quietly run as k = 1.
+    #[test]
+    fn ping_count_outside_its_range_is_rejected() {
+        for k in [0, 65] {
+            let err = WorldBuilder::new(4, 1)
+                .pings_per_peer(k)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BuildError::Bounds(CoreBoundsError::Param(ParamError::InvalidPingCount))
+                ),
+                "k = {k}: {err}"
+            );
+        }
+        let w = WorldBuilder::new(4, 1).pings_per_peer(64).build().unwrap();
+        assert_eq!(w.params().pings_per_peer(), 64);
     }
 
     #[test]

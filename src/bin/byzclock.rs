@@ -5,9 +5,12 @@
 //! ```
 //!
 //! `live` runs the protocol for real: N OS threads, each hosting one
-//! sans-IO `SyncNode` over a UDP socket on localhost with a real monotonic
-//! clock (plus an injected initial offset), and prints per-node round
+//! sans-IO `SyncNode` over a UDP socket on localhost, on the simulator's
+//! clock model (a hardware clock drifting within ρ over real monotonic
+//! time, plus an injected initial offset), and prints per-node round
 //! statistics and the observed deviation against the Theorem 5 envelope.
+//! It exits 0 iff every node finished its rounds inside γ, 1 if not or if
+//! the run could not start, and 2 on a usage error.
 //! It is the same state machine the deterministic simulator drives — only
 //! the driver differs.
 
